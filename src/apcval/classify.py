@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .domain import SAFE, UNSAFE, DopRecord
+from .estimator import _differences, _fmean, _moments
 from .planner import counted_count
 
 KIND_ALL_SAFE = "all_safe"
@@ -257,23 +258,15 @@ def partition_stats_estimate(records: list[DopRecord]) -> PartitionEstimate:
     if unsafe and not counted_u:
         raise ValueError("unsafe stratum has no counted records")
 
-    counted = counted_s + counted_u
-    m_bar = math.fsum(r.m_final for r in counted) / len(counted)
+    m_bar = _fmean([r.m_final for r in counted_s + counted_u])
     if m_bar <= 0.0:
         raise ValueError("campaign has no boarding passengers (mean count is 0)")
 
-    def moments(subset: list[DopRecord]) -> tuple[float | None, float | None]:
-        if not subset:
-            return None, None
-        d = [(r.k_auto - r.m_final) / m_bar for r in subset]
-        mu = math.fsum(d) / len(d)
-        if len(d) < 2:
-            return mu, 0.0
-        var = math.fsum((x - mu) ** 2 for x in d) / (len(d) - 1)
-        return mu, math.sqrt(var)
-
-    mu_s, nu_s = moments(counted_s)
-    mu_u, nu_u = moments(counted_u)
+    mu_s, nu_s = _moments(_differences(counted_s, m_bar))
+    mu_u, nu_u = _moments(_differences(counted_u, m_bar))
+    # a single counted record reports no spread rather than an undefined one
+    nu_s = 0.0 if len(counted_s) == 1 else nu_s
+    nu_u = 0.0 if len(counted_u) == 1 else nu_u
     p_s = len(safe) / n
     p_u = 1.0 - p_s
     nu2 = 0.0

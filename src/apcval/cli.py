@@ -28,7 +28,12 @@ from .classify import (
 )
 from .classify import classify as run_classifier
 from .domain import SAFE, UNLABELED, UNSAFE, DopRecord
-from .estimator import evaluate_classic, evaluate_partitioned
+from .estimator import (
+    _differences,
+    evaluate_classic,
+    evaluate_partitioned,
+    relative_differences,
+)
 
 
 def _add_common(p: argparse.ArgumentParser, campaign: bool = False) -> None:
@@ -232,25 +237,26 @@ def cmd_sample(args) -> int:
 
 def _details_csv(records: list[DopRecord], report) -> str:
     """Per-record CSV so the aggregation can be redone in a spreadsheet."""
-    m_hat = report.stats.m_hat_q
-    q_eff = report.stats.q_effective
+    stats = report.stats
+    classic = stats.n_s == 0  # every record counted, as in the classic test
+    if classic:
+        pairs = zip(records, _differences(records, stats.m_hat_q))
+    else:
+        pairs = relative_differences(records, stats.m_hat_q)
+    d_of = {r.dop_id: d for r, d in pairs}
+    weight_s = f"{1.0 / stats.q_effective:.12g}"
     buf = _stringio.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["dop_id", "d_i", "stratum", "weight"])
     for r in records:
-        stratum = {SAFE: "s", UNSAFE: "u", UNLABELED: ""}[r.label]
-        if report.stats.n_s == 0 and report.stats.n_u == report.stats.n:
-            # classic evaluation: every record counts with weight 1
-            d = (r.k_auto - r.m_final) / m_hat
-            writer.writerow([r.dop_id, f"{d:.12g}", stratum, "1"])
+        d = d_of.get(r.dop_id)
+        if classic:
+            stratum, weight = {SAFE: "s", UNSAFE: "u", UNLABELED: ""}[r.label], "1"
         elif r.label == UNSAFE:
-            d = (r.k_auto - r.m_final) / m_hat
-            writer.writerow([r.dop_id, f"{d:.12g}", "u", "1"])
-        elif r.sampled:
-            d = (r.k_auto - r.m_final) / m_hat
-            writer.writerow([r.dop_id, f"{d:.12g}", "s", f"{1.0 / q_eff:.12g}"])
+            stratum, weight = "u", "1"
         else:
-            writer.writerow([r.dop_id, "", "s", "0"])
+            stratum, weight = "s", weight_s if r.sampled else "0"
+        writer.writerow([r.dop_id, "" if d is None else f"{d:.12g}", stratum, weight])
     return buf.getvalue()
 
 

@@ -9,13 +9,22 @@ and sampling indicators are legal transient states) and is checked by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 SAFE = "safe"
 UNSAFE = "unsafe"
 UNLABELED = "unlabeled"
 
 LABELS = (SAFE, UNSAFE, UNLABELED)
+
+
+def _require_finite(params) -> None:
+    """Reject NaN and infinite fields of a parameter container, naming the field."""
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,6 +113,7 @@ class TestParams:
     buffer: float = 1.15
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 < self.beta < 1.0:
@@ -132,6 +142,7 @@ class PartitionParams:
     q: float = 0.175
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not 0.0 <= self.p_s <= 1.0:
             raise ValueError(f"p_s must be in [0, 1], got {self.p_s}")
         if self.nu_s_ratio < 0.0:
@@ -178,6 +189,7 @@ class CostRates:
     r_s: float = 1.2
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.r_av <= 0.0:
             raise ValueError(f"r_av must be > 0, got {self.r_av}")
         if self.c_labor < 0.0:

@@ -2,8 +2,11 @@
 
 Implements both evaluation pipelines: the classic one, where every record
 is comparison-counted, and the partitioned one, where the unsafe partition
-is counted in full and the safe partition only at a quota. All operations
-are pure functions.
+is counted in full and the safe partition only at a quota. Both reduce a
+campaign to stratum statistics and hand them to `verdict_chain`, the one
+implementation of mean, pooled variance, interval and verdict; the Monte
+Carlo engine runs the same chain over arrays of trials. All operations are
+pure functions.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .domain import SAFE, UNLABELED, UNSAFE, DopRecord, PartitionStats, TestParams
 from .normal import norm_ppf
@@ -57,6 +62,18 @@ class PooledVariance(NamedTuple):
     clamped_u: bool
 
 
+class Verdicts(NamedTuple):
+    """Output of `verdict_chain`: scalars or arrays, like its inputs."""
+
+    d_hat: float
+    nu_hat: float
+    ci_low: float
+    ci_high: float
+    passed: bool
+    clamped_s: bool
+    clamped_u: bool
+
+
 def _fmean(values: list[float]) -> float:
     return math.fsum(values) / len(values)
 
@@ -64,6 +81,14 @@ def _fmean(values: list[float]) -> float:
 def _fstd(values: list[float], mean: float) -> float:
     """Empirical standard deviation with the n-1 denominator."""
     return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1))
+
+
+def _moments(diffs: list[float]) -> tuple[float | None, float | None]:
+    """(mean, deviation) of one stratum; None where undefined."""
+    if not diffs:
+        return None, None
+    mean = _fmean(diffs)
+    return mean, _fstd(diffs, mean) if len(diffs) >= 2 else None
 
 
 def _split(records: list[DopRecord]) -> tuple[list[DopRecord], list[DopRecord], list[DopRecord]]:
@@ -82,6 +107,28 @@ def _split(records: list[DopRecord]) -> tuple[list[DopRecord], list[DopRecord], 
     return unsafe, sampled, safe
 
 
+def _require_truth(records: list[DopRecord]) -> None:
+    missing = [r.dop_id for r in records if r.m_final is None]
+    if missing:
+        raise ValueError(f"records lack ground truth: {', '.join(missing)}")
+
+
+def _mean_count(
+    unsafe: list[DopRecord], sampled: list[DopRecord], n: int, q_effective: float
+) -> float:
+    total = math.fsum(r.m_final for r in unsafe) + (
+        math.fsum(r.m_final for r in sampled) / q_effective
+    )
+    return total / n
+
+
+def _differences(records: list[DopRecord], m_hat: float) -> list[float]:
+    """Relative counting error (k_auto - m_final) / m_hat of each record."""
+    if m_hat <= 0.0:
+        raise ValueError(f"mean count estimate must be > 0, got {m_hat}")
+    return [(r.k_auto - r.m_final) / m_hat for r in records]
+
+
 def mean_count_estimate(records: list[DopRecord], q_effective: float) -> float:
     """Mean manual count reconstructed from a partially counted campaign.
 
@@ -95,13 +142,8 @@ def mean_count_estimate(records: list[DopRecord], q_effective: float) -> float:
     if q_effective <= 0.0:
         raise ValueError(f"q_effective must be > 0, got {q_effective}")
     unsafe, sampled, _ = _split(records)
-    missing = [r.dop_id for r in unsafe + sampled if r.m_final is None]
-    if missing:
-        raise ValueError(f"records lack ground truth: {', '.join(missing)}")
-    total = math.fsum(r.m_final for r in unsafe) + (
-        math.fsum(r.m_final for r in sampled) / q_effective
-    )
-    return total / len(records)
+    _require_truth(unsafe + sampled)
+    return _mean_count(unsafe, sampled, len(records), q_effective)
 
 
 def relative_differences(
@@ -113,25 +155,80 @@ def relative_differences(
     no value. `m_hat` must be positive (a campaign without boarding
     passengers has no meaningful relative error).
     """
-    if m_hat <= 0.0:
-        raise ValueError(f"mean count estimate must be > 0, got {m_hat}")
     unsafe, sampled, _ = _split(records)
-    missing = [r.dop_id for r in unsafe + sampled if r.m_final is None]
-    if missing:
-        raise ValueError(f"records lack ground truth: {', '.join(missing)}")
-    return [(r, (r.k_auto - r.m_final) / m_hat) for r in unsafe + sampled]
+    evaluable = unsafe + sampled
+    _require_truth(evaluable)
+    return list(zip(evaluable, _differences(evaluable, m_hat)))
+
+
+# --- the verdict chain ------------------------------------------------------
+#
+# Elementwise over the stratum statistics (n_s, n_u, q_effective, d_bar_s,
+# d_bar_u, nu_hat_s, nu_hat_u): a live campaign passes scalars, a Monte
+# Carlo grid point arrays with one entry per trial. An empty stratum is
+# carried as size 0 with mean 0.0, an undefined deviation as NaN.
+
+
+def _weighted_mean(n_s, n_u, d_bar_s, d_bar_u):
+    n = n_s + n_u
+    return (n_s / n) * d_bar_s + (n_u / n) * d_bar_u
+
+
+def _pooled(
+    n_s, n_u, q_effective, d_bar_s, d_bar_u, nu_hat_s, nu_hat_u, nu_min
+) -> PooledVariance:
+    n = n_s + n_u
+    # fmax drops NaN, so an undefined deviation floors like a small one
+    eff_s = np.fmax(nu_hat_s, nu_min)
+    eff_u = np.fmax(nu_hat_u, nu_min)
+    gap = d_bar_s - d_bar_u
+    value = (
+        (n_s / n) * (eff_s * eff_s) / q_effective
+        + (n_u / n) * (eff_u * eff_u)
+        + (n_s * n_u / n**2) * (gap * gap)
+    )
+    clamped_s = (n_s > 0) & (eff_s != nu_hat_s)
+    clamped_u = (n_u > 0) & (eff_u != nu_hat_u)
+    return PooledVariance(value, clamped_s, clamped_u)
+
+
+def _inside(low, high, delta):
+    return (-delta <= low) & (high <= delta)
+
+
+def verdict_chain(
+    n_s, n_u, q_effective, d_bar_s, d_bar_u, nu_hat_s, nu_hat_u, params: TestParams
+) -> Verdicts:
+    """Stratified mean, pooled variance, interval and verdict, elementwise."""
+    d_hat = _weighted_mean(n_s, n_u, d_bar_s, d_bar_u)
+    pooled = _pooled(n_s, n_u, q_effective, d_bar_s, d_bar_u, nu_hat_s, nu_hat_u, params.nu_min)
+    nu_hat = np.sqrt(pooled.value)
+    low, high = confidence_interval(d_hat, nu_hat, n_s + n_u, params.alpha)
+    return Verdicts(
+        d_hat, nu_hat, low, high, _inside(low, high, params.delta),
+        pooled.clamped_s, pooled.clamped_u,
+    )
+
+
+def _chain_inputs(stats: PartitionStats) -> tuple:
+    """The chain's stratum statistics of one campaign (None made 0.0 or NaN)."""
+    return (
+        stats.n_s,
+        stats.n_u,
+        stats.q_effective,
+        0.0 if stats.d_bar_s is None else stats.d_bar_s,
+        0.0 if stats.d_bar_u is None else stats.d_bar_u,
+        math.nan if stats.nu_hat_s is None else stats.nu_hat_s,
+        math.nan if stats.nu_hat_u is None else stats.nu_hat_u,
+    )
 
 
 def stratified_mean(stats: PartitionStats) -> float:
     """Bias estimate recombining the two partitions by their shares."""
     if stats.n == 0:
         raise ValueError("no records to evaluate")
-    total = 0.0
-    if stats.n_s > 0:
-        total += (stats.n_s / stats.n) * stats.d_bar_s
-    if stats.n_u > 0:
-        total += (stats.n_u / stats.n) * stats.d_bar_u
-    return total
+    n_s, n_u, _, d_bar_s, d_bar_u, _, _ = _chain_inputs(stats)
+    return _weighted_mean(n_s, n_u, d_bar_s, d_bar_u)
 
 
 def pooled_variance(stats: PartitionStats, nu_min: float) -> PooledVariance:
@@ -143,42 +240,46 @@ def pooled_variance(stats: PartitionStats, nu_min: float) -> PooledVariance:
     below nu_min (or undefined, with fewer than two counted records) are
     replaced by nu_min; the returned flags record where that happened.
     """
-    value = 0.0
-    clamped_s = False
-    clamped_u = False
-    if stats.n_s > 0:
-        sigma = stats.nu_hat_s
-        clamped_s = sigma is None or sigma < nu_min
-        eff = nu_min if clamped_s else sigma
-        value += (stats.n_s / stats.n) * eff**2 / stats.q_effective
-    if stats.n_u > 0:
-        sigma = stats.nu_hat_u
-        clamped_u = sigma is None or sigma < nu_min
-        eff = nu_min if clamped_u else sigma
-        value += (stats.n_u / stats.n) * eff**2
-    if stats.n_s > 0 and stats.n_u > 0:
-        value += (stats.n_s * stats.n_u / stats.n**2) * (
-            stats.d_bar_s - stats.d_bar_u
-        ) ** 2
-    return PooledVariance(value, clamped_s, clamped_u)
+    value, clamped_s, clamped_u = _pooled(*_chain_inputs(stats), nu_min)
+    return PooledVariance(float(value), bool(clamped_s), bool(clamped_u))
 
 
-def confidence_interval(
-    d_hat: float, nu_hat: float, n: int, alpha: float
-) -> tuple[float, float]:
-    """Two-sided confidence interval for the bias estimate."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if nu_hat < 0.0:
-        raise ValueError(f"nu_hat must be >= 0, got {nu_hat}")
-    half = norm_ppf(1.0 - alpha / 2.0) * nu_hat / math.sqrt(n)
+def confidence_interval(d_hat, nu_hat, n, alpha: float) -> tuple:
+    """Two-sided confidence interval for the bias estimate, elementwise."""
+    if np.any(np.less(n, 1)):
+        raise ValueError(f"n must be >= 1, got {np.min(n)}")
+    if np.any(np.less(nu_hat, 0.0)):
+        raise ValueError(f"nu_hat must be >= 0, got {np.min(nu_hat)}")
+    half = norm_ppf(1.0 - alpha / 2.0) * nu_hat / np.sqrt(n)
     return d_hat - half, d_hat + half
 
 
 def equivalence_verdict(ci: tuple[float, float], delta: float) -> str:
     """Pass iff the interval lies inside [-delta, +delta], bounds inclusive."""
-    low, high = ci
-    return PASS if -delta <= low and high <= delta else FAIL
+    return PASS if _inside(*ci, delta) else FAIL
+
+
+def _report(
+    stats: PartitionStats,
+    params: TestParams,
+    warnings: list[str],
+    q_planned: float | None = None,
+) -> EvaluationReport:
+    v = verdict_chain(*_chain_inputs(stats), params)
+    return EvaluationReport(
+        d_hat=float(v.d_hat),
+        nu_hat=float(v.nu_hat),
+        n=stats.n,
+        ci_low=float(v.ci_low),
+        ci_high=float(v.ci_high),
+        delta=params.delta,
+        verdict=PASS if v.passed else FAIL,
+        stats=stats,
+        clamped_s=bool(v.clamped_s),
+        clamped_u=bool(v.clamped_u),
+        q_planned=q_planned,
+        warnings=tuple(warnings),
+    )
 
 
 def evaluate_classic(records: list[DopRecord], params: TestParams) -> EvaluationReport:
@@ -190,28 +291,17 @@ def evaluate_classic(records: list[DopRecord], params: TestParams) -> Evaluation
     """
     if not records:
         raise ValueError("no records to evaluate")
-    missing = [r.dop_id for r in records if r.m_final is None]
-    if missing:
-        raise ValueError(f"records lack ground truth: {', '.join(missing)}")
+    _require_truth(records)
     n = len(records)
     m_bar = _fmean([float(r.m_final) for r in records])
     if m_bar <= 0.0:
         raise ValueError("campaign has no boarding passengers (mean count is 0)")
-    diffs = [(r.k_auto - r.m_final) / m_bar for r in records]
-    d_bar = _fmean(diffs)
-
-    warnings: list[str] = []
-    if n >= 2:
-        sigma = _fstd(diffs, d_bar)
-    else:
-        sigma = None
+    d_bar, sigma = _moments(_differences(records, m_bar))
+    warnings = []
+    if n < 2:
         warnings.append(
             "single-record campaign: standard deviation undefined, floored at nu_min"
         )
-    clamped = sigma is None or sigma < params.nu_min
-    nu_hat = params.nu_min if clamped else sigma
-
-    ci = confidence_interval(d_bar, nu_hat, n, params.alpha)
     stats = PartitionStats(
         n=n,
         n_s=0,
@@ -223,19 +313,7 @@ def evaluate_classic(records: list[DopRecord], params: TestParams) -> Evaluation
         nu_hat_u=sigma,
         m_hat_q=m_bar,
     )
-    return EvaluationReport(
-        d_hat=d_bar,
-        nu_hat=nu_hat,
-        n=n,
-        ci_low=ci[0],
-        ci_high=ci[1],
-        delta=params.delta,
-        verdict=equivalence_verdict(ci, params.delta),
-        stats=stats,
-        clamped_s=False,
-        clamped_u=clamped,
-        warnings=tuple(warnings),
-    )
+    return _report(stats, params, warnings)
 
 
 def evaluate_partitioned(
@@ -261,33 +339,18 @@ def evaluate_partitioned(
     n_u = len(unsafe)
     q_effective = len(sampled) / n_s if n_s else 1.0
 
-    m_hat = mean_count_estimate(records, q_effective)
-    diffs = relative_differences(records, m_hat)
-    d_s = [d for r, d in diffs if r.label == SAFE]
-    d_u = [d for r, d in diffs if r.label == UNSAFE]
-
-    warnings: list[str] = []
-    d_bar_s = sigma_s = None
-    if n_s:
-        d_bar_s = _fmean(d_s)
-        if len(d_s) >= 2:
-            sigma_s = _fstd(d_s, d_bar_s)
-        else:
-            warnings.append(
-                "safe stratum has fewer than 2 counted records: "
-                "standard deviation floored at nu_min"
-            )
-    d_bar_u = sigma_u = None
-    if n_u:
-        d_bar_u = _fmean(d_u)
-        if len(d_u) >= 2:
-            sigma_u = _fstd(d_u, d_bar_u)
-        else:
-            warnings.append(
-                "unsafe stratum has fewer than 2 counted records: "
-                "standard deviation floored at nu_min"
-            )
-
+    _require_truth(unsafe + sampled)
+    m_hat = _mean_count(unsafe, sampled, n, q_effective)
+    d_s = _differences(sampled, m_hat)
+    d_u = _differences(unsafe, m_hat)
+    warnings = [
+        f"{name} stratum has fewer than 2 counted records: "
+        "standard deviation floored at nu_min"
+        for name, size, diffs in (("safe", n_s, d_s), ("unsafe", n_u, d_u))
+        if size and len(diffs) < 2
+    ]
+    d_bar_s, sigma_s = _moments(d_s)
+    d_bar_u, sigma_u = _moments(d_u)
     stats = PartitionStats(
         n=n,
         n_s=n_s,
@@ -299,21 +362,4 @@ def evaluate_partitioned(
         nu_hat_u=sigma_u,
         m_hat_q=m_hat,
     )
-    d_hat = stratified_mean(stats)
-    pooled = pooled_variance(stats, params.nu_min)
-    nu_hat = math.sqrt(pooled.value)
-    ci = confidence_interval(d_hat, nu_hat, n, params.alpha)
-    return EvaluationReport(
-        d_hat=d_hat,
-        nu_hat=nu_hat,
-        n=n,
-        ci_low=ci[0],
-        ci_high=ci[1],
-        delta=params.delta,
-        verdict=equivalence_verdict(ci, params.delta),
-        stats=stats,
-        clamped_s=pooled.clamped_s,
-        clamped_u=pooled.clamped_u,
-        q_planned=q_planned,
-        warnings=tuple(warnings),
-    )
+    return _report(stats, params, warnings, q_planned)

@@ -297,12 +297,7 @@ def config_from_raw(raw: dict[str, str]) -> Config:
 
 
 def load_config(path: str | Path) -> Config:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return config_from_raw(_parse_config_text(text, str(path)))
+    return load_config_with_overrides(path, [])
 
 
 def merge_overrides(raw: dict[str, str], overrides: list[str]) -> dict[str, str]:

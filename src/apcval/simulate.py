@@ -2,10 +2,12 @@
 
 Trials run the configured test end-to-end on synthetic relative
 differences: stratum membership is drawn per record, the counted subset of
-the safe partition comes from the real sampler, and the verdict uses the
-same estimator operations as a live evaluation. Per-trial seeds are
-derived from (seed, grid point, trial index), so trials are reproducible
-in any execution order.
+the safe partition comes from the real sampler, and each trial is reduced
+to its stratum statistics. The verdicts of all trials of a grid point are
+then evaluated at once, over arrays, by the estimator's `verdict_chain`,
+the same code that evaluates a live campaign. Per-trial seeds are derived
+from (seed, grid point, trial index), so trials are reproducible in any
+execution order.
 """
 
 from __future__ import annotations
@@ -16,14 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import _sample_mask
-from .domain import PartitionParams, PartitionStats, TestParams
-from .estimator import (
-    PASS,
-    confidence_interval,
-    equivalence_verdict,
-    pooled_variance,
-    stratified_mean,
-)
+from .domain import PartitionParams, TestParams
+from .estimator import verdict_chain
 from .normal import norm_cdf, norm_ppf
 
 TEST_CLASSIC = "classic"
@@ -196,64 +192,54 @@ def _draw_strata(
     return d_s, d_u
 
 
-def _classic_pass(d: np.ndarray, params: TestParams) -> bool:
-    d_bar = float(d.mean())
-    sigma = float(d.std(ddof=1)) if d.size >= 2 else None
-    nu_hat = params.nu_min if (sigma is None or sigma < params.nu_min) else sigma
-    ci = confidence_interval(d_bar, nu_hat, d.size, params.alpha)
-    return equivalence_verdict(ci, params.delta) == PASS
+def _stratum_moments(d: np.ndarray, spread: bool) -> tuple[float, float]:
+    """Mean (0.0 when empty) and n-1 deviation (NaN when undefined or skipped)."""
+    mean = float(d.mean()) if d.size else 0.0
+    std = float(d.std(ddof=1)) if spread and d.size >= 2 else math.nan
+    return mean, std
 
 
 def _partitioned_stats(
-    d_s: np.ndarray, d_u: np.ndarray, q0: float, rng: np.random.Generator
-) -> PartitionStats:
+    d_s: np.ndarray, d_u: np.ndarray, q0: float, rng: np.random.Generator, spread: bool = True
+) -> tuple[float, ...]:
+    """Reduce one trial to (n_s, n_u, q_effective, d_bar_s, d_bar_u, nu_hat_s, nu_hat_u).
+
+    The counted subset of the safe stratum comes from the real sampler;
+    `spread=False` skips the deviations, which the point estimate does
+    not need.
+    """
     n_s = d_s.size
-    n_u = d_u.size
     if n_s:
-        sampled = d_s[_sample_mask(n_s, q0, rng)]
-        q_eff = sampled.size / n_s
-        d_bar_s = float(sampled.mean())
-        nu_hat_s = float(sampled.std(ddof=1)) if sampled.size >= 2 else None
-    else:
-        q_eff = 1.0
-        d_bar_s = None
-        nu_hat_s = None
-    d_bar_u = float(d_u.mean()) if n_u else None
-    nu_hat_u = float(d_u.std(ddof=1)) if n_u >= 2 else None
-    return PartitionStats(
-        n=n_s + n_u,
-        n_s=n_s,
-        n_u=n_u,
-        q_effective=q_eff,
-        d_bar_s=d_bar_s,
-        d_bar_u=d_bar_u,
-        nu_hat_s=nu_hat_s,
-        nu_hat_u=nu_hat_u,
-        m_hat_q=float("nan"),
-    )
+        d_s = d_s[_sample_mask(n_s, q0, rng)]
+    q_eff = d_s.size / n_s if n_s else 1.0
+    mean_s, std_s = _stratum_moments(d_s, spread)
+    mean_u, std_u = _stratum_moments(d_u, spread)
+    return n_s, d_u.size, q_eff, mean_s, mean_u, std_s, std_u
 
 
-def _partitioned_pass(stats: PartitionStats, params: TestParams) -> bool:
-    d_hat = stratified_mean(stats)
-    pooled = pooled_variance(stats, params.nu_min)
-    ci = confidence_interval(d_hat, math.sqrt(pooled.value), stats.n, params.alpha)
-    return equivalence_verdict(ci, params.delta) == PASS
+def _trial_stats(
+    model: NormalErrors | ResamplingErrors,
+    partition: PartitionParams,
+    n: int,
+    shift: float,
+    seed: int,
+    point_index: int,
+    trials: int,
+    classic: bool = False,
+    spread: bool = True,
+) -> np.ndarray:
+    """Stratum statistics of every trial of one grid point, one row each.
 
-
-def _point_pass_rate(
-    config: SimConfig, point_index: int, n: int, shift: float
-) -> float:
-    passes = 0
-    p_s = config.partition.p_s
-    for trial in range(config.trials):
-        rng = _trial_rng(config.seed, point_index, trial)
-        d_s, d_u = _draw_strata(rng, n, p_s, config.error_model, shift)
-        if config.test == TEST_CLASSIC:
-            passes += _classic_pass(np.concatenate([d_s, d_u]), config.params)
-        else:
-            stats = _partitioned_stats(d_s, d_u, config.partition.q, rng)
-            passes += _partitioned_pass(stats, config.params)
-    return passes / config.trials
+    The classic test carries its whole campaign in the unsafe stratum.
+    """
+    rows = []
+    for trial in range(trials):
+        rng = _trial_rng(seed, point_index, trial)
+        d_s, d_u = _draw_strata(rng, n, partition.p_s, model, shift)
+        if classic:
+            d_s, d_u = d_s[:0], np.concatenate([d_s, d_u])
+        rows.append(_partitioned_stats(d_s, d_u, partition.q, rng, spread))
+    return np.array(rows, dtype=float).reshape(trials, 7).T
 
 
 def _grid(config: SimConfig) -> tuple[tuple[float, ...], list[tuple[int, int, float]]]:
@@ -295,8 +281,12 @@ def run_simulation(config: SimConfig) -> list[SuccessCurve]:
     base_mean = config.error_model.overall_mean(config.partition.p_s)
     results: dict[tuple[int, float], CurvePoint] = {}
     for index, n, mu in points:
-        shift = mu - base_mean
-        rate = _point_pass_rate(config, index, n, shift)
+        stats = _trial_stats(
+            config.error_model, config.partition, n, mu - base_mean, config.seed, index,
+            config.trials, classic=config.test == TEST_CLASSIC,
+        )
+        passed = verdict_chain(*stats, config.params).passed
+        rate = int(np.count_nonzero(passed)) / config.trials
         results[(n, mu)] = CurvePoint(
             grid_value=float(mu),
             pass_rate=rate,
@@ -371,23 +361,10 @@ def bias_estimates(
 ) -> np.ndarray:
     """Per-trial partitioned bias estimates, for moment studies.
 
-    Runs the same trial machinery as `run_simulation` but collects the
-    point estimate instead of the verdict. The per-stratum standard
-    deviations are skipped: the estimate only needs counts and means.
+    Runs the same trials as `run_simulation` and takes the point estimate
+    of the verdict chain, evaluated once over all trials. The per-stratum
+    standard deviations are skipped: the estimate only needs counts and
+    means, and the chain's floor stands in for them.
     """
-    q0 = partition.q
-    p_s = partition.p_s
-    out = np.empty(trials)
-    for trial in range(trials):
-        rng = _trial_rng(seed, 0, trial)
-        d_s, d_u = _draw_strata(rng, n, p_s, model, shift)
-        n_s = d_s.size
-        n_tot = n_s + d_u.size
-        total = 0.0
-        if n_s:
-            sampled = d_s[_sample_mask(n_s, q0, rng)]
-            total += (n_s / n_tot) * float(sampled.mean())
-        if d_u.size:
-            total += (d_u.size / n_tot) * float(d_u.mean())
-        out[trial] = total
-    return out
+    stats = _trial_stats(model, partition, n, shift, seed, 0, trials, spread=False)
+    return verdict_chain(*stats, TestParams()).d_hat

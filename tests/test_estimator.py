@@ -18,6 +18,7 @@ from apcval.estimator import (
     pooled_variance,
     relative_differences,
     stratified_mean,
+    verdict_chain,
 )
 
 Z975 = 1.959963984540054
@@ -183,6 +184,45 @@ class TestVerdict:
 
     def test_boundary_inclusive(self):
         assert equivalence_verdict((-0.01, 0.01), 0.01) == PASS
+
+
+class TestVerdictChain:
+    def test_array_equals_scalar_evaluation_elementwise(self):
+        # rows of (n_s, n_u, q_effective, d_bar_s, d_bar_u, nu_hat_s, nu_hat_u);
+        # an empty stratum has mean 0.0, an undefined deviation is NaN
+        nan = math.nan
+        rows = [
+            (0, 50, 1.0, 0.0, 0.002, nan, 0.1),  # empty safe stratum
+            (40, 0, 0.5, 0.001, 0.0, 0.05, nan),  # empty unsafe stratum
+            (1, 30, 1.0, 0.02, -0.001, nan, 0.2),  # single safe record
+            (30, 1, 0.3, 0.0, 0.01, 0.1, nan),  # single unsafe record
+            (100, 100, 0.2, 0.0, 0.0, 0.01, 0.2),  # safe side clamped
+            (100, 100, 0.2, 0.0, 0.0, 0.2, 0.001),  # unsafe side clamped
+            (1000, 1000, 1.0, 0.0, 0.0, 0.03, 0.03),  # exactly at the floor
+            (5000, 500, 0.2, 0.001, -0.002, 0.02, 0.1),  # passing
+        ]
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            n_s, n_u = (int(v) for v in rng.integers(0, 3000, 2))
+            n_s = max(n_s, 1 - n_u)
+            rows.append((
+                n_s, n_u, float(rng.uniform(0.05, 1.0)),
+                float(rng.normal(0.0, 0.005)) if n_s else 0.0,
+                float(rng.normal(0.0, 0.005)) if n_u else 0.0,
+                float(rng.uniform(0.0, 0.1)) if n_s >= 2 else nan,
+                float(rng.uniform(0.0, 0.3)) if n_u >= 2 else nan,
+            ))
+        params = TestParams()
+        arrays = verdict_chain(*np.array(rows, dtype=float).T, params)
+        for i, row in enumerate(rows):
+            scalar = verdict_chain(*row, params)
+            for field, value in zip(arrays._fields, arrays):
+                assert value[i] == scalar._asdict()[field], (row, field)
+        clamped_s, clamped_u = arrays.clamped_s, arrays.clamped_u
+        assert list(clamped_s[:7]) == [False, False, True, False, True, False, False]
+        assert list(clamped_u[:7]) == [False, False, False, True, False, True, False]
+        assert arrays.passed[7] and not arrays.passed[0]
+        assert 0 < np.count_nonzero(arrays.passed[8:]) < 200
 
 
 class TestEvaluateClassic:

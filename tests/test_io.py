@@ -180,6 +180,19 @@ class TestConfig:
             aio.load_config(path)
 
 
+@pytest.mark.parametrize(
+    "key,value", [("nu_min", "nan"), ("nu", "nan"), ("delta", "inf"), ("costs.c_labor", "nan")]
+)
+def test_non_finite_values_rejected(key, value, capsys):
+    from apcval.cli import main
+
+    name = key.rpartition(".")[2]
+    with pytest.raises(aio.ConfigError, match=f"{name} must be finite"):
+        aio.config_from_raw({key: value})
+    assert main(["plan", "--set", f"{key}={value}"]) == 1
+    assert f"{name} must be finite" in capsys.readouterr().err
+
+
 class TestEmitReport:
     def evaluation_report(self):
         records = [

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from apcval.domain import PartitionParams, TestParams
+from apcval.estimator import verdict_chain
 from apcval.simulate import (
     NormalErrors,
     ResamplingErrors,
     SimConfig,
     TEST_CLASSIC,
     TEST_PARTITIONED,
-    _classic_pass,
-    _draw_strata,
-    _partitioned_pass,
     _partitioned_stats,
-    _trial_rng,
+    _trial_stats,
     analytic_success,
     bias_estimates,
     planning_normal_model,
@@ -143,18 +141,14 @@ class TestRunSimulation:
         model = NormalErrors(nu_s=0.10, nu_u=0.10)
         params = TestParams(nu=0.10)
         n, trials, seed = 1200, 400, 2024
-        disagreements = 0
-        passes = 0
-        for trial in range(trials):
-            rng = _trial_rng(seed, 0, trial)
-            d_s, d_u = _draw_strata(rng, n, part.p_s, model, 0.0)
-            classic = _classic_pass(np.concatenate([d_s, d_u]), params)
-            stats = _partitioned_stats(d_s, d_u, part.q, rng)
-            partitioned = _partitioned_pass(stats, params)
-            disagreements += classic != partitioned
-            passes += classic
-        assert disagreements == 0
-        assert 0 < passes < trials  # both verdicts are exercised
+        classic = verdict_chain(
+            *_trial_stats(model, part, n, 0.0, seed, 0, trials, classic=True), params
+        ).passed
+        partitioned = verdict_chain(
+            *_trial_stats(model, part, n, 0.0, seed, 0, trials), params
+        ).passed
+        assert np.count_nonzero(classic != partitioned) == 0
+        assert 0 < np.count_nonzero(classic) < trials  # both verdicts are exercised
 
 
 class TestTrialEngineMatchesRecordPipeline:
@@ -169,7 +163,9 @@ class TestTrialEngineMatchesRecordPipeline:
             m_bar = float(np.mean([r.m_final for r in records]))
             d = np.array([(r.k_auto - r.m_final) / m_bar for r in records])
             report = evaluate_classic(records, PARAMS)
-            assert _classic_pass(d, PARAMS) == (report.verdict == PASS)
+            # the classic trial carries its whole campaign in the unsafe stratum
+            stats = _partitioned_stats(d[:0], d, 1.0, rng)
+            assert verdict_chain(*stats, PARAMS).passed == (report.verdict == PASS)
 
 
 class TestUserRiskAudit:
