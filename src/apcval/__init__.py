@@ -13,9 +13,6 @@ from .classify import (
 from .cost import (
     CostBreakdown,
     cost_breakdown,
-    costs_combined,
-    costs_no_first_count,
-    costs_with_first_count,
     counting_cost,
 )
 from .domain import (

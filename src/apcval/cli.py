@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io as _stringio
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -99,13 +100,15 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit(args, report, **context) -> None:
+    """Write a report, followed by the command's context fields, to --out or stdout."""
+    payload = {**io_mod.report_to_dict(report), **context}
+    _write_or_print(io_mod.emit_report(payload, args.format), args.out)
+
+
 def _load(args) -> io_mod.Config:
-    config = io_mod.load_config_with_overrides(args.config, args.overrides)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise io_mod.ConfigError(f"seed must be >= 0, got {args.seed}")
-        config = replace(config, seed=args.seed)
-    return config
+    seed = [] if args.seed is None else [f"seed={args.seed}"]
+    return io_mod.load_config_with_overrides(args.config, args.overrides + seed)
 
 
 def _load_campaign(args) -> list[DopRecord]:
@@ -154,10 +157,7 @@ def _cost_params(records: list[DopRecord], config: io_mod.Config):
 
 def cmd_plan(args) -> int:
     config = _load(args)
-    plan = planner.make_plan(config.params, config.partition)
-    payload = io_mod.report_to_dict(plan)
-    payload["seed"] = config.seed
-    _write_or_print(io_mod.emit_report(payload, args.format), args.out)
+    _emit(args, planner.make_plan(config.params, config.partition), seed=config.seed)
     return 0
 
 
@@ -167,17 +167,16 @@ def cmd_optimize(args) -> int:
     breakdown = _cost_params(records, config)
     costs = breakdown.cost_params()
     plan = planner.make_plan(config.params, config.partition, costs=costs)
-    payload = io_mod.report_to_dict(plan)
-    payload["seed"] = config.seed
-    payload["scheme"] = breakdown.scheme
-    n_e = plan.n_e
-    payload["total_cost_classic"] = planner.total_cost(
-        n_e, 1.0, config.partition, costs
+    _emit(
+        args,
+        plan,
+        seed=config.seed,
+        scheme=breakdown.scheme,
+        total_cost_classic=planner.total_cost(plan.n_e, 1.0, config.partition, costs),
+        total_cost_partitioned=planner.total_cost(
+            plan.n_rec, plan.q_planned, config.partition, costs
+        ),
     )
-    payload["total_cost_partitioned"] = planner.total_cost(
-        plan.n_rec, plan.q_planned, config.partition, costs
-    )
-    _write_or_print(io_mod.emit_report(payload, args.format), args.out)
     return 0
 
 
@@ -282,11 +281,7 @@ def cmd_evaluate(args) -> int:
     else:
         report = evaluate_partitioned(records, config.params, q_planned=config.partition.q)
 
-    payload = io_mod.report_to_dict(report)
-    payload["mode"] = mode
-    payload["seed"] = config.seed
-    payload["params"] = io_mod._params_dict(config.params)
-    _write_or_print(io_mod.emit_report(payload, args.format), args.out)
+    _emit(args, report, mode=mode, seed=config.seed, params=config.params)
 
     details_path = args.details
     if details_path is None and args.out:
@@ -298,9 +293,12 @@ def cmd_evaluate(args) -> int:
 
 def _float_list(text: str, flag: str) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in text.split(",") if v.strip() != "")
+        values = tuple(float(v) for v in text.split(",") if v.strip() != "")
     except ValueError:
         raise io_mod.ConfigError(f"{flag} must be a comma-separated number list") from None
+    if not all(math.isfinite(v) for v in values):
+        raise io_mod.ConfigError(f"{flag} values must be finite, got {text!r}")
+    return values
 
 
 def cmd_simulate(args) -> int:
@@ -325,38 +323,24 @@ def cmd_simulate(args) -> int:
         seed=config.seed,
     )
     if args.audit:
-        audit = simulate.user_risk_audit(sim)
-        payload = io_mod.report_to_dict(audit)
-        payload["seed"] = config.seed
-        payload["trials"] = args.trials
-        payload["test"] = args.test
-        payload["bias_sweep"] = list(bias or ())
-        _write_or_print(io_mod.emit_report(payload, args.format), args.out)
+        audit = {"report": "user_risk_audit", "version": io_mod.VERSION,
+                 "points": simulate.user_risk_audit(sim)}
+        _emit(args, audit, seed=config.seed, trials=args.trials, test=args.test,
+              bias_sweep=list(bias or ()))
         return 0
     curves = simulate.run_simulation(sim)
     if len(curves) == 1:
-        _write_or_print(io_mod.emit_report(curves[0], args.format), args.out)
-    elif args.format == "csv":
-        text = "".join(
-            io_mod.emit_report(c, "csv").splitlines(keepends=True)[1 if i else 0 :]
-            for i, c in enumerate(curves)
-        )
-        _write_or_print(text, args.out)
+        _emit(args, curves[0])
     else:
-        payload = {
-            "report": "success_curves",
-            "version": io_mod.VERSION,
-            "curves": [io_mod.report_to_dict(c) for c in curves],
-        }
-        _write_or_print(io_mod.emit_report(payload, args.format), args.out)
+        _emit(args, {"report": "success_curves", "version": io_mod.VERSION,
+                     "curves": [io_mod.report_to_dict(c) for c in curves]})
     return 0
 
 
 def cmd_cost(args) -> int:
     config = _load(args)
     records = _load_campaign(args)
-    breakdown = _cost_params(records, config)
-    _write_or_print(io_mod.emit_report(breakdown, args.format), args.out)
+    _emit(args, _cost_params(records, config))
     return 0
 
 

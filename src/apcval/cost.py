@@ -3,9 +3,10 @@
 Per-record counting cost is video duration times the review acceleration
 factor times the hourly labor rate. Three attribution schemes build the
 per-stratum cost parameters from it, depending on whether a first manual
-count already happened before classification and on reclassification.
-Recording costs default to zero; a flat per-record recording cost may be
-added to both strata.
+count already happened before classification and on reclassification;
+they differ only in the share of a safe record's first review pass that
+is sunk into its basic cost. Recording costs default to zero; a flat
+per-record recording cost may be added to both strata.
 """
 
 from __future__ import annotations
@@ -21,16 +22,20 @@ SCHEME_COMBINED = "combined"
 
 SCHEMES = (SCHEME_NO_FIRST_COUNT, SCHEME_WITH_FIRST_COUNT, SCHEME_COMBINED)
 
+# Sunk share of a safe record's first review pass where the scheme fixes it;
+# under `combined` it is the record's reclassification flag.
+_SUNK_SHARE = {SCHEME_NO_FIRST_COUNT: 0, SCHEME_WITH_FIRST_COUNT: 1}
+
 
 @dataclass(frozen=True, slots=True)
 class CostBreakdown:
     """Cost parameters plus the per-record counting costs they came from."""
 
-    per_record: tuple[tuple[str, float], ...]
+    scheme: str
     c_u: float
     c_s0: float
     c_sz: float
-    scheme: str
+    per_record: tuple[tuple[str, float], ...]
 
     def cost_params(self) -> CostParams:
         return CostParams(c_u=self.c_u, c_s0=self.c_s0, c_sz=self.c_sz)
@@ -43,82 +48,6 @@ def counting_cost(duration_s: float, rates: CostRates) -> float:
     return duration_s / 3600.0 * rates.r_av * rates.c_labor
 
 
-def _stratum_mean_cost(records: list[DopRecord], label: str, rates: CostRates) -> float:
-    subset = [r for r in records if r.label == label]
-    if not subset:
-        _warnings.warn(f"no {label} records: stratum cost set to 0", stacklevel=3)
-        return 0.0
-    return sum(counting_cost(r.duration_s, rates) for r in subset) / len(subset)
-
-
-def costs_no_first_count(
-    records: list[DopRecord], rates: CostRates, recording_cost: float = 0.0
-) -> CostParams:
-    """Costs when classification happened without any manual counting.
-
-    Safe records carry no basic cost; counting one (two reviewers plus
-    supervisor surcharge) costs (1 + r_s) times the mean review cost.
-    """
-    mean_s = _stratum_mean_cost(records, SAFE, rates)
-    mean_u = _stratum_mean_cost(records, UNSAFE, rates)
-    return CostParams(
-        c_u=(1.0 + rates.r_s) * mean_u + recording_cost,
-        c_s0=recording_cost,
-        c_sz=(1.0 + rates.r_s) * mean_s,
-    )
-
-
-def costs_with_first_count(
-    records: list[DopRecord], rates: CostRates, recording_cost: float = 0.0
-) -> CostParams:
-    """Costs when the first manual count preceded classification.
-
-    The first pass is sunk into the basic cost of every safe record; only
-    the surcharge share remains quota-dependent.
-    """
-    mean_s = _stratum_mean_cost(records, SAFE, rates)
-    mean_u = _stratum_mean_cost(records, UNSAFE, rates)
-    return CostParams(
-        c_u=(1.0 + rates.r_s) * mean_u + recording_cost,
-        c_s0=mean_s + recording_cost,
-        c_sz=rates.r_s * mean_s,
-    )
-
-
-def costs_combined(
-    records: list[DopRecord],
-    reclass_flags: dict[str, int],
-    rates: CostRates,
-    recording_cost: float = 0.0,
-) -> CostParams:
-    """Costs for a two-stage classification with reclassification.
-
-    `reclass_flags` maps every safe dop_id to 1 if the record was
-    reclassified safe after a first manual count (that count is then sunk
-    into the basic cost) and 0 if it was safe from the start. Unsafe
-    records always incur the full counting cost, so their attribution is
-    unchanged.
-    """
-    safe = [r for r in records if r.label == SAFE]
-    missing = [r.dop_id for r in safe if r.dop_id not in reclass_flags]
-    if missing:
-        raise ValueError(f"safe records lack reclassification flags: {', '.join(missing)}")
-    mean_u = _stratum_mean_cost(records, UNSAFE, rates)
-    if not safe:
-        _warnings.warn("no safe records: stratum cost set to 0")
-        c_s0 = 0.0
-        c_sz = 0.0
-    else:
-        costs = [(counting_cost(r.duration_s, rates), reclass_flags[r.dop_id]) for r in safe]
-        c_s0 = sum(c * w for c, w in costs) / len(safe)
-        c_sz = sum(c * (1.0 - w + rates.r_s) for c, w in costs) / len(safe)
-    return CostParams(
-        c_u=(1.0 + rates.r_s) * mean_u + recording_cost,
-        c_s0=c_s0 + recording_cost,
-        c_sz=c_sz,
-    )
-
-
 def cost_breakdown(
     records: list[DopRecord],
     rates: CostRates,
@@ -126,22 +55,41 @@ def cost_breakdown(
     reclass_flags: dict[str, int] | None = None,
     recording_cost: float = 0.0,
 ) -> CostBreakdown:
-    """Build cost parameters under `scheme` with the per-record trail."""
-    if scheme == SCHEME_NO_FIRST_COUNT:
-        params = costs_no_first_count(records, rates, recording_cost)
-    elif scheme == SCHEME_WITH_FIRST_COUNT:
-        params = costs_with_first_count(records, rates, recording_cost)
-    elif scheme == SCHEME_COMBINED:
+    """Build cost parameters under `scheme` with the per-record trail.
+
+    One attribution serves every scheme. Unsafe records always incur the
+    full counting cost: c_u is (1 + r_s) times their mean review cost c.
+    Each safe record has a sunk share w of its first review pass, already
+    paid before classification: 0 for `no_first_count`, 1 for
+    `with_first_count`, and under `combined` its reclassification flag
+    from `reclass_flags` (1 if a first manual count reclassified it safe).
+    Then c_s0 = mean(w * c) and c_sz = mean((1 - w + r_s) * c) over the
+    safe stratum, so attribution moves cost between the two and never
+    creates it. `recording_cost` is added to c_u and c_s0.
+    """
+    if scheme == SCHEME_COMBINED:
         if reclass_flags is None:
             raise ValueError("combined scheme requires reclassification flags")
-        params = costs_combined(records, reclass_flags, rates, recording_cost)
+        missing = [r.dop_id for r in records if r.label == SAFE and r.dop_id not in reclass_flags]
+        if missing:
+            raise ValueError(f"safe records lack reclassification flags: {', '.join(missing)}")
+        sunk = lambda r: reclass_flags[r.dop_id]
+    elif scheme in _SUNK_SHARE:
+        sunk = lambda r: _SUNK_SHARE[scheme]
     else:
         raise ValueError(f"unknown cost scheme {scheme!r}")
     per_record = tuple((r.dop_id, counting_cost(r.duration_s, rates)) for r in records)
+    safe = [(c, sunk(r)) for r, (_, c) in zip(records, per_record) if r.label == SAFE]
+    unsafe = [c for r, (_, c) in zip(records, per_record) if r.label == UNSAFE]
+    for label, stratum in ((SAFE, safe), (UNSAFE, unsafe)):
+        if not stratum:
+            _warnings.warn(f"no {label} records: stratum cost set to 0", stacklevel=2)
+    n_s = len(safe) or 1  # an empty stratum costs 0
+    mean_u = sum(unsafe) / len(unsafe) if unsafe else 0.0
     return CostBreakdown(
-        per_record=per_record,
-        c_u=params.c_u,
-        c_s0=params.c_s0,
-        c_sz=params.c_sz,
         scheme=scheme,
+        c_u=(1.0 + rates.r_s) * mean_u + recording_cost,
+        c_s0=sum(c * w for c, w in safe) / n_s + recording_cost,
+        c_sz=sum(c * (1.0 - w + rates.r_s) for c, w in safe) / n_s,
+        per_record=per_record,
     )

@@ -59,7 +59,9 @@ def validate_record(record: DopRecord) -> list[str]:
     """
     violations: list[str] = []
     r = record
-    if r.duration_s < 0:
+    if not math.isfinite(r.duration_s):
+        violations.append(f"{r.dop_id}: duration_s must be finite, got {r.duration_s}")
+    elif r.duration_s < 0:
         violations.append(f"{r.dop_id}: duration_s must be >= 0, got {r.duration_s}")
     for name in ("m1", "m2", "m_sup", "m_final", "k_auto", "alg_count"):
         value = getattr(r, name)

@@ -12,7 +12,7 @@ pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -42,10 +42,10 @@ class EvaluationReport:
     ci_high: float
     delta: float
     verdict: str
-    stats: PartitionStats
     clamped_s: bool
     clamped_u: bool
     q_planned: float | None = None
+    stats: PartitionStats = field(kw_only=True)
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:

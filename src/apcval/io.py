@@ -27,13 +27,12 @@ from .domain import (
     CostRates,
     DopRecord,
     PartitionParams,
-    PartitionStats,
     TestParams,
     validate_record,
 )
 from .estimator import EvaluationReport
 from .planner import Plan
-from .simulate import AuditPoint, SuccessCurve
+from .simulate import SuccessCurve
 
 CAMPAIGN_COLUMNS = (
     "dop_id",
@@ -70,9 +69,12 @@ def _opt_float(cell: str, row: int, column: str) -> float | None:
     if cell == "":
         return None
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise CampaignError(f"row {row}: {column} is not a number: {cell!r}") from None
+    if not math.isfinite(value):
+        raise CampaignError(f"row {row}: {column} must be finite, got {cell!r}")
+    return value
 
 
 def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecord], list[str]]:
@@ -335,6 +337,17 @@ def _round12(x: float) -> float | None:
     return float(f"{x:.12g}")
 
 
+# Result type -> report name. A report is its name and the toolkit version
+# followed by the result's fields in declaration order; `_clean` turns nested
+# dataclasses into dictionaries of their fields the same way.
+_REPORT_NAMES = {
+    EvaluationReport: "evaluation",
+    Plan: "plan",
+    SuccessCurve: "success_curve",
+    CostBreakdown: "cost",
+}
+
+
 def _clean(obj):
     if isinstance(obj, float):
         return _round12(obj)
@@ -342,115 +355,25 @@ def _clean(obj):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
+    names = getattr(obj, "__dataclass_fields__", None)
+    if names is not None:
+        return {name: _clean(getattr(obj, name)) for name in names}
     return obj
 
 
-def _params_dict(params: TestParams) -> dict:
-    return {
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "delta": params.delta,
-        "nu": params.nu,
-        "nu_min": params.nu_min,
-        "buffer": params.buffer,
-    }
-
-
-def _partition_dict(partition: PartitionParams) -> dict:
-    return {"p_s": partition.p_s, "nu_s_ratio": partition.nu_s_ratio, "q": partition.q}
-
-
-def _stats_dict(stats: PartitionStats) -> dict:
-    return {
-        "n": stats.n,
-        "n_s": stats.n_s,
-        "n_u": stats.n_u,
-        "q_effective": stats.q_effective,
-        "d_bar_s": stats.d_bar_s,
-        "d_bar_u": stats.d_bar_u,
-        "nu_hat_s": stats.nu_hat_s,
-        "nu_hat_u": stats.nu_hat_u,
-        "m_hat_q": stats.m_hat_q,
-    }
-
-
 def report_to_dict(report) -> dict:
-    """Convert a result object to its stable dictionary form."""
-    if isinstance(report, EvaluationReport):
-        return {
-            "report": "evaluation",
-            "version": VERSION,
-            "d_hat": report.d_hat,
-            "nu_hat": report.nu_hat,
-            "n": report.n,
-            "ci_low": report.ci_low,
-            "ci_high": report.ci_high,
-            "delta": report.delta,
-            "verdict": report.verdict,
-            "clamped_s": report.clamped_s,
-            "clamped_u": report.clamped_u,
-            "q_planned": report.q_planned,
-            "stats": _stats_dict(report.stats),
-            "warnings": list(report.warnings),
-        }
-    if isinstance(report, Plan):
-        return {
-            "report": "plan",
-            "version": VERSION,
-            "n_e": report.n_e,
-            "n_rec": report.n_rec,
-            "q_planned": report.q_planned,
-            "q_source": report.q_source,
-            "buffered_n_rec": report.buffered_n_rec,
-            "buffered_n_e": report.buffered_n_e,
-            "params": _params_dict(report.params),
-            "partition": _partition_dict(report.partition),
-            "costs": None
-            if report.costs is None
-            else {"c_u": report.costs.c_u, "c_s0": report.costs.c_s0, "c_sz": report.costs.c_sz},
-            "notes": list(report.notes),
-        }
-    if isinstance(report, SuccessCurve):
-        return {
-            "report": "success_curve",
-            "version": VERSION,
-            "grid_var": report.grid_var,
-            "test": report.test,
-            "trials": report.trials,
-            "seed": report.seed,
-            "fixed": dict(report.fixed),
-            "points": [
-                {
-                    "grid_value": p.grid_value,
-                    "pass_rate": p.pass_rate,
-                    "mc_se": p.mc_se,
-                    "analytic": p.analytic,
-                }
-                for p in report.points
-            ],
-        }
-    if isinstance(report, CostBreakdown):
-        return {
-            "report": "cost",
-            "version": VERSION,
-            "scheme": report.scheme,
-            "c_u": report.c_u,
-            "c_s0": report.c_s0,
-            "c_sz": report.c_sz,
-            "per_record": [[dop_id, c] for dop_id, c in report.per_record],
-        }
-    if isinstance(report, tuple) and report and isinstance(report[0], AuditPoint):
-        return {
-            "report": "user_risk_audit",
-            "version": VERSION,
-            "points": [
-                {"n": p.n, "pass_rate": p.pass_rate, "mc_se": p.mc_se, "worst_mu": p.worst_mu}
-                for p in report
-            ],
-        }
+    """Name, version and top-level fields of a result; dicts pass through.
+
+    Nested values stay as they are; `emit_report` turns dataclasses into
+    dictionaries and floats into 12-digit numbers.
+    """
     if isinstance(report, dict):
         return report
-    raise TypeError(f"cannot emit report for {type(report).__name__}")
+    name = _REPORT_NAMES.get(type(report))
+    if name is None:
+        raise TypeError(f"cannot emit report for {type(report).__name__}")
+    fields = {field: getattr(report, field) for field in report.__dataclass_fields__}
+    return {"report": name, "version": VERSION, **fields}
 
 
 def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
@@ -464,33 +387,39 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
         rows.append((prefix, "" if value is None else str(value)))
 
 
-def emit_report(report, fmt: str = "json", timestamp: bool = True) -> str:
-    """Serialize a result with stable field names.
-
-    JSON carries floats at 12 significant digits. CSV emits the success
-    curve table (grid_var, grid_value, pass_rate, mc_se, analytic) and a
-    flat key,value table for every other report type. The `created` field
-    is informational and excluded from reproducibility comparisons.
-    """
-    if fmt not in ("json", "csv"):
-        raise ValueError(f"unknown format {fmt!r}")
-    if fmt == "csv" and isinstance(report, SuccessCurve):
-        buf = _stringio.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["grid_var", "grid_value", "pass_rate", "mc_se", "analytic"])
-        for p in report.points:
+def _curves_csv(curves: list[dict]) -> str:
+    buf = _stringio.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["grid_var", "grid_value", "pass_rate", "mc_se", "analytic"])
+    for curve in curves:
+        for p in curve["points"]:
             writer.writerow(
                 [
-                    report.grid_var,
+                    curve["grid_var"],
                     f"{p.grid_value:.12g}",
                     f"{p.pass_rate:.12g}",
                     f"{p.mc_se:.12g}",
                     "" if p.analytic is None else f"{p.analytic:.12g}",
                 ]
             )
-        return buf.getvalue()
+    return buf.getvalue()
 
-    payload = _clean(report_to_dict(report))
+
+def emit_report(report, fmt: str = "json", timestamp: bool = True) -> str:
+    """Serialize a result with stable field names.
+
+    JSON carries floats at 12 significant digits. CSV emits the success
+    curve table (grid_var, grid_value, pass_rate, mc_se, analytic; one
+    header, then the rows of every curve of a `success_curves` report) and
+    a flat key,value table for every other report type. The `created` field
+    is informational and excluded from reproducibility comparisons.
+    """
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"unknown format {fmt!r}")
+    payload = report_to_dict(report)
+    if fmt == "csv" and payload.get("report") in ("success_curve", "success_curves"):
+        return _curves_csv(payload.get("curves", [payload]))
+    payload = _clean(payload)
     if timestamp:
         payload["created"] = datetime.now(timezone.utc).isoformat()
     if fmt == "json":

@@ -13,7 +13,7 @@ execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,11 +97,11 @@ class SuccessCurve:
     """Pass probability along one grid variable, with MC standard errors."""
 
     grid_var: str
-    points: tuple[CurvePoint, ...]
     test: str
     trials: int
     seed: int
-    fixed: tuple[tuple[str, float], ...] = ()
+    fixed: dict[str, float] = field(default_factory=dict)
+    points: tuple[CurvePoint, ...] = field(kw_only=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,13 +294,13 @@ def run_simulation(config: SimConfig) -> list[SuccessCurve]:
             analytic=_analytic_for(config, n, mu),
         )
 
-    context = (
-        ("alpha", config.params.alpha),
-        ("delta", config.params.delta),
-        ("nu_min", config.params.nu_min),
-        ("p_s", config.partition.p_s),
-        ("q", config.partition.q),
-    )
+    context = {
+        "alpha": config.params.alpha,
+        "delta": config.params.delta,
+        "nu_min": config.params.nu_min,
+        "p_s": config.partition.p_s,
+        "q": config.partition.q,
+    }
     curves: list[SuccessCurve] = []
     if len(sweep) == 1:
         mu = sweep[0]
@@ -310,15 +310,15 @@ def run_simulation(config: SimConfig) -> list[SuccessCurve]:
             for n in config.n_values
         )
         curves.append(
-            SuccessCurve("n", pts, config.test, config.trials, config.seed,
-                         fixed=(("mu", float(mu)),) + context)
+            SuccessCurve(grid_var="n", points=pts, test=config.test, trials=config.trials,
+                         seed=config.seed, fixed={"mu": float(mu), **context})
         )
     else:
         for n in config.n_values:
             pts = tuple(results[(n, mu)] for mu in sweep)
             curves.append(
-                SuccessCurve("mu", pts, config.test, config.trials, config.seed,
-                             fixed=(("n", float(n)),) + context)
+                SuccessCurve(grid_var="mu", points=pts, test=config.test, trials=config.trials,
+                             seed=config.seed, fixed={"n": float(n), **context})
             )
     return curves
 

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import make_record
 from apcval.classify import draw_sample
-from apcval.cost import counting_cost, costs_no_first_count
+from apcval.cost import SCHEME_NO_FIRST_COUNT, cost_breakdown, counting_cost
 from apcval.domain import SAFE, UNSAFE, CostRates, PartitionParams, TestParams
 from apcval.estimator import evaluate_classic, evaluate_partitioned
 from apcval.planner import (
@@ -352,7 +352,7 @@ def test_criterion_10_end_to_end_cost_advantage():
         duration = float(np.clip(rng.normal(42.0, 15.0), 5.0, 120.0))
         label = SAFE if rng.random() < 0.9 else UNSAFE
         records.append(make_record(i, 3, 3, label, duration=duration))
-    costs = costs_no_first_count(records, CostRates())
+    costs = cost_breakdown(records, CostRates(), SCHEME_NO_FIRST_COUNT).cost_params()
 
     params = TestParams(nu=0.15)
     partition = PartitionParams(p_s=0.9, nu_s_ratio=0.35, q=0.175)

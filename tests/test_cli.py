@@ -256,6 +256,34 @@ class TestSimulateCostOptimize:
         assert lines[0] == "grid_var,grid_value,pass_rate,mc_se,analytic"
         assert len(lines) == 3
 
+    def test_simulate_multi_curve_csv_is_one_table(self, capsys):
+        argv = ["simulate", "--n-grid", "50,120", "--bias-grid", "0,0.02", "--trials", "20",
+                "--set", "nu=0.15"]
+        code, out, err = run(capsys, [*argv, "--format", "csv"])
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == "grid_var,grid_value,pass_rate,mc_se,analytic"
+        assert lines.count(lines[0]) == 1
+        code, js, _ = run(capsys, argv)
+        curves = json.loads(js)["curves"]
+        expected = [
+            f"mu,{p['grid_value']:.12g},{p['pass_rate']:.12g},{p['mc_se']:.12g},{p['analytic']:.12g}"
+            for c in curves for p in c["points"]
+        ]
+        assert lines[1:] == expected and len(expected) == 4
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--pool-s", "0,nan"), ("--pool-u", "inf,0.1"), ("--bias-grid", "nan,0.02")],
+    )
+    def test_simulate_rejects_non_finite_lists(self, capsys, flag, value):
+        argv = ["simulate", "--n-grid", "50", "--trials", "10", flag, value]
+        if flag == "--bias-grid":
+            argv.append("--audit")
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert f"error: {flag} values must be finite" in err
+
     def test_simulate_audit(self, capsys):
         code, out, _ = run(
             capsys,
@@ -312,6 +340,25 @@ class TestSimulateCostOptimize:
         )
         assert code == 0
         assert json.loads(out)["report"] == "cost"
+
+    @pytest.mark.parametrize("column,cell", [("duration_s", "nan"), ("duration_s", "inf"),
+                                             ("alg_confidence", "-inf")])
+    def test_cost_rejects_non_finite_campaign_numbers(self, capsys, tmp_path, column, cell):
+        header, *rows = GOLDEN.splitlines()
+        cells = rows[1].split(",")
+        cells[header.split(",").index(column)] = cell
+        path = tmp_path / "c.csv"
+        path.write_text("\n".join([header, rows[0], ",".join(cells), rows[2]]) + "\n")
+        code, out, err = run(capsys, ["cost", "--campaign", str(path)])
+        assert code == 1 and out == ""
+        assert err == f"error: row 3: {column} must be finite, got {cell!r}\n"
+
+    def test_negative_seed_flag_is_a_config_error(self, capsys):
+        code, out, err = run(capsys, ["plan", "--seed", "-3"])
+        assert code == 1 and out == ""
+        assert err == "error: seed must be >= 0, got -3\n"
+        code, out, _ = run(capsys, ["plan", "--set", "seed=-1", "--seed", "4"])
+        assert code == 0 and json.loads(out)["seed"] == 4
 
     def test_missing_required_campaign_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

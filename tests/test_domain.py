@@ -44,6 +44,11 @@ class TestValidateRecord:
         violations = validate_record(rec(k_auto=-1, m1=-2))
         assert len(violations) >= 2
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_duration_flagged(self, duration):
+        violations = validate_record(rec(duration_s=duration))
+        assert violations == [f"d1: duration_s must be finite, got {duration}"]
+
     def test_bad_confidence(self):
         assert validate_record(rec(alg_confidence=1.5))
 

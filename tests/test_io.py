@@ -6,7 +6,16 @@ import pytest
 from conftest import fully_counted_campaign, make_record
 import apcval.io as aio
 from apcval.classify import KIND_FIRST_COUNT
-from apcval.domain import SAFE, UNLABELED, UNSAFE, DopRecord, PartitionParams, TestParams
+from apcval.cost import SCHEME_NO_FIRST_COUNT, cost_breakdown
+from apcval.domain import (
+    SAFE,
+    UNLABELED,
+    UNSAFE,
+    CostRates,
+    DopRecord,
+    PartitionParams,
+    TestParams,
+)
 from apcval.estimator import evaluate_partitioned
 from apcval.planner import make_plan
 from apcval.simulate import CurvePoint, SuccessCurve
@@ -237,6 +246,33 @@ class TestEmitReport:
         assert lines[0] == "grid_var,grid_value,pass_rate,mc_se,analytic"
         assert lines[1] == "n,100,0.5,0.05,0.49"
         assert lines[2] == "n,200,0.9,0.03,"
+
+    def test_top_level_key_order(self):
+        # a report is its name and version, then the result's fields in
+        # declaration order; consumers and byte-for-byte comparisons rely on it
+        def keys(report):
+            return list(json.loads(aio.emit_report(report, "json", timestamp=False)))
+
+        head = ["report", "version"]
+        assert keys(self.evaluation_report()) == head + [
+            "d_hat", "nu_hat", "n", "ci_low", "ci_high", "delta", "verdict",
+            "clamped_s", "clamped_u", "q_planned", "stats", "warnings",
+        ]
+        assert keys(make_plan(TestParams(), PartitionParams())) == head + [
+            "n_e", "n_rec", "q_planned", "q_source", "buffered_n_rec", "buffered_n_e",
+            "params", "partition", "costs", "notes",
+        ]
+        records = [make_record(0, 2, 2, SAFE), make_record(1, 3, 3, UNSAFE)]
+        assert keys(cost_breakdown(records, CostRates(), SCHEME_NO_FIRST_COUNT)) == head + [
+            "scheme", "c_u", "c_s0", "c_sz", "per_record",
+        ]
+        curve = SuccessCurve(grid_var="n", points=(CurvePoint(100.0, 0.5, 0.05, None),),
+                             test="classic", trials=10, seed=1, fixed={"mu": 0.0})
+        assert keys(curve) == head + ["grid_var", "test", "trials", "seed", "fixed", "points"]
+        payload = json.loads(aio.emit_report(curve, "json"))
+        assert payload["fixed"] == {"mu": 0.0}
+        assert list(payload["points"][0]) == ["grid_value", "pass_rate", "mc_se", "analytic"]
+        assert list(payload)[-1] == "created"
 
     def test_floats_are_12_significant_digits(self):
         report = self.evaluation_report()
