@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -145,26 +145,17 @@ def classify(
     return labeled, sum(safe_flags) / n
 
 
-def default_reclass_rule(record: DopRecord) -> bool:
-    """Reclassify as safe when the first manual count matches the system."""
-    return record.m1 == record.k_auto
-
-
 def combined_classify(
-    records: list[DopRecord],
-    first: ClassifierSpec,
-    reclass_rule: Callable[[DopRecord], bool] | None = None,
+    records: list[DopRecord], first: ClassifierSpec
 ) -> tuple[list[DopRecord], dict[str, int]]:
     """Two-stage classification: a first classifier, then reclassification.
 
     Records the first classifier marks safe stay safe (flag 0).
-    Provisionally unsafe records are checked against `reclass_rule`
-    (default: first manual count equals the automatic count) and become
-    safe with flag 1 on agreement, else stay unsafe. The flags feed the
-    combined cost attribution. Every provisionally unsafe record must
-    carry a first manual count.
+    Provisionally unsafe records become safe with flag 1 when their first
+    manual count equals the automatic count, else stay unsafe. The flags
+    feed the combined cost attribution. Every provisionally unsafe record
+    must carry a first manual count.
     """
-    rule = reclass_rule or default_reclass_rule
     provisional, _ = classify(records, first)
     missing = [
         r.dop_id for r in provisional if r.label == UNSAFE and r.m1 is None
@@ -179,7 +170,7 @@ def combined_classify(
         if r.label == SAFE:
             final.append(r)
             flags[r.dop_id] = 0
-        elif rule(r):
+        elif r.m1 == r.k_auto:
             final.append(replace(r, label=SAFE))
             flags[r.dop_id] = 1
         else:
@@ -208,11 +199,8 @@ def draw_sample(safe_ids: Sequence, q0: float, seed: int) -> np.ndarray:
     n = len(safe_ids)
     if n == 0:
         raise ValueError("safe partition is empty")
-    ids = np.asarray(safe_ids)
     rank_mask = _sample_mask(n, q0, np.random.default_rng(seed))
-    if ids.dtype.kind in "iu" and n > 1 and bool(np.all(ids[1:] > ids[:-1])):
-        return rank_mask
-    order = np.argsort(ids, kind="stable")
+    order = np.argsort(np.asarray(safe_ids), kind="stable")
     mask = np.zeros(n, dtype=bool)
     mask[order[rank_mask]] = True
     return mask

@@ -144,6 +144,8 @@ def _classify_records(
 def _cost_params(records: list[DopRecord], config: io_mod.Config):
     reclass_flags = None
     if config.scheme == cost_mod.SCHEME_COMBINED:
+        if _classifier(config).kind != KIND_COMBINED:
+            raise io_mod.ConfigError("costs.scheme=combined needs classifier.kind=combined")
         records, reclass_flags = _classify_records(records, config)
     elif any(r.label == UNLABELED for r in records):
         if config.classifier is not None:
@@ -291,11 +293,14 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _float_list(text: str, flag: str) -> tuple[float, ...]:
+def _number_list(text: str, flag: str, integer: bool = False) -> tuple:
     try:
-        values = tuple(float(v) for v in text.split(",") if v.strip() != "")
+        values = tuple(
+            (int if integer else float)(v) for v in text.split(",") if v.strip() != ""
+        )
     except ValueError:
-        raise io_mod.ConfigError(f"{flag} must be a comma-separated number list") from None
+        kind = "integer" if integer else "number"
+        raise io_mod.ConfigError(f"{flag} must be a comma-separated {kind} list") from None
     if not all(math.isfinite(v) for v in values):
         raise io_mod.ConfigError(f"{flag} values must be finite, got {text!r}")
     return values
@@ -303,12 +308,12 @@ def _float_list(text: str, flag: str) -> tuple[float, ...]:
 
 def cmd_simulate(args) -> int:
     config = _load(args)
-    n_values = tuple(int(v) for v in args.n_grid.split(",") if v.strip() != "")
-    bias = _float_list(args.bias_grid, "--bias-grid") if args.bias_grid else None
+    n_values = _number_list(args.n_grid, "--n-grid", integer=True)
+    bias = _number_list(args.bias_grid, "--bias-grid") if args.bias_grid else None
     if args.pool_s or args.pool_u:
         model: simulate.NormalErrors | simulate.ResamplingErrors = simulate.ResamplingErrors(
-            pool_s=_float_list(args.pool_s, "--pool-s") if args.pool_s else (),
-            pool_u=_float_list(args.pool_u, "--pool-u") if args.pool_u else (),
+            pool_s=_number_list(args.pool_s, "--pool-s") if args.pool_s else (),
+            pool_u=_number_list(args.pool_u, "--pool-u") if args.pool_u else (),
         )
     else:
         model = simulate.planning_normal_model(config.params.nu, config.partition)
@@ -362,6 +367,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (io_mod.CampaignError, io_mod.ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        print(f"error: a result is out of range for these settings ({exc})", file=sys.stderr)
         return 1
 
 

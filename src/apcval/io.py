@@ -13,7 +13,7 @@ import csv
 import io as _stringio
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -175,23 +175,16 @@ def save_campaign(records: list[DopRecord], path: str | Path) -> None:
 
 # --- configuration ----------------------------------------------------------
 
+# The numeric config keys are the fields of these domain types, under each
+# type's key prefix; a key left out keeps the field's default.
+_NUMERIC_SECTIONS = ((TestParams, ""), (PartitionParams, ""), (CostRates, "costs."))
+
 _CONFIG_KEYS = (
-    "alpha",
-    "beta",
-    "delta",
-    "nu",
-    "nu_min",
-    "buffer",
-    "p_s",
-    "nu_s_ratio",
-    "q",
+    *(prefix + f.name for cls, prefix in _NUMERIC_SECTIONS for f in fields(cls)),
     "seed",
     "classifier.kind",
     "classifier.threshold",
     "classifier.target_share",
-    "costs.r_av",
-    "costs.c_labor",
-    "costs.r_s",
     "costs.scheme",
 )
 
@@ -236,41 +229,29 @@ def config_from_raw(raw: dict[str, str]) -> Config:
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(sorted(unknown))}")
 
-    def number(key: str, default: float) -> float:
-        if key not in raw:
-            return default
+    def number(key: str) -> float:
         try:
             return float(raw[key])
         except ValueError:
             raise ConfigError(f"{key} is not a number: {raw[key]!r}") from None
 
+    def build(cls, prefix: str, names, **given):
+        """`cls` from the given values plus the configured keys among `names`."""
+        numbers = {name: number(prefix + name) for name in names if prefix + name in raw}
+        return cls(**given, **numbers)
+
     try:
-        params = TestParams(
-            alpha=number("alpha", 0.05),
-            beta=number("beta", 0.05),
-            delta=number("delta", 0.01),
-            nu=number("nu", 0.20),
-            nu_min=number("nu_min", 0.03),
-            buffer=number("buffer", 1.15),
-        )
-        partition = PartitionParams(
-            p_s=number("p_s", 0.90),
-            nu_s_ratio=number("nu_s_ratio", 0.35),
-            q=number("q", 0.175),
-        )
-        rates = CostRates(
-            r_av=number("costs.r_av", 0.7),
-            c_labor=number("costs.c_labor", 20.0),
-            r_s=number("costs.r_s", 1.2),
+        params, partition, rates = (
+            build(cls, prefix, [f.name for f in fields(cls)])
+            for cls, prefix in _NUMERIC_SECTIONS
         )
         classifier = None
         if "classifier.kind" in raw:
-            threshold = raw.get("classifier.threshold")
-            target = raw.get("classifier.target_share")
-            classifier = ClassifierSpec(
+            classifier = build(
+                ClassifierSpec,
+                "classifier.",
+                ("threshold", "target_share"),
                 kind=raw["classifier.kind"],
-                threshold=None if threshold is None else float(threshold),
-                target_share=None if target is None else float(target),
             )
         elif "classifier.threshold" in raw or "classifier.target_share" in raw:
             raise ConfigError("classifier.threshold/target_share need classifier.kind")

@@ -90,6 +90,11 @@ def sample_size_classic(params: TestParams) -> int:
     if params.delta <= 0.0:
         raise ValueError("delta must be > 0")
     nu, _ = _planning_nu(params)
+    return _classic_size(params, nu)
+
+
+def _classic_size(params: TestParams, nu: float) -> int:
+    """Classic sample size at the planning deviation `nu` (see `_planning_nu`)."""
     raw = (_quantile_sum(params) * nu / params.delta) ** 2
     n = _ceil_snapped(raw)
     if n < 1:
@@ -116,12 +121,12 @@ def quota_for_fixed_record(
     deliver the planned power. Degenerate partitions (p_s * nu_s^2 == 0)
     put no constraint on the quota; the full count 1.0 is returned then.
     """
-    n_e = sample_size_classic(params)
+    nu, _ = _planning_nu(params)
+    n_e = _classic_size(params, nu)
     if n_rec < n_e:
         raise ValueError(
             f"recording budget {n_rec} below classic requirement {n_e}: no feasible quota"
         )
-    nu, _ = _planning_nu(params)
     ps_nus2 = partition.p_s * (partition.nu_s_ratio * nu) ** 2
     if ps_nus2 == 0.0:
         return 1.0
@@ -182,10 +187,8 @@ def make_plan(
     the cost optimum when costs are given, else from the partition
     parameters as-is.
     """
-    notes: list[str] = []
-    n_e = sample_size_classic(params)
-    nu, nu_notes = _planning_nu(params)
-    notes.extend(nu_notes)
+    nu, notes = _planning_nu(params)
+    n_e = _classic_size(params, nu)
 
     if n_rec_budget is not None:
         q = quota_for_fixed_record(n_rec_budget, params, partition)

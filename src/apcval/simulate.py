@@ -357,7 +357,6 @@ def bias_estimates(
     n: int,
     trials: int,
     seed: int = 0,
-    shift: float = 0.0,
 ) -> np.ndarray:
     """Per-trial partitioned bias estimates, for moment studies.
 
@@ -366,5 +365,5 @@ def bias_estimates(
     standard deviations are skipped: the estimate only needs counts and
     means, and the chain's floor stands in for them.
     """
-    stats = _trial_stats(model, partition, n, shift, seed, 0, trials, spread=False)
+    stats = _trial_stats(model, partition, n, 0.0, seed, 0, trials, spread=False)
     return verdict_chain(*stats, TestParams()).d_hat

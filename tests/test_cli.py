@@ -284,6 +284,12 @@ class TestSimulateCostOptimize:
         assert code == 1 and out == ""
         assert f"error: {flag} values must be finite" in err
 
+    @pytest.mark.parametrize("value", ["1.5", "abc", "nan"])
+    def test_simulate_n_grid_must_be_integers(self, capsys, value):
+        code, out, err = run(capsys, ["simulate", "--n-grid", f"100,{value}", "--trials", "10"])
+        assert code == 1 and out == ""
+        assert err == "error: --n-grid must be a comma-separated integer list\n"
+
     def test_simulate_audit(self, capsys):
         code, out, _ = run(
             capsys,
@@ -340,6 +346,16 @@ class TestSimulateCostOptimize:
         )
         assert code == 0
         assert json.loads(out)["report"] == "cost"
+
+    @pytest.mark.parametrize("command", ["cost", "optimize"])
+    def test_combined_scheme_needs_combined_classifier(self, capsys, golden_campaign, command):
+        code, out, err = run(
+            capsys,
+            [command, "--campaign", str(golden_campaign), "--set", "costs.scheme=combined",
+             "--set", "classifier.kind=first_count", "--set", "classifier.threshold=0"],
+        )
+        assert code == 1 and out == ""
+        assert err == "error: costs.scheme=combined needs classifier.kind=combined\n"
 
     @pytest.mark.parametrize("column,cell", [("duration_s", "nan"), ("duration_s", "inf"),
                                              ("alg_confidence", "-inf")])

@@ -1,12 +1,20 @@
+import contextlib
+import io
 import json
+import tempfile
+import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import fully_counted_campaign, make_record
 import apcval.io as aio
-from apcval.classify import KIND_FIRST_COUNT
-from apcval.cost import SCHEME_NO_FIRST_COUNT, cost_breakdown
+from apcval.classify import KIND_FIRST_COUNT, KINDS
+from apcval.cost import SCHEME_NO_FIRST_COUNT, SCHEMES, cost_breakdown
 from apcval.domain import (
     SAFE,
     UNLABELED,
@@ -113,7 +121,13 @@ class TestLoadCampaign:
 class TestConfig:
     def test_defaults_without_file(self):
         config = aio.config_from_raw({})
-        assert config.params == TestParams()
+        for loaded, default in (
+            (config.params, TestParams()),
+            (config.partition, PartitionParams()),
+            (config.rates, CostRates()),
+        ):
+            for field in fields(default):
+                assert getattr(loaded, field.name) == getattr(default, field.name), field.name
         assert config.partition.p_s == 0.90
         assert config.seed == 0
         assert config.classifier is None
@@ -150,6 +164,19 @@ class TestConfig:
         assert config.classifier.kind == KIND_FIRST_COUNT
         assert config.classifier.threshold == 0.0
         assert config.scheme == "with_first_count"
+
+    def test_key_set(self):
+        assert sorted(aio._CONFIG_KEYS) == sorted(
+            ["alpha", "beta", "delta", "nu", "nu_min", "buffer", "p_s", "nu_s_ratio", "q",
+             "seed", "classifier.kind", "classifier.threshold", "classifier.target_share",
+             "costs.r_av", "costs.c_labor", "costs.r_s", "costs.scheme"]
+        )
+
+    @pytest.mark.parametrize("key", ["classifier.threshold", "classifier.target_share"])
+    def test_classifier_number_names_the_key(self, key):
+        with pytest.raises(aio.ConfigError) as exc:
+            aio.config_from_raw({"classifier.kind": "rule_of_thumb", key: "abc"})
+        assert str(exc.value) == f"{key} is not a number: 'abc'"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -200,6 +227,56 @@ def test_non_finite_values_rejected(key, value, capsys):
         aio.config_from_raw({key: value})
     assert main(["plan", "--set", f"{key}={value}"]) == 1
     assert f"{name} must be finite" in capsys.readouterr().err
+
+
+_FUZZ_KEYS = st.one_of(st.sampled_from(aio._CONFIG_KEYS), st.text(max_size=12))
+_FUZZ_VALUES = st.one_of(
+    st.floats(min_value=0.0, max_value=2.0).map(repr),
+    st.floats().map(repr),
+    st.integers(min_value=-5, max_value=10**6).map(str),
+    st.sampled_from([*KINDS, *SCHEMES]),
+    st.text(max_size=12),
+)
+_FUZZ_LINES = st.one_of(
+    st.tuples(_FUZZ_KEYS, _FUZZ_VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(max_size=20),
+)
+config_texts = st.lists(_FUZZ_LINES, max_size=8).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=config_texts)
+def test_any_config_text_loads_or_raises_config_error(text):
+    try:
+        config = aio.config_from_raw(aio._parse_config_text(text, "fuzz.cfg"))
+    except aio.ConfigError:
+        return
+    assert isinstance(config, aio.Config)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=config_texts)
+@example(text="delta = 1e-200")
+@example(text="alpha = 1e-300")
+@example(text="buffer = 1e308")
+@example(text="nu_s_ratio = 1e200")
+def test_plan_on_any_config_exits_0_or_1(text):
+    from apcval.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main(["plan", "--config", str(path)])
+    assert code in (0, 1)
+    if code == 0:
+        plan = json.loads(out.getvalue())
+        assert all(isinstance(plan[k], int) for k in ("n_e", "n_rec", "buffered_n_rec"))
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
 class TestEmitReport:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,13 @@ class TestSampleSize:
     def test_degenerate_nu_floors_at_one(self):
         with pytest.warns(UserWarning):
             assert sample_size_classic(TestParams(nu=0.0, nu_min=0.0)) == 1
+
+    def test_plan_warns_once_about_substituted_nu(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            plan = make_plan(TestParams(nu=0.01), PartitionParams())
+        assert [str(w.message) for w in caught] == list(plan.notes)
+        assert len(caught) == 1 and "nu_min" in plan.notes[0]
 
     def test_nu_below_floor_is_substituted(self):
         with pytest.warns(UserWarning, match="nu_min"):
