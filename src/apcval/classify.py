@@ -77,6 +77,8 @@ class ClassifierSpec:
             )
         if not scored and given:
             raise ValueError(f"{self.kind} takes neither threshold nor target_share")
+        if self.threshold is not None and not math.isfinite(self.threshold):
+            raise ValueError(f"classifier.threshold must be finite, got {self.threshold}")
         if self.target_share is not None and not 0.0 <= self.target_share <= 1.0:
             raise ValueError(f"target_share must be in [0, 1], got {self.target_share}")
         if self.rate_counts not in (RATE_MANUAL_FIRST, RATE_AUTO):

@@ -13,6 +13,8 @@ import math
 import warnings as _warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .domain import CostParams, PartitionParams, TestParams
 from .normal import norm_ppf
 
@@ -46,10 +48,14 @@ class Plan:
             raise ValueError(f"q_planned must be in (0, 1], got {self.q_planned}")
 
 
+# relative float noise above an integer that a ceiling forgives
+_SNAP = 1e-9
+
+
 def _ceil_snapped(x: float) -> int:
     """Ceiling that forgives float noise just above an integer."""
     nearest = round(x)
-    if abs(x - nearest) <= 1e-9 * max(1.0, abs(x)):
+    if abs(x - nearest) <= _SNAP * max(1.0, abs(x)):
         return int(nearest)
     return math.ceil(x)
 
@@ -61,6 +67,16 @@ def counted_count(q0: float, n_s: int) -> int:
     if n_s < 1:
         raise ValueError(f"n_s must be >= 1, got {n_s}")
     return min(n_s, max(1, _ceil_snapped(q0 * n_s)))
+
+
+def counted_counts(q0: float, n_s: np.ndarray) -> np.ndarray:
+    """`counted_count` elementwise over safe-stratum sizes; 0 where n_s is 0."""
+    if not 0.0 < q0 <= 1.0:
+        raise ValueError(f"q0 must be in (0, 1], got {q0}")
+    x = q0 * n_s
+    nearest = np.rint(x)
+    snapped = np.where(np.abs(x - nearest) <= _SNAP * np.maximum(1.0, x), nearest, np.ceil(x))
+    return np.minimum(n_s, np.maximum(1, snapped.astype(np.int64)))
 
 
 def round_quota(q0: float, n_s: int) -> float:
@@ -122,6 +138,13 @@ def quota_for_fixed_record(
     put no constraint on the quota; the full count 1.0 is returned then.
     """
     nu, _ = _planning_nu(params)
+    return _budget_quota(n_rec, params, partition, nu)
+
+
+def _budget_quota(
+    n_rec: int, params: TestParams, partition: PartitionParams, nu: float
+) -> float:
+    """`quota_for_fixed_record` at the planning deviation `nu` (see `_planning_nu`)."""
     n_e = _classic_size(params, nu)
     if n_rec < n_e:
         raise ValueError(
@@ -191,7 +214,7 @@ def make_plan(
     n_e = _classic_size(params, nu)
 
     if n_rec_budget is not None:
-        q = quota_for_fixed_record(n_rec_budget, params, partition)
+        q = _budget_quota(n_rec_budget, params, partition, nu)
         source = "fixed"
         notes.append(f"quota solved for recording budget {n_rec_budget}")
         if q == 1.0:

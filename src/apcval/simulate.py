@@ -1,13 +1,24 @@
 """Monte Carlo and analytic studies of test success and user risk.
 
-Trials run the configured test end-to-end on synthetic relative
-differences: stratum membership is drawn per record, the counted subset of
-the safe partition comes from the real sampler, and each trial is reduced
-to its stratum statistics. The verdicts of all trials of a grid point are
-then evaluated at once, over arrays, by the estimator's `verdict_chain`,
-the same code that evaluates a live campaign. Per-trial seeds are derived
-from (seed, grid point, trial index), so trials are reproducible in any
-execution order.
+Success curves and user-risk audits run on a batched engine that never
+draws a record. A trial only needs each stratum's size, mean and
+deviation, and these have exact sampling distributions (Cochran,
+*Sampling Techniques*, 1977): the safe count is binomial, the counted
+safe records are iid draws of the safe model, a normal stratum has a
+normal mean and a sum of squares of sigma^2 chi^2(k-1), and a resampled
+stratum has multinomial counts over the pool's distinct values. The
+engine draws these for a block of trials at once, and the verdicts of
+all trials of a grid point are then evaluated at once, over arrays, by
+the estimator's `verdict_chain`, the same code that evaluates a live
+campaign. Each block of `BLOCK` trials has its own generator, derived
+from (seed, grid point, block), so a grid point reproduces in any order
+of its blocks.
+
+`bias_estimates` still runs the record-level trial: stratum values are
+drawn per record, the counted subset of the safe stratum comes from the
+real sampler, and each trial draws from a generator derived from (seed,
+grid point, trial). That path is also the small-n oracle the batched
+engine is tested against.
 """
 
 from __future__ import annotations
@@ -21,9 +32,15 @@ from .classify import _sample_mask
 from .domain import PartitionParams, TestParams
 from .estimator import verdict_chain
 from .normal import norm_cdf, norm_ppf
+from .planner import counted_counts
 
 TEST_CLASSIC = "classic"
 TEST_PARTITIONED = "partitioned"
+
+# Trials per block of the batched engine. Each block has its own
+# generator; its working arrays hold one entry per trial, times the
+# number of distinct pool values under resampling.
+BLOCK = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,13 +169,118 @@ def _mc_se(p: float, trials: int) -> float:
     return math.sqrt(p * (1.0 - p) / trials)
 
 
-def _trial_rng(seed: int, point_index: int, trial: int) -> np.random.Generator:
-    """Generator for one trial, splittably derived from (seed, point, trial).
+def _trial_rng(seed: int, point_index: int, index: int) -> np.random.Generator:
+    """Generator splittably derived from (seed, grid point, index).
 
-    Trials can run in any order or in parallel and still reproduce.
+    The index is the trial of the record-level engine or the block of the
+    batched one; either runs in any order or in parallel and still
+    reproduces.
     """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(point_index, trial))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(point_index, index))
     return np.random.default_rng(ss)
+
+
+# --- batched engine -----------------------------------------------------------
+
+
+def _group_moments(
+    rng: np.random.Generator,
+    model: NormalErrors | ResamplingErrors,
+    safe: bool,
+    k: np.ndarray,
+    shift: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and sum of squared deviations of k iid stratum values, per trial.
+
+    An empty group has mean 0.0, a group under two values a sum of
+    squares of 0.0. No draw is made when every group is empty.
+    """
+    if not k.any():
+        return np.zeros(k.shape), np.zeros(k.shape)
+    filled = np.maximum(k, 1)
+    if isinstance(model, NormalErrors):
+        mu, sigma = (model.mu_s, model.nu_s) if safe else (model.mu_u, model.nu_u)
+        mean = rng.normal(mu + shift, sigma / np.sqrt(filled))
+        squares = sigma * sigma * rng.chisquare(np.maximum(k - 1, 1))
+    else:
+        pool = np.asarray(model.pool_s if safe else model.pool_u, dtype=float)
+        values, counts = np.unique(pool, return_counts=True)
+        centre = float(pool.mean())
+        x = values - centre  # centred, so the sum of squares loses little to cancellation
+        hits = rng.multinomial(k, counts / counts.sum())
+        s1 = hits @ x
+        mean = centre + shift + s1 / filled
+        squares = np.maximum(hits @ (x * x) - s1 * s1 / filled, 0.0)
+    return np.where(k > 0, mean, 0.0), np.where(k > 1, squares, 0.0)
+
+
+def _deviation(squares: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """n-1 standard deviation from a sum of squares; NaN under two values."""
+    return np.where(k > 1, np.sqrt(squares / np.maximum(k - 1, 1)), np.nan)
+
+
+def _block_stats(
+    rng: np.random.Generator,
+    model: NormalErrors | ResamplingErrors,
+    partition: PartitionParams,
+    n: int,
+    shift: float,
+    size: int,
+    classic: bool,
+) -> tuple[np.ndarray, ...]:
+    """Stratum statistics of one block of trials, in `verdict_chain` order.
+
+    Both tests draw the same groups in the same order: the counted safe
+    records, the unsafe stratum and, for the classic test only and last,
+    the uncounted rest of the safe stratum. The classic test pools the
+    three groups into its one stratum, so at full quota it sees exactly
+    the values the partitioned test sees, trial by trial.
+    """
+    n_s = rng.binomial(n, partition.p_s, size)
+    n_u = n - n_s
+    m = counted_counts(partition.q, n_s)
+    mean_c, squares_c = _group_moments(rng, model, True, m, shift)
+    mean_u, squares_u = _group_moments(rng, model, False, n_u, shift)
+    if not classic:
+        q_eff = np.where(n_s > 0, m / np.maximum(n_s, 1), 1.0)
+        return (n_s, n_u, q_eff, mean_c, mean_u,
+                _deviation(squares_c, m), _deviation(squares_u, n_u))
+    rest = n_s - m
+    mean_r, squares_r = _group_moments(rng, model, True, rest, shift)
+    mean = (m * mean_c + rest * mean_r + n_u * mean_u) / n
+    squares = squares_c + squares_r + squares_u + (
+        m * (mean_c - mean) ** 2 + rest * (mean_r - mean) ** 2 + n_u * (mean_u - mean) ** 2
+    )
+    zeros = np.zeros(size)
+    return (zeros, np.full(size, n), np.ones(size), zeros, mean,
+            np.full(size, np.nan), np.sqrt(squares / (n - 1)))
+
+
+def _batched_stats(
+    model: NormalErrors | ResamplingErrors,
+    partition: PartitionParams,
+    n: int,
+    shift: float,
+    seed: int,
+    point_index: int,
+    trials: int,
+    classic: bool = False,
+) -> np.ndarray:
+    """Stratum statistics of every trial of one grid point, one row each.
+
+    The classic test carries its whole campaign in the unsafe stratum.
+    """
+    stats = np.empty((7, trials))
+    for block, start in enumerate(range(0, trials, BLOCK)):
+        size = min(BLOCK, trials - start)
+        rng = _trial_rng(seed, point_index, block)
+        stats[:, start:start + size] = _block_stats(
+            rng, model, partition, n, shift, size, classic
+        )
+    return stats
+
+
+# --- record-level engine ------------------------------------------------------
 
 
 def _draw_strata(
@@ -228,9 +350,11 @@ def _trial_stats(
     classic: bool = False,
     spread: bool = True,
 ) -> np.ndarray:
-    """Stratum statistics of every trial of one grid point, one row each.
+    """`_batched_stats` computed record by record, one generator per trial.
 
-    The classic test carries its whole campaign in the unsafe stratum.
+    Draws every record and takes the counted subset from the real sampler:
+    the engine of `bias_estimates` and the reference the batched engine is
+    tested against.
     """
     rows = []
     for trial in range(trials):
@@ -281,7 +405,7 @@ def run_simulation(config: SimConfig) -> list[SuccessCurve]:
     base_mean = config.error_model.overall_mean(config.partition.p_s)
     results: dict[tuple[int, float], CurvePoint] = {}
     for index, n, mu in points:
-        stats = _trial_stats(
+        stats = _batched_stats(
             config.error_model, config.partition, n, mu - base_mean, config.seed, index,
             config.trials, classic=config.test == TEST_CLASSIC,
         )
@@ -360,10 +484,10 @@ def bias_estimates(
 ) -> np.ndarray:
     """Per-trial partitioned bias estimates, for moment studies.
 
-    Runs the same trials as `run_simulation` and takes the point estimate
-    of the verdict chain, evaluated once over all trials. The per-stratum
-    standard deviations are skipped: the estimate only needs counts and
-    means, and the chain's floor stands in for them.
+    Runs record-level trials through the real sampler and takes the point
+    estimate of the verdict chain, evaluated once over all trials. The
+    per-stratum standard deviations are skipped: the estimate only needs
+    counts and means, and the chain's floor stands in for them.
     """
     stats = _trial_stats(model, partition, n, 0.0, seed, 0, trials, spread=False)
     return verdict_chain(*stats, TestParams()).d_hat

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,11 @@ class TestClassifierSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ClassifierSpec(kind="oracle")
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_threshold_must_be_finite(self, threshold):
+        with pytest.raises(ValueError, match="classifier.threshold must be finite"):
+            ClassifierSpec(kind=KIND_FIRST_COUNT, threshold=threshold)
 
 
 class TestClassify:

@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import io
 import json
+import math
 import tempfile
 import warnings
 from dataclasses import fields
@@ -372,3 +374,145 @@ class TestEmitReport:
         a = aio.emit_report(self.evaluation_report(), "json", timestamp=False)
         b = aio.emit_report(self.evaluation_report(), "json", timestamp=False)
         assert a == b
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_classifier_threshold_rejected(value, capsys, tmp_path):
+    from apcval.cli import main
+
+    raw = {"classifier.kind": KIND_FIRST_COUNT, "classifier.threshold": value}
+    with pytest.raises(aio.ConfigError, match="classifier.threshold must be finite"):
+        aio.config_from_raw(raw)
+    records = [make_record(i, 3, 3 + i % 2, UNLABELED) for i in range(4)]
+    campaign = tmp_path / "campaign.csv"
+    aio.save_campaign(records, campaign)
+    argv = ["classify", "--campaign", str(campaign), "--out", str(tmp_path / "out.csv"),
+            "--set", f"classifier.kind={KIND_FIRST_COUNT}",
+            "--set", f"classifier.threshold={value}"]
+    assert main(argv) == 1
+    assert "classifier.threshold must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+# --- campaign CSV fuzzing ---------------------------------------------------
+
+_COUNT_CELL = st.integers(min_value=0, max_value=40).map(str)
+_PLAUSIBLE_CELLS = {
+    "duration_s": st.floats(min_value=0.0, max_value=120.0).map(lambda x: f"{x:.1f}"),
+    "m1": _COUNT_CELL,
+    "m2": _COUNT_CELL,
+    "m_sup": st.one_of(st.just(""), _COUNT_CELL),
+    "m_final": _COUNT_CELL,
+    "k_auto": _COUNT_CELL,
+    "alg_count": st.one_of(st.just(""), _COUNT_CELL),
+    "alg_confidence": st.floats(min_value=0.0, max_value=1.0).map(lambda x: f"{x:.3f}"),
+}
+_WILD_CELL = st.one_of(
+    st.sampled_from(
+        ["", "s", "u", "true", "false", "-1", "0", "nan", "inf", "-inf", "1e308",
+         "9" * 40, "-" + "9" * 40, "0.5", " 3 ", "r0"]
+    ),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def campaign_texts(draw):
+    """CSV text over the campaign columns: mostly plausible, some cells arbitrary."""
+    columns = list(aio.CAMPAIGN_COLUMNS)
+    header = draw(st.one_of(
+        st.just(columns),
+        st.permutations(columns),
+        st.lists(st.sampled_from(columns + ["extra"]), max_size=12),
+    ))
+    wild = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))  # share of arbitrary cells
+    # unlabeled, fully labeled or mixed campaigns, as the CLI tells them apart
+    plausible = dict(_PLAUSIBLE_CELLS)
+    plausible["label"] = st.sampled_from(draw(st.sampled_from([[""], ["s", "u"], ["", "s", "u"]])))
+    plausible["sampled"] = st.sampled_from(draw(st.sampled_from([["true", "false"], ["", "true", "false"]])))
+    rows = []
+    for i in range(draw(st.integers(min_value=0, max_value=10))):
+        row = []
+        for name in header:
+            if draw(st.floats(min_value=0.0, max_value=1.0)) < wild:
+                row.append(draw(_WILD_CELL))
+            elif name == "dop_id":
+                row.append(f"r{i}")
+            else:
+                row.append(draw(plausible.get(name, _WILD_CELL)))
+        if draw(st.integers(min_value=0, max_value=39)) == 0:
+            row = row[:-1] if row else ["x"]  # a ragged row
+        rows.append(row)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _finite_numbers(payload: dict, names, optional=()) -> list[str]:
+    """Names among `names` (required) and `optional` (None allowed) that are no finite number."""
+    bad = []
+    for name in (*names, *optional):
+        value = payload.get(name)
+        if value is None and name in optional:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            bad.append(f"{name}={value!r}")
+    return bad
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=campaign_texts())
+def test_any_campaign_text_loads_or_raises_campaign_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "campaign.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            records, violations = aio.load_campaign(path)
+        except aio.CampaignError:
+            return
+    assert all(isinstance(r, DopRecord) for r in records)
+    assert all(isinstance(v, str) for v in violations)
+
+
+_FUZZ_COMMANDS = (
+    ["evaluate"],
+    ["evaluate", "--mode", "classic"],
+    ["classify", "--set", "classifier.kind=first_count", "--set", "classifier.threshold=0"],
+    ["classify", "--set", "classifier.kind=combined", "--set", "classifier.threshold=8"],
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=campaign_texts(), command=st.sampled_from(_FUZZ_COMMANDS))
+@example(text=f"{','.join(aio.CAMPAIGN_COLUMNS)}\nr0,10.0,2,2,,2,2,,,u,\n", command=["evaluate"])
+def test_classify_and_evaluate_on_any_campaign_exit_0_or_1(text, command):
+    from apcval.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "campaign.csv"
+        path.write_text(text, encoding="utf-8")
+        argv = [*command[:1], "--campaign", str(path), *command[1:]]
+        if command[0] == "classify":
+            argv += ["--out", str(Path(tmp) / "labeled.csv")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert out.getvalue() == "" and "error: " in err.getvalue()
+        return
+    payload = json.loads(out.getvalue())
+    if command[0] == "classify":
+        assert _finite_numbers(payload, ("n", "n_s", "n_u", "p_hat_s")) == []
+        return
+    assert _finite_numbers(payload, ("d_hat", "nu_hat", "n", "ci_low", "ci_high", "delta")) == []
+    assert _finite_numbers(
+        payload["stats"], ("n", "n_s", "n_u", "q_effective", "m_hat_q"),
+        optional=("d_bar_s", "d_bar_u", "nu_hat_s", "nu_hat_u"),
+    ) == []

@@ -41,6 +41,12 @@ class TestSampleSize:
             plan = make_plan(TestParams(nu=0.01), PartitionParams())
         assert [str(w.message) for w in caught] == list(plan.notes)
         assert len(caught) == 1 and "nu_min" in plan.notes[0]
+        # the budget path solves its quota at the same substituted nu
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            plan = make_plan(TestParams(nu=0.01), PartitionParams(), n_rec_budget=500)
+        assert [str(w.message) for w in caught] == list(plan.notes[:1])
+        assert plan.q_source == "fixed" and "nu_min" in plan.notes[0]
 
     def test_nu_below_floor_is_substituted(self):
         with pytest.warns(UserWarning, match="nu_min"):

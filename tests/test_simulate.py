@@ -5,12 +5,15 @@ import pytest
 
 from apcval.domain import PartitionParams, TestParams
 from apcval.estimator import verdict_chain
+from apcval.planner import counted_count, counted_counts
 from apcval.simulate import (
+    BLOCK,
     NormalErrors,
     ResamplingErrors,
     SimConfig,
     TEST_CLASSIC,
     TEST_PARTITIONED,
+    _batched_stats,
     _partitioned_stats,
     _trial_stats,
     analytic_success,
@@ -22,6 +25,7 @@ from apcval.simulate import (
 
 PARAMS = TestParams(nu=0.15)
 SINGLE_STRATUM = PartitionParams(p_s=1.0, nu_s_ratio=1.0, q=1.0)
+CRITERION_8_POOL = (-0.009,) * 511 + (9.719,)
 
 
 class TestAnalyticSuccess:
@@ -149,6 +153,92 @@ class TestRunSimulation:
         ).passed
         assert np.count_nonzero(classic != partitioned) == 0
         assert 0 < np.count_nonzero(classic) < trials  # both verdicts are exercised
+
+
+ENGINE_MODELS = {
+    "normal": NormalErrors(mu_s=0.004, nu_s=0.05, mu_u=-0.01, nu_u=0.12),
+    "one_value_pools": ResamplingErrors(pool_s=(0.004,), pool_u=(-0.01,)),
+    "criterion_8_pool": ResamplingErrors(pool_s=CRITERION_8_POOL, pool_u=CRITERION_8_POOL),
+    # balanced values, where a wrong sum of squares shows at small counts
+    "two_value_pools": ResamplingErrors(pool_s=(-0.05, 0.05), pool_u=(-0.1, 0.2)),
+}
+ENGINE_PARAMS = TestParams(nu=0.1, delta=0.02, nu_min=0.03)
+
+
+def _within_4_se(a: np.ndarray, b: np.ndarray) -> bool:
+    """Means of two samples agree within 4 MC se of their difference (pooled variance)."""
+    if a.size == 0 or b.size == 0:
+        return a.size == b.size
+    both = np.concatenate([a, b])
+    spread = both.var(ddof=1) if both.size > 1 else 0.0
+    se = math.sqrt(spread * (1.0 / a.size + 1.0 / b.size))
+    return abs(a.mean() - b.mean()) <= 4.0 * se + 1e-12
+
+
+def _engine_summary(stats: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-trial quantities whose means the two engines must share."""
+    n_s, _, q_eff, d_bar_s, d_bar_u, nu_hat_s, nu_hat_u = stats
+    summary = {
+        "pass": verdict_chain(*stats, ENGINE_PARAMS).passed.astype(float),
+        "n_s": n_s, "q_effective": q_eff, "d_bar_s": d_bar_s, "d_bar_u": d_bar_u,
+    }
+    for name, nu_hat in (("s", nu_hat_s), ("u", nu_hat_u)):
+        defined = ~np.isnan(nu_hat)
+        summary[f"defined_{name}"] = defined.astype(float)
+        summary[f"nu_hat_{name}^2"] = nu_hat[defined] ** 2
+    return summary
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("model_name", sorted(ENGINE_MODELS))
+    @pytest.mark.parametrize("q", [0.05, 0.35, 1.0])
+    @pytest.mark.parametrize("p_s", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 20, 200])
+    def test_matches_record_level_oracle(self, n, p_s, q, model_name):
+        model = ENGINE_MODELS[model_name]
+        part = PartitionParams(p_s=p_s, nu_s_ratio=0.5, q=q)
+        for classic in (False, True):
+            oracle = _engine_summary(_trial_stats(model, part, n, 0.0, 51, 0, 400, classic))
+            batched = _engine_summary(_batched_stats(model, part, n, 0.0, 52, 0, 4000, classic))
+            off = [k for k in oracle if not _within_4_se(oracle[k], batched[k])]
+            assert off == [], f"classic={classic}: {off} disagree"
+
+    # 0.07 * n lands just above an integer for n = 100, 200, ...: the snap matters
+    @pytest.mark.parametrize("q", [0.05, 0.07, 0.1, 0.175, 1 / 3, 0.35, 0.7, 1.0])
+    def test_vectorized_counted_count_equals_scalar(self, q):
+        n_s = np.arange(1, 5257)
+        assert counted_counts(q, n_s).tolist() == [counted_count(q, int(k)) for k in n_s]
+        assert counted_counts(q, np.zeros(3, dtype=np.int64)).tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("classic", [False, True])
+    def test_one_block_reproduces_first_block_of_longer_run(self, classic):
+        model = ENGINE_MODELS["criterion_8_pool"]
+        part = PartitionParams(p_s=0.9, nu_s_ratio=0.5, q=0.35)
+        one = _batched_stats(model, part, 50, 0.0, 8, 3, BLOCK, classic)
+        longer = _batched_stats(model, part, 50, 0.0, 8, 3, 2 * BLOCK + 7, classic)
+        np.testing.assert_array_equal(one, longer[:, :BLOCK])
+        assert not np.array_equal(longer[:, :BLOCK], longer[:, BLOCK:2 * BLOCK])
+
+    @pytest.mark.parametrize("model_name", ["normal", "criterion_8_pool"])
+    def test_full_quota_classic_pools_the_partitioned_draws(self, model_name):
+        # same seed, same draws: the classic stratum is the union of the
+        # partitioned strata, so its mean is their weighted mean and its sum
+        # of squares theirs plus the between-strata term, trial by trial
+        model = ENGINE_MODELS[model_name]
+        part = PartitionParams(p_s=0.7, nu_s_ratio=1.0, q=1.0)
+        n, trials = 300, 2000
+        classic = _batched_stats(model, part, n, 0.0, 2024, 0, trials, classic=True)
+        n_s, n_u, _, d_bar_s, d_bar_u, nu_hat_s, nu_hat_u = _batched_stats(
+            model, part, n, 0.0, 2024, 0, trials
+        )
+        assert np.all(classic[0] == 0) and np.all(classic[1] == n)
+        mean = (n_s * d_bar_s + n_u * d_bar_u) / n
+        np.testing.assert_allclose(classic[4], mean, rtol=1e-12, atol=1e-15)
+        squares = (
+            (n_s - 1) * np.nan_to_num(nu_hat_s) ** 2 + (n_u - 1) * np.nan_to_num(nu_hat_u) ** 2
+            + n_s * n_u / n * (d_bar_s - d_bar_u) ** 2
+        )
+        np.testing.assert_allclose((n - 1) * classic[6] ** 2, squares, rtol=1e-9, atol=1e-15)
 
 
 class TestTrialEngineMatchesRecordPipeline:
