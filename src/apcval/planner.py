@@ -13,8 +13,6 @@ import math
 import warnings as _warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .domain import CostParams, PartitionParams, TestParams
 from .normal import norm_ppf
 
@@ -48,14 +46,10 @@ class Plan:
             raise ValueError(f"q_planned must be in (0, 1], got {self.q_planned}")
 
 
-# relative float noise above an integer that a ceiling forgives
-_SNAP = 1e-9
-
-
 def _ceil_snapped(x: float) -> int:
     """Ceiling that forgives float noise just above an integer."""
     nearest = round(x)
-    if abs(x - nearest) <= _SNAP * max(1.0, abs(x)):
+    if abs(x - nearest) <= 1e-9 * max(1.0, abs(x)):
         return int(nearest)
     return math.ceil(x)
 
@@ -67,16 +61,6 @@ def counted_count(q0: float, n_s: int) -> int:
     if n_s < 1:
         raise ValueError(f"n_s must be >= 1, got {n_s}")
     return min(n_s, max(1, _ceil_snapped(q0 * n_s)))
-
-
-def counted_counts(q0: float, n_s: np.ndarray) -> np.ndarray:
-    """`counted_count` elementwise over safe-stratum sizes; 0 where n_s is 0."""
-    if not 0.0 < q0 <= 1.0:
-        raise ValueError(f"q0 must be in (0, 1], got {q0}")
-    x = q0 * n_s
-    nearest = np.rint(x)
-    snapped = np.where(np.abs(x - nearest) <= _SNAP * np.maximum(1.0, x), nearest, np.ceil(x))
-    return np.minimum(n_s, np.maximum(1, snapped.astype(np.int64)))
 
 
 def round_quota(q0: float, n_s: int) -> float:

@@ -1,30 +1,31 @@
 """Monte Carlo and analytic studies of test success and user risk.
 
-Success curves and user-risk audits run on a batched engine that never
-draws a record. A trial only needs each stratum's size, mean and
-deviation, and these have exact sampling distributions (Cochran,
-*Sampling Techniques*, 1977): the safe count is binomial, the counted
-safe records are iid draws of the safe model, a normal stratum has a
-normal mean and a sum of squares of sigma^2 chi^2(k-1), and a resampled
-stratum has multinomial counts over the pool's distinct values. The
-engine draws these for a block of trials at once, and the verdicts of
-all trials of a grid point are then evaluated at once, over arrays, by
-the estimator's `verdict_chain`, the same code that evaluates a live
-campaign. Each block of `BLOCK` trials has its own generator, derived
-from (seed, grid point, block), so a grid point reproduces in any order
-of its blocks.
+Success curves and user-risk audits run on a sufficient-statistic
+engine that never draws a record. A trial only needs each stratum's
+size, mean and deviation, and these have exact sampling distributions
+(Cochran, *Sampling Techniques*, 1977): the safe count is binomial, the
+counted safe records are iid draws of the safe model, a normal stratum
+has a normal mean and a sum of squares of sigma^2 chi^2(k-1), and a
+resampled stratum has multinomial counts over the pool's distinct
+values. The verdicts of all trials of a grid point are then evaluated
+at once, over arrays, by the estimator's `verdict_chain`, the same code
+that evaluates a live campaign.
 
-`bias_estimates` still runs the record-level trial: stratum values are
-drawn per record, the counted subset of the safe stratum comes from the
-real sampler, and each trial draws from a generator derived from (seed,
-grid point, trial). That path is also the small-n oracle the batched
-engine is tested against.
+`bias_estimates` runs the record-level trial: stratum values are drawn
+per record and the counted subset of the safe stratum comes from the
+real sampler. That path is also the small-n oracle the
+sufficient-statistic engine is tested against.
+
+Both engines draw each trial from its own generator, derived from
+(seed, grid point, trial), so a trial reproduces in any order of the
+trials and in any longer run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -32,15 +33,10 @@ from .classify import _sample_mask
 from .domain import PartitionParams, TestParams
 from .estimator import verdict_chain
 from .normal import norm_cdf, norm_ppf
-from .planner import counted_counts
+from .planner import counted_count
 
 TEST_CLASSIC = "classic"
 TEST_PARTITIONED = "partitioned"
-
-# Trials per block of the batched engine. Each block has its own
-# generator; its working arrays hold one entry per trial, times the
-# number of distinct pool values under resampling.
-BLOCK = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,49 +165,63 @@ def _mc_se(p: float, trials: int) -> float:
     return math.sqrt(p * (1.0 - p) / trials)
 
 
-def _trial_rng(seed: int, point_index: int, index: int) -> np.random.Generator:
-    """Generator splittably derived from (seed, grid point, index).
+def _safe_count(rng: np.random.Generator, n: int, p_s: float) -> int:
+    """Size of a trial's safe stratum: one binomial draw unless p_s is 0 or 1."""
+    if p_s >= 1.0:
+        return n
+    if p_s <= 0.0:
+        return 0
+    return int(rng.binomial(n, p_s))
 
-    The index is the trial of the record-level engine or the block of the
-    batched one; either runs in any order or in parallel and still
-    reproduces.
+
+def _trial_rng(seed: int, point_index: int, trial: int) -> np.random.Generator:
+    """Generator for one trial, splittably derived from (seed, point, trial).
+
+    Trials can run in any order or in parallel and still reproduce.
     """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(point_index, index))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(point_index, trial))
     return np.random.default_rng(ss)
 
 
-# --- batched engine -----------------------------------------------------------
+# --- sufficient-statistic engine ----------------------------------------------
 
 
-def _group_moments(
-    rng: np.random.Generator,
-    model: NormalErrors | ResamplingErrors,
-    safe: bool,
-    k: np.ndarray,
-    shift: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and sum of squared deviations of k iid stratum values, per trial.
+def _group_sampler(
+    model: NormalErrors | ResamplingErrors, safe: bool
+) -> Callable[[np.random.Generator, int], tuple[float, float]]:
+    """Draw of the mean and sum of squared deviations of k >= 1 iid stratum values.
 
-    An empty group has mean 0.0, a group under two values a sum of
-    squares of 0.0. No draw is made when every group is empty.
+    A normal group has a normal mean and a sum of squares of
+    sigma^2 chi^2(k-1). A resampled group draws its k values directly
+    while k is below the pool's number of distinct values, and otherwise
+    its multinomial counts over them, so a draw costs at most
+    min(k, distinct values) in time and memory.
     """
-    if not k.any():
-        return np.zeros(k.shape), np.zeros(k.shape)
-    filled = np.maximum(k, 1)
     if isinstance(model, NormalErrors):
         mu, sigma = (model.mu_s, model.nu_s) if safe else (model.mu_u, model.nu_u)
-        mean = rng.normal(mu + shift, sigma / np.sqrt(filled))
-        squares = sigma * sigma * rng.chisquare(np.maximum(k - 1, 1))
-    else:
-        pool = np.asarray(model.pool_s if safe else model.pool_u, dtype=float)
-        values, counts = np.unique(pool, return_counts=True)
-        centre = float(pool.mean())
-        x = values - centre  # centred, so the sum of squares loses little to cancellation
-        hits = rng.multinomial(k, counts / counts.sum())
-        s1 = hits @ x
-        mean = centre + shift + s1 / filled
-        squares = np.maximum(hits @ (x * x) - s1 * s1 / filled, 0.0)
-    return np.where(k > 0, mean, 0.0), np.where(k > 1, squares, 0.0)
+
+        def normal(rng: np.random.Generator, k: int) -> tuple[float, float]:
+            mean = mu + sigma * rng.standard_normal() / math.sqrt(k)
+            return mean, sigma * sigma * rng.chisquare(k - 1) if k > 1 else 0.0
+
+        return normal
+    pool = np.asarray(model.pool_s if safe else model.pool_u, dtype=float)
+    centre = float(pool.mean())
+    pool = pool - centre  # centred, so the sum of squares loses little to cancellation
+    values, counts = np.unique(pool, return_counts=True)
+    probs = counts / counts.sum()
+    squared = values * values
+
+    def resampled(rng: np.random.Generator, k: int) -> tuple[float, float]:
+        if k < values.size:
+            x = pool[rng.integers(0, pool.size, k)]
+            s1, s2 = float(x.sum()), float(x @ x)
+        else:
+            hits = rng.multinomial(k, probs)
+            s1, s2 = float(hits @ values), float(hits @ squared)
+        return centre + s1 / k, max(s2 - s1 * s1 / k, 0.0)
+
+    return resampled
 
 
 def _deviation(squares: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -219,44 +229,7 @@ def _deviation(squares: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.where(k > 1, np.sqrt(squares / np.maximum(k - 1, 1)), np.nan)
 
 
-def _block_stats(
-    rng: np.random.Generator,
-    model: NormalErrors | ResamplingErrors,
-    partition: PartitionParams,
-    n: int,
-    shift: float,
-    size: int,
-    classic: bool,
-) -> tuple[np.ndarray, ...]:
-    """Stratum statistics of one block of trials, in `verdict_chain` order.
-
-    Both tests draw the same groups in the same order: the counted safe
-    records, the unsafe stratum and, for the classic test only and last,
-    the uncounted rest of the safe stratum. The classic test pools the
-    three groups into its one stratum, so at full quota it sees exactly
-    the values the partitioned test sees, trial by trial.
-    """
-    n_s = rng.binomial(n, partition.p_s, size)
-    n_u = n - n_s
-    m = counted_counts(partition.q, n_s)
-    mean_c, squares_c = _group_moments(rng, model, True, m, shift)
-    mean_u, squares_u = _group_moments(rng, model, False, n_u, shift)
-    if not classic:
-        q_eff = np.where(n_s > 0, m / np.maximum(n_s, 1), 1.0)
-        return (n_s, n_u, q_eff, mean_c, mean_u,
-                _deviation(squares_c, m), _deviation(squares_u, n_u))
-    rest = n_s - m
-    mean_r, squares_r = _group_moments(rng, model, True, rest, shift)
-    mean = (m * mean_c + rest * mean_r + n_u * mean_u) / n
-    squares = squares_c + squares_r + squares_u + (
-        m * (mean_c - mean) ** 2 + rest * (mean_r - mean) ** 2 + n_u * (mean_u - mean) ** 2
-    )
-    zeros = np.zeros(size)
-    return (zeros, np.full(size, n), np.ones(size), zeros, mean,
-            np.full(size, np.nan), np.sqrt(squares / (n - 1)))
-
-
-def _batched_stats(
+def _sufficient_stats(
     model: NormalErrors | ResamplingErrors,
     partition: PartitionParams,
     n: int,
@@ -266,18 +239,44 @@ def _batched_stats(
     trials: int,
     classic: bool = False,
 ) -> np.ndarray:
-    """Stratum statistics of every trial of one grid point, one row each.
+    """Stratum statistics of every trial of one grid point, in `verdict_chain` order.
 
-    The classic test carries its whole campaign in the unsafe stratum.
+    Each trial draws its safe count and then, from their exact
+    distributions, the mean and sum of squares of three groups in a fixed
+    order: the counted safe records, the unsafe stratum and, for the
+    classic test only, the uncounted rest of the safe stratum. The classic
+    test pools the groups into its one stratum, which it carries as the
+    unsafe one, so at full quota it sees exactly the values the
+    partitioned test sees, trial by trial. Empty groups draw nothing.
     """
-    stats = np.empty((7, trials))
-    for block, start in enumerate(range(0, trials, BLOCK)):
-        size = min(BLOCK, trials - start)
-        rng = _trial_rng(seed, point_index, block)
-        stats[:, start:start + size] = _block_stats(
-            rng, model, partition, n, shift, size, classic
-        )
-    return stats
+    draw_s, draw_u = _group_sampler(model, True), _group_sampler(model, False)
+    rows = []
+    for trial in range(trials):
+        rng = _trial_rng(seed, point_index, trial)
+        n_s = _safe_count(rng, n, partition.p_s)
+        m = counted_count(partition.q, n_s) if n_s else 0
+        n_u, rest = n - n_s, n_s - m
+        counted = draw_s(rng, m) if m else (0.0, 0.0)
+        unsafe = draw_u(rng, n_u) if n_u else (0.0, 0.0)
+        uncounted = draw_s(rng, rest) if classic and rest else (0.0, 0.0)
+        rows.append((n_s, m, n_u, rest, *counted, *unsafe, *uncounted))
+    n_s, m, n_u, rest, mean_c, squares_c, mean_u, squares_u, mean_r, squares_r = (
+        np.array(rows, dtype=float).reshape(trials, 10).T
+    )
+    mean_c = np.where(m > 0, mean_c + shift, 0.0)
+    mean_u = np.where(n_u > 0, mean_u + shift, 0.0)
+    if not classic:
+        q_eff = np.where(n_s > 0, m / np.maximum(n_s, 1), 1.0)
+        return np.array([n_s, n_u, q_eff, mean_c, mean_u,
+                         _deviation(squares_c, m), _deviation(squares_u, n_u)])
+    mean_r = np.where(rest > 0, mean_r + shift, 0.0)
+    mean = (m * mean_c + rest * mean_r + n_u * mean_u) / n
+    squares = squares_c + squares_r + squares_u + (
+        m * (mean_c - mean) ** 2 + rest * (mean_r - mean) ** 2 + n_u * (mean_u - mean) ** 2
+    )
+    zeros = np.zeros(trials)
+    return np.array([zeros, np.full(trials, n), np.ones(trials), zeros, mean,
+                     np.full(trials, np.nan), np.sqrt(squares / (n - 1))])
 
 
 # --- record-level engine ------------------------------------------------------
@@ -296,12 +295,7 @@ def _draw_strata(
     membership indicators); values are iid within a stratum, so only the
     counts matter for everything downstream.
     """
-    if p_s >= 1.0:
-        n_s = n
-    elif p_s <= 0.0:
-        n_s = 0
-    else:
-        n_s = int(rng.binomial(n, p_s))
+    n_s = _safe_count(rng, n, p_s)
     n_u = n - n_s
     if isinstance(model, NormalErrors):
         d_s = rng.normal(model.mu_s + shift, model.nu_s, n_s)
@@ -350,11 +344,11 @@ def _trial_stats(
     classic: bool = False,
     spread: bool = True,
 ) -> np.ndarray:
-    """`_batched_stats` computed record by record, one generator per trial.
+    """`_sufficient_stats` computed record by record, one generator per trial.
 
     Draws every record and takes the counted subset from the real sampler:
-    the engine of `bias_estimates` and the reference the batched engine is
-    tested against.
+    the engine of `bias_estimates` and the reference the sufficient-statistic
+    engine is tested against.
     """
     rows = []
     for trial in range(trials):
@@ -405,7 +399,7 @@ def run_simulation(config: SimConfig) -> list[SuccessCurve]:
     base_mean = config.error_model.overall_mean(config.partition.p_s)
     results: dict[tuple[int, float], CurvePoint] = {}
     for index, n, mu in points:
-        stats = _batched_stats(
+        stats = _sufficient_stats(
             config.error_model, config.partition, n, mu - base_mean, config.seed, index,
             config.trials, classic=config.test == TEST_CLASSIC,
         )

@@ -5,15 +5,13 @@ import pytest
 
 from apcval.domain import PartitionParams, TestParams
 from apcval.estimator import verdict_chain
-from apcval.planner import counted_count, counted_counts
 from apcval.simulate import (
-    BLOCK,
     NormalErrors,
     ResamplingErrors,
     SimConfig,
     TEST_CLASSIC,
     TEST_PARTITIONED,
-    _batched_stats,
+    _sufficient_stats,
     _partitioned_stats,
     _trial_stats,
     analytic_success,
@@ -145,14 +143,13 @@ class TestRunSimulation:
         model = NormalErrors(nu_s=0.10, nu_u=0.10)
         params = TestParams(nu=0.10)
         n, trials, seed = 1200, 400, 2024
-        classic = verdict_chain(
-            *_trial_stats(model, part, n, 0.0, seed, 0, trials, classic=True), params
-        ).passed
-        partitioned = verdict_chain(
-            *_trial_stats(model, part, n, 0.0, seed, 0, trials), params
-        ).passed
-        assert np.count_nonzero(classic != partitioned) == 0
-        assert 0 < np.count_nonzero(classic) < trials  # both verdicts are exercised
+        for engine in (_trial_stats, _sufficient_stats):
+            classic = verdict_chain(
+                *engine(model, part, n, 0.0, seed, 0, trials, classic=True), params
+            ).passed
+            partitioned = verdict_chain(*engine(model, part, n, 0.0, seed, 0, trials), params).passed
+            assert np.count_nonzero(classic != partitioned) == 0, engine.__name__
+            assert 0 < np.count_nonzero(classic) < trials  # both verdicts are exercised
 
 
 ENGINE_MODELS = {
@@ -161,6 +158,11 @@ ENGINE_MODELS = {
     "criterion_8_pool": ResamplingErrors(pool_s=CRITERION_8_POOL, pool_u=CRITERION_8_POOL),
     # balanced values, where a wrong sum of squares shows at small counts
     "two_value_pools": ResamplingErrors(pool_s=(-0.05, 0.05), pool_u=(-0.1, 0.2)),
+    # more distinct values than some groups have records: both draw paths run
+    "many_value_pools": ResamplingErrors(
+        pool_s=tuple(np.linspace(-0.06, 0.08, 60)),
+        pool_u=tuple(np.linspace(-0.1, 0.2, 120)) + (0.2,) * 30,
+    ),
 }
 ENGINE_PARAMS = TestParams(nu=0.1, delta=0.02, nu_min=0.03)
 
@@ -189,7 +191,7 @@ def _engine_summary(stats: np.ndarray) -> dict[str, np.ndarray]:
     return summary
 
 
-class TestBatchedEngine:
+class TestSufficientStatisticEngine:
     @pytest.mark.parametrize("model_name", sorted(ENGINE_MODELS))
     @pytest.mark.parametrize("q", [0.05, 0.35, 1.0])
     @pytest.mark.parametrize("p_s", [0.0, 0.5, 1.0])
@@ -199,27 +201,21 @@ class TestBatchedEngine:
         part = PartitionParams(p_s=p_s, nu_s_ratio=0.5, q=q)
         for classic in (False, True):
             oracle = _engine_summary(_trial_stats(model, part, n, 0.0, 51, 0, 400, classic))
-            batched = _engine_summary(_batched_stats(model, part, n, 0.0, 52, 0, 4000, classic))
-            off = [k for k in oracle if not _within_4_se(oracle[k], batched[k])]
+            drawn = _engine_summary(_sufficient_stats(model, part, n, 0.0, 52, 0, 1200, classic))
+            off = [k for k in oracle if not _within_4_se(oracle[k], drawn[k])]
             assert off == [], f"classic={classic}: {off} disagree"
 
-    # 0.07 * n lands just above an integer for n = 100, 200, ...: the snap matters
-    @pytest.mark.parametrize("q", [0.05, 0.07, 0.1, 0.175, 1 / 3, 0.35, 0.7, 1.0])
-    def test_vectorized_counted_count_equals_scalar(self, q):
-        n_s = np.arange(1, 5257)
-        assert counted_counts(q, n_s).tolist() == [counted_count(q, int(k)) for k in n_s]
-        assert counted_counts(q, np.zeros(3, dtype=np.int64)).tolist() == [0, 0, 0]
-
     @pytest.mark.parametrize("classic", [False, True])
-    def test_one_block_reproduces_first_block_of_longer_run(self, classic):
+    def test_a_trial_reproduces_in_a_longer_run(self, classic):
+        # each trial draws from its own generator, so a run is a prefix of any longer one
         model = ENGINE_MODELS["criterion_8_pool"]
         part = PartitionParams(p_s=0.9, nu_s_ratio=0.5, q=0.35)
-        one = _batched_stats(model, part, 50, 0.0, 8, 3, BLOCK, classic)
-        longer = _batched_stats(model, part, 50, 0.0, 8, 3, 2 * BLOCK + 7, classic)
-        np.testing.assert_array_equal(one, longer[:, :BLOCK])
-        assert not np.array_equal(longer[:, :BLOCK], longer[:, BLOCK:2 * BLOCK])
+        short = _sufficient_stats(model, part, 50, 0.0, 8, 3, 40, classic)
+        longer = _sufficient_stats(model, part, 50, 0.0, 8, 3, 97, classic)
+        np.testing.assert_array_equal(short, longer[:, :40])
+        assert not np.array_equal(longer[:, :40], longer[:, 40:80])
 
-    @pytest.mark.parametrize("model_name", ["normal", "criterion_8_pool"])
+    @pytest.mark.parametrize("model_name", ["normal", "criterion_8_pool", "many_value_pools"])
     def test_full_quota_classic_pools_the_partitioned_draws(self, model_name):
         # same seed, same draws: the classic stratum is the union of the
         # partitioned strata, so its mean is their weighted mean and its sum
@@ -227,8 +223,8 @@ class TestBatchedEngine:
         model = ENGINE_MODELS[model_name]
         part = PartitionParams(p_s=0.7, nu_s_ratio=1.0, q=1.0)
         n, trials = 300, 2000
-        classic = _batched_stats(model, part, n, 0.0, 2024, 0, trials, classic=True)
-        n_s, n_u, _, d_bar_s, d_bar_u, nu_hat_s, nu_hat_u = _batched_stats(
+        classic = _sufficient_stats(model, part, n, 0.0, 2024, 0, trials, classic=True)
+        n_s, n_u, _, d_bar_s, d_bar_u, nu_hat_s, nu_hat_u = _sufficient_stats(
             model, part, n, 0.0, 2024, 0, trials
         )
         assert np.all(classic[0] == 0) and np.all(classic[1] == n)
