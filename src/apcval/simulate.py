@@ -24,6 +24,7 @@ trials and in any longer run.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -250,7 +251,7 @@ def _sufficient_stats(
     partitioned test sees, trial by trial. Empty groups draw nothing.
     """
     draw_s, draw_u = _group_sampler(model, True), _group_sampler(model, False)
-    rows = []
+    rows = array("d")
     for trial in range(trials):
         rng = _trial_rng(seed, point_index, trial)
         n_s = _safe_count(rng, n, partition.p_s)
@@ -259,9 +260,9 @@ def _sufficient_stats(
         counted = draw_s(rng, m) if m else (0.0, 0.0)
         unsafe = draw_u(rng, n_u) if n_u else (0.0, 0.0)
         uncounted = draw_s(rng, rest) if classic and rest else (0.0, 0.0)
-        rows.append((n_s, m, n_u, rest, *counted, *unsafe, *uncounted))
+        rows.extend((n_s, m, n_u, rest, *counted, *unsafe, *uncounted))
     n_s, m, n_u, rest, mean_c, squares_c, mean_u, squares_u, mean_r, squares_r = (
-        np.array(rows, dtype=float).reshape(trials, 10).T
+        np.frombuffer(rows).reshape(trials, 10).T
     )
     mean_c = np.where(m > 0, mean_c + shift, 0.0)
     mean_u = np.where(n_u > 0, mean_u + shift, 0.0)
