@@ -200,8 +200,8 @@ class TestSufficientStatisticEngine:
         model = ENGINE_MODELS[model_name]
         part = PartitionParams(p_s=p_s, nu_s_ratio=0.5, q=q)
         for classic in (False, True):
-            oracle = _engine_summary(_trial_stats(model, part, n, 0.0, 51, 0, 400, classic))
-            drawn = _engine_summary(_sufficient_stats(model, part, n, 0.0, 52, 0, 1200, classic))
+            oracle = _engine_summary(_trial_stats(model, part, n, 0.003, 51, 0, 400, classic))
+            drawn = _engine_summary(_sufficient_stats(model, part, n, 0.003, 52, 0, 1200, classic))
             off = [k for k in oracle if not _within_4_se(oracle[k], drawn[k])]
             assert off == [], f"classic={classic}: {off} disagree"
 
