@@ -16,9 +16,12 @@ per record and the counted subset of the safe stratum comes from the
 real sampler. That path is also the small-n oracle the
 sufficient-statistic engine is tested against.
 
-Both engines draw each trial from its own generator, derived from
-(seed, grid point, trial), so a trial reproduces in any order of the
-trials and in any longer run.
+Both engines draw each trial from its own stream of a counter-based
+Philox generator (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC 2011): the key is derived once per (seed, grid point) and
+trial t starts at counter (0, 0, 0, t). A trial therefore reproduces in
+any order of the trials and in any longer run, and starting its stream
+costs a state reset instead of a seed derivation.
 """
 
 from __future__ import annotations
@@ -175,13 +178,39 @@ def _safe_count(rng: np.random.Generator, n: int, p_s: float) -> int:
     return int(rng.binomial(n, p_s))
 
 
-def _trial_rng(seed: int, point_index: int, trial: int) -> np.random.Generator:
-    """Generator for one trial, splittably derived from (seed, point, trial).
+def _point_rng(seed: int, point_index: int) -> tuple[np.random.Generator, dict]:
+    """A grid point's Philox generator and the state that `_trial_rng` resets it to.
 
-    Trials can run in any order or in parallel and still reproduce.
+    The key, two 64-bit words of `SeedSequence(seed, spawn_key=(point,))`,
+    is the only value derived from the seed: one per (seed, grid point),
+    shared by every trial of the point.
     """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(point_index, trial))
-    return np.random.default_rng(ss)
+    seeds = np.random.SeedSequence(seed, spawn_key=(point_index,))
+    key = seeds.generate_state(2, np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": key},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(np.random.Philox(key=key)), state
+
+
+def _trial_rng(point: tuple[np.random.Generator, dict], trial: int) -> np.random.Generator:
+    """Trial `trial`'s stream: the point's generator reset to counter (0, 0, 0, trial).
+
+    The trial sits in the most significant counter word, so the streams of
+    two trials never overlap (the counter advances from the least
+    significant word). The reset sets the whole state, buffered words
+    included, so the stream does not depend on what was drawn before:
+    trials reproduce in any order and in any longer run.
+    """
+    rng, state = point
+    state["state"]["counter"][3] = trial
+    rng.bit_generator.state = state
+    return rng
 
 
 # --- sufficient-statistic engine ----------------------------------------------
@@ -251,9 +280,10 @@ def _sufficient_stats(
     partitioned test sees, trial by trial. Empty groups draw nothing.
     """
     draw_s, draw_u = _group_sampler(model, True), _group_sampler(model, False)
+    point = _point_rng(seed, point_index)
     rows = array("d")
     for trial in range(trials):
-        rng = _trial_rng(seed, point_index, trial)
+        rng = _trial_rng(point, trial)
         n_s = _safe_count(rng, n, partition.p_s)
         m = counted_count(partition.q, n_s) if n_s else 0
         n_u, rest = n - n_s, n_s - m
@@ -345,15 +375,16 @@ def _trial_stats(
     classic: bool = False,
     spread: bool = True,
 ) -> np.ndarray:
-    """`_sufficient_stats` computed record by record, one generator per trial.
+    """`_sufficient_stats` computed record by record, one stream per trial.
 
     Draws every record and takes the counted subset from the real sampler:
     the engine of `bias_estimates` and the reference the sufficient-statistic
     engine is tested against.
     """
+    point = _point_rng(seed, point_index)
     rows = []
     for trial in range(trials):
-        rng = _trial_rng(seed, point_index, trial)
+        rng = _trial_rng(point, trial)
         d_s, d_u = _draw_strata(rng, n, partition.p_s, model, shift)
         if classic:
             d_s, d_u = d_s[:0], np.concatenate([d_s, d_u])

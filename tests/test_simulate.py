@@ -14,8 +14,10 @@ from apcval.simulate import (
     SimConfig,
     TEST_CLASSIC,
     TEST_PARTITIONED,
-    _sufficient_stats,
     _partitioned_stats,
+    _point_rng,
+    _sufficient_stats,
+    _trial_rng,
     _trial_stats,
     analytic_success,
     bias_estimates,
@@ -261,13 +263,14 @@ class TestSufficientStatisticEngine:
 
     @pytest.mark.parametrize("classic", [False, True])
     def test_a_trial_reproduces_in_a_longer_run(self, classic):
-        # each trial draws from its own generator, so a run is a prefix of any longer one
+        # each trial draws from its own stream, so a run is a prefix of any longer one
         model = ENGINE_MODELS["criterion_8_pool"]
         part = PartitionParams(p_s=0.9, nu_s_ratio=0.5, q=0.35)
-        short = _sufficient_stats(model, part, 50, 0.0, 8, 3, 40, classic)
-        longer = _sufficient_stats(model, part, 50, 0.0, 8, 3, 97, classic)
-        np.testing.assert_array_equal(short, longer[:, :40])
-        assert not np.array_equal(longer[:, :40], longer[:, 40:80])
+        for engine in (_sufficient_stats, _trial_stats):
+            short = engine(model, part, 50, 0.0, 8, 3, 40, classic)
+            longer = engine(model, part, 50, 0.0, 8, 3, 97, classic)
+            np.testing.assert_array_equal(short, longer[:, :40], err_msg=engine.__name__)
+            assert not np.array_equal(longer[:, :40], longer[:, 40:80], equal_nan=True)
 
     @pytest.mark.parametrize("model_name", ["normal", "criterion_8_pool", "many_value_pools"])
     def test_full_quota_classic_pools_the_partitioned_draws(self, model_name):
@@ -289,6 +292,92 @@ class TestSufficientStatisticEngine:
             + n_s * n_u / n * (d_bar_s - d_bar_u) ** 2
         )
         np.testing.assert_allclose((n - 1) * classic[6] ** 2, squares, rtol=1e-9, atol=1e-15)
+
+
+def _dirtied(point) -> None:
+    """Leave the point's generator mid-block with half a 64-bit word buffered."""
+    rng = _trial_rng(point, 5)
+    rng.integers(0, 9, 3)  # three 32-bit draws
+    assert rng.bit_generator.state["has_uint32"] == 1
+
+
+TRIAL_DRAWS = {
+    "standard_normal": lambda rng: rng.standard_normal(5),
+    "binomial": lambda rng: rng.binomial(1000, 0.3, 3),
+    "chisquare": lambda rng: rng.chisquare(7.0, 3),
+    "multinomial": lambda rng: rng.multinomial(20, [0.2, 0.3, 0.5]),
+    "integers": lambda rng: rng.integers(0, 9, 5),
+}
+
+
+class TestTrialStreams:
+    @pytest.mark.parametrize("trial", [0, 1, 17, 2**40])
+    def test_trial_stream_is_philox_at_counter_trial(self, trial):
+        # the point's key comes from (seed, point) alone; the trial is the
+        # most significant counter word
+        key = np.random.SeedSequence(8, spawn_key=(3,)).generate_state(2, np.uint64)
+        point = _point_rng(8, 3)
+        for name, draw in TRIAL_DRAWS.items():
+            _dirtied(point)
+            fresh = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, trial]))
+            np.testing.assert_array_equal(draw(_trial_rng(point, trial)), draw(fresh), err_msg=name)
+
+    @pytest.mark.parametrize("trial", [1, 17, 2**40])
+    def test_neighbouring_trial_streams_do_not_overlap(self, trial):
+        point = _point_rng(8, 3)
+        first = _trial_rng(point, trial).bit_generator.random_raw(4)
+        previous = _trial_rng(point, trial - 1).bit_generator.random_raw(8)
+        assert not np.any(np.isin(first, previous))
+        # the trial in the least significant word would shift one stream into the next
+        key = point[1]["state"]["key"]
+        low = np.random.Philox(key=key, counter=trial).random_raw(4)
+        np.testing.assert_array_equal(low, np.random.Philox(key=key, counter=trial - 1).random_raw(8)[4:])
+
+    @pytest.mark.parametrize("classic", [False, True])
+    def test_trials_in_reverse_order_give_the_same_rows(self, classic, monkeypatch):
+        model = ENGINE_MODELS["criterion_8_pool"]
+        part = PartitionParams(p_s=0.9, nu_s_ratio=0.5, q=0.35)
+        trials = 60
+        forward = {e: e(model, part, 50, 0.0, 8, 3, trials, classic)
+                   for e in (_sufficient_stats, _trial_stats)}
+        monkeypatch.setattr(simulate, "_trial_rng",
+                            lambda point, trial: _trial_rng(point, trials - 1 - trial))
+        for engine, rows in forward.items():
+            reverse = engine(model, part, 50, 0.0, 8, 3, trials, classic)
+            np.testing.assert_array_equal(reverse[:, ::-1], rows, err_msg=engine.__name__)
+
+    def test_one_stream_per_trial_and_one_key_per_grid_point(self, monkeypatch):
+        # the seed contract's streams are what the benchmark counts as rng_streams
+        streams, keys = [], []
+        seed_sequence = np.random.SeedSequence
+
+        def counted_stream(point, trial):
+            streams.append(trial)
+            return _trial_rng(point, trial)
+
+        def counted_key(*args, **kwargs):
+            keys.append(kwargs["spawn_key"])
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_trial_rng", counted_stream)
+        monkeypatch.setattr(np.random, "SeedSequence", counted_key)
+        model = NormalErrors(nu_s=0.05, nu_u=0.1)
+        part = PartitionParams(p_s=0.7, nu_s_ratio=0.5, q=0.3)
+        grid = {"n_values": (20, 30), "bias_sweep": (-0.02, 0.02), "trials": 7}
+        for study in (
+            lambda: run_simulation(SimConfig(model, PARAMS, part, test=TEST_CLASSIC, **grid)),
+            lambda: run_simulation(SimConfig(model, PARAMS, part, test=TEST_PARTITIONED, **grid)),
+            lambda: user_risk_audit(SimConfig(model, PARAMS, part, **grid)),
+        ):
+            streams.clear()
+            keys.clear()
+            study()
+            assert streams == list(range(7)) * 4
+            assert keys == [(0,), (1,), (2,), (3,)]
+        streams.clear()
+        keys.clear()
+        bias_estimates(model, part, n=40, trials=9, seed=2)
+        assert streams == list(range(9)) and keys == [(0,)]
 
 
 class TestTrialEngineMatchesRecordPipeline:
