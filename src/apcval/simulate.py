@@ -179,23 +179,16 @@ def _safe_count(rng: np.random.Generator, n: int, p_s: float) -> int:
 
 
 def _point_rng(seed: int, point_index: int) -> tuple[np.random.Generator, dict]:
-    """A grid point's Philox generator and the state that `_trial_rng` resets it to.
+    """A grid point's Philox generator and its initial state, which `_trial_rng` resets.
 
-    The key, two 64-bit words of `SeedSequence(seed, spawn_key=(point,))`,
-    is the only value derived from the seed: one per (seed, grid point),
-    shared by every trial of the point.
+    Philox takes its key, two 64-bit words of `SeedSequence(seed,
+    spawn_key=(point,))`, as the only value derived from the seed: one per
+    (seed, grid point), shared by every trial of the point. The initial
+    state holds that key, a zero counter and an empty buffer.
     """
     seeds = np.random.SeedSequence(seed, spawn_key=(point_index,))
-    key = seeds.generate_state(2, np.uint64)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64), "key": key},
-        "buffer": np.zeros(4, np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return np.random.Generator(np.random.Philox(key=key)), state
+    rng = np.random.Generator(np.random.Philox(seeds))
+    return rng, rng.bit_generator.state
 
 
 def _trial_rng(point: tuple[np.random.Generator, dict], trial: int) -> np.random.Generator:

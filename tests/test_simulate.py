@@ -197,7 +197,8 @@ class TestRunSimulation:
                 rtol=1e-12, err_msg=name,
             )
             gap = np.maximum(between, n_u * nu_s**2 + n_s * nu_u**2) / (n * (n - 1))
-            assert np.all(np.abs(c.nu_hat - p.nu_hat) <= (1 + 1e-9) * gap / (c.nu_hat + p.nu_hat)), name
+            bound = (1 + 1e-9) * gap / (c.nu_hat + p.nu_hat)
+            assert np.all(np.abs(c.nu_hat - p.nu_hat) <= bound), name
             z = norm_ppf(1.0 - params.alpha / 2.0)
             half_c, half_p = z * c.nu_hat / math.sqrt(n), z * p.nu_hat / math.sqrt(n)
             margin = params.delta - np.abs(p.d_hat)
@@ -320,7 +321,8 @@ class TestTrialStreams:
         for name, draw in TRIAL_DRAWS.items():
             _dirtied(point)
             fresh = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, trial]))
-            np.testing.assert_array_equal(draw(_trial_rng(point, trial)), draw(fresh), err_msg=name)
+            drawn = draw(_trial_rng(point, trial))
+            np.testing.assert_array_equal(drawn, draw(fresh), err_msg=name)
 
     @pytest.mark.parametrize("trial", [1, 17, 2**40])
     def test_neighbouring_trial_streams_do_not_overlap(self, trial):
@@ -331,7 +333,8 @@ class TestTrialStreams:
         # the trial in the least significant word would shift one stream into the next
         key = point[1]["state"]["key"]
         low = np.random.Philox(key=key, counter=trial).random_raw(4)
-        np.testing.assert_array_equal(low, np.random.Philox(key=key, counter=trial - 1).random_raw(8)[4:])
+        shifted = np.random.Philox(key=key, counter=trial - 1).random_raw(8)[4:]
+        np.testing.assert_array_equal(low, shifted)
 
     @pytest.mark.parametrize("classic", [False, True])
     def test_trials_in_reverse_order_give_the_same_rows(self, classic, monkeypatch):
