@@ -13,6 +13,7 @@ import argparse
 import csv
 import io as _stringio
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -360,9 +361,27 @@ _COMMANDS = {
 }
 
 
+_LIST_FLAGS = ("--n-grid", "--bias-grid", "--pool-s", "--pool-u")
+
+
+def _attach_list_values(argv: list[str]) -> list[str]:
+    """Write `--bias-grid -0.01,0` as `--bias-grid=-0.01,0`, for every list flag.
+
+    argparse takes a value that starts with "-" and is not one plain
+    negative number for an option, and then finds the flag without its value.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _LIST_FLAGS and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     try:
         return _COMMANDS[args.command](args)
     except (io_mod.CampaignError, io_mod.ConfigError, ValueError) as exc:

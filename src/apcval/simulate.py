@@ -7,9 +7,10 @@ size, mean and deviation, and these have exact sampling distributions
 counted safe records are iid draws of the safe model, a normal stratum
 has a normal mean and a sum of squares of sigma^2 chi^2(k-1), and a
 resampled stratum has multinomial counts over the pool's distinct
-values. The verdicts of all trials of a grid point are then evaluated
-at once, over arrays, by the estimator's `verdict_chain`, the same code
-that evaluates a live campaign.
+values. A study builds its group samplers once, and the verdicts of all
+trials of all its grid points are then evaluated at once, over arrays,
+by the estimator's `verdict_chain`, the same code that evaluates a live
+campaign.
 
 `bias_estimates` runs the record-level trial: stratum values are drawn
 per record and the counted subset of the safe stratum comes from the
@@ -188,7 +189,12 @@ def _point_rng(seed: int, point_index: int) -> tuple[np.random.Generator, dict]:
     """
     seeds = np.random.SeedSequence(seed, spawn_key=(point_index,))
     rng = np.random.Generator(np.random.Philox(seeds))
-    return rng, rng.bit_generator.state
+    state = rng.bit_generator.state
+    # Python ints: the state setter reads the words one by one, and a word
+    # of a numpy array costs a scalar conversion each time
+    state["state"] = {name: words.tolist() for name, words in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
+    return rng, state
 
 
 def _trial_rng(point: tuple[np.random.Generator, dict], trial: int) -> np.random.Generator:
@@ -209,16 +215,18 @@ def _trial_rng(point: tuple[np.random.Generator, dict], trial: int) -> np.random
 # --- sufficient-statistic engine ----------------------------------------------
 
 
-def _group_sampler(
-    model: NormalErrors | ResamplingErrors, safe: bool
-) -> Callable[[np.random.Generator, int], tuple[float, float]]:
+_Sampler = Callable[[np.random.Generator, int], tuple[float, float]]
+
+
+def _group_sampler(model: NormalErrors | ResamplingErrors, safe: bool) -> _Sampler:
     """Draw of the mean and sum of squared deviations of k >= 1 iid stratum values.
 
     A normal group has a normal mean and a sum of squares of
     sigma^2 chi^2(k-1). A resampled group draws its k values directly
     while k is below the pool's number of distinct values, and otherwise
     its multinomial counts over them, so a draw costs at most
-    min(k, distinct values) in time and memory.
+    min(k, distinct values) in time and memory. The pool of a resampled
+    group must not be empty.
     """
     if isinstance(model, NormalErrors):
         mu, sigma = (model.mu_s, model.nu_s) if safe else (model.mu_u, model.nu_u)
@@ -233,18 +241,25 @@ def _group_sampler(
     pool = pool - centre  # centred, so the sum of squares loses little to cancellation
     values, counts = np.unique(pool, return_counts=True)
     probs = counts / counts.sum()
-    squared = values * values
+    powers = np.stack([values, values * values], axis=1)
 
     def resampled(rng: np.random.Generator, k: int) -> tuple[float, float]:
         if k < values.size:
             x = pool[rng.integers(0, pool.size, k)]
             s1, s2 = float(x.sum()), float(x @ x)
         else:
-            hits = rng.multinomial(k, probs)
-            s1, s2 = float(hits @ values), float(hits @ squared)
+            s1, s2 = np.dot(rng.multinomial(k, probs), powers).tolist()
         return centre + s1 / k, max(s2 - s1 * s1 / k, 0.0)
 
     return resampled
+
+
+def _group_samplers(
+    model: NormalErrors | ResamplingErrors, p_s: float
+) -> tuple[_Sampler | None, _Sampler | None]:
+    """A study's safe and unsafe group samplers; None for a stratum p_s leaves empty."""
+    return (_group_sampler(model, True) if p_s > 0.0 else None,
+            _group_sampler(model, False) if p_s < 1.0 else None)
 
 
 def _deviation(squares: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -253,7 +268,7 @@ def _deviation(squares: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _sufficient_stats(
-    model: NormalErrors | ResamplingErrors,
+    samplers: tuple[_Sampler | None, _Sampler | None],
     partition: PartitionParams,
     n: int,
     shift: float,
@@ -271,14 +286,19 @@ def _sufficient_stats(
     test pools the groups into its one stratum, which it carries as the
     unsafe one, so at full quota it sees exactly the values the
     partitioned test sees, trial by trial. Empty groups draw nothing.
+    `samplers` are the study's `_group_samplers`.
     """
-    draw_s, draw_u = _group_sampler(model, True), _group_sampler(model, False)
+    draw_s, draw_u = samplers
+    p_s, q = partition.p_s, partition.q
+    counted_of = {0: 0}  # counted_count by safe count, which repeats across trials
     point = _point_rng(seed, point_index)
     rows = array("d")
     for trial in range(trials):
         rng = _trial_rng(point, trial)
-        n_s = _safe_count(rng, n, partition.p_s)
-        m = counted_count(partition.q, n_s) if n_s else 0
+        n_s = _safe_count(rng, n, p_s)
+        m = counted_of.get(n_s)
+        if m is None:
+            m = counted_of[n_s] = counted_count(q, n_s)
         n_u, rest = n - n_s, n_s - m
         counted = draw_s(rng, m) if m else (0.0, 0.0)
         unsafe = draw_u(rng, n_u) if n_u else (0.0, 0.0)
@@ -385,8 +405,9 @@ def _trial_stats(
     return np.array(rows, dtype=float).reshape(trials, 7).T
 
 
-def _grid(config: SimConfig) -> tuple[tuple[float, ...], list[tuple[int, int, float]]]:
-    base_mean = config.error_model.overall_mean(config.partition.p_s)
+def _grid(
+    config: SimConfig, base_mean: float
+) -> tuple[tuple[float, ...], list[tuple[int, int, float]]]:
     sweep = config.bias_sweep if config.bias_sweep is not None else (base_mean,)
     points = []
     index = 0
@@ -420,20 +441,23 @@ def run_simulation(config: SimConfig) -> list[SuccessCurve]:
     single point, otherwise one curve over the bias sweep per sample size.
     Deterministic given the config, including its seed.
     """
-    sweep, points = _grid(config)
-    base_mean = config.error_model.overall_mean(config.partition.p_s)
+    partition, trials = config.partition, config.trials
+    base_mean = config.error_model.overall_mean(partition.p_s)
+    sweep, points = _grid(config, base_mean)
+    samplers = _group_samplers(config.error_model, partition.p_s)
+    stats = np.concatenate([
+        _sufficient_stats(samplers, partition, n, mu - base_mean, config.seed, index, trials,
+                          classic=config.test == TEST_CLASSIC)
+        for index, n, mu in points
+    ], axis=1)
+    passed = verdict_chain(*stats, config.params).passed.reshape(len(points), trials)
     results: dict[tuple[int, float], CurvePoint] = {}
-    for index, n, mu in points:
-        stats = _sufficient_stats(
-            config.error_model, config.partition, n, mu - base_mean, config.seed, index,
-            config.trials, classic=config.test == TEST_CLASSIC,
-        )
-        passed = verdict_chain(*stats, config.params).passed
-        rate = int(np.count_nonzero(passed)) / config.trials
+    for (_, n, mu), count in zip(points, np.count_nonzero(passed, axis=1).tolist()):
+        rate = count / trials
         results[(n, mu)] = CurvePoint(
             grid_value=float(mu),
             pass_rate=rate,
-            mc_se=_mc_se(rate, config.trials),
+            mc_se=_mc_se(rate, trials),
             analytic=_analytic_for(config, n, mu),
         )
 

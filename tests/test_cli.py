@@ -284,6 +284,21 @@ class TestSimulateCostOptimize:
         assert code == 1 and out == ""
         assert f"error: {flag} values must be finite" in err
 
+    @pytest.mark.parametrize(
+        "flag,value,other",
+        [("--bias-grid", "-0.01,0,0.01", ()),
+         ("--pool-s", "-0.009,0.01,0.02", ("--pool-u", "0,0.2")),
+         ("--pool-u", "-0.1,0,0.2", ("--pool-s", "0,0.05"))],
+    )
+    def test_simulate_list_may_start_negative(self, capsys, flag, value, other):
+        argv = ["simulate", "--n-grid", "50,80", "--trials", "40", *other]
+        code, out, err = run(capsys, [*argv, flag, value])
+        assert (code, err) == (0, "")
+        attached = run(capsys, [*argv, f"{flag}={value}"])
+        assert (code, without_created(out), err) == (
+            attached[0], without_created(attached[1]), attached[2]
+        )
+
     @pytest.mark.parametrize("value", ["1.5", "abc", "nan"])
     def test_simulate_n_grid_must_be_integers(self, capsys, value):
         code, out, err = run(capsys, ["simulate", "--n-grid", f"100,{value}", "--trials", "10"])

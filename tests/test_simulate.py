@@ -1,10 +1,13 @@
+import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from apcval import simulate
+from apcval.cli import main
 from apcval.domain import PartitionParams, TestParams
 from apcval.estimator import verdict_chain
 from apcval.normal import norm_ppf
@@ -14,6 +17,7 @@ from apcval.simulate import (
     SimConfig,
     TEST_CLASSIC,
     TEST_PARTITIONED,
+    _group_samplers,
     _partitioned_stats,
     _point_rng,
     _sufficient_stats,
@@ -29,6 +33,11 @@ from apcval.simulate import (
 PARAMS = TestParams(nu=0.15)
 SINGLE_STRATUM = PartitionParams(p_s=1.0, nu_s_ratio=1.0, q=1.0)
 CRITERION_8_POOL = (-0.009,) * 511 + (9.719,)
+
+
+def _sufficient(model, partition, *args, **kwargs):
+    """`_sufficient_stats` with the study's samplers: the record-level engine's signature."""
+    return _sufficient_stats(_group_samplers(model, partition.p_s), partition, *args, **kwargs)
 
 
 class TestAnalyticSuccess:
@@ -130,6 +139,52 @@ class TestRunSimulation:
         assert all(c.grid_var == "mu" for c in curves)
         assert [dict(c.fixed)["n"] for c in curves] == [100.0, 200.0]
 
+    @pytest.mark.parametrize("p_s,pool", [(1.0, "pool_s"), (0.0, "pool_u")])
+    def test_one_stratum_study_warns_nothing(self, p_s, pool, capsys):
+        # the pool of the stratum that p_s leaves empty is empty, and no sampler is built for it
+        model = ResamplingErrors(**{pool: (0.01, 0.02)})
+        part = PartitionParams(p_s=p_s, nu_s_ratio=0.5, q=0.5)
+        cli = ["simulate", "--n-grid", "2,50", "--trials", "30", "--set", f"p_s={p_s}",
+               f"--{pool.replace('_', '-')}", "0.01,0.02"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for test in (TEST_CLASSIC, TEST_PARTITIONED):
+                config = SimConfig(model, PARAMS, part, n_values=(2, 50),
+                                   bias_sweep=(-0.02, 0.03), trials=30, test=test)
+                run_simulation(config)
+                user_risk_audit(config)
+                for extra in ([], ["--bias-grid", "-0.02,0.03", "--audit"]):
+                    assert main([*cli, "--test", test, *extra]) == 0
+                    assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("sweep", [(0.06,), (-0.05, 0.05, 0.07)])
+    @pytest.mark.parametrize("model_name", ["normal", "many_value_pools"])
+    @pytest.mark.parametrize("test", [TEST_CLASSIC, TEST_PARTITIONED])
+    def test_each_point_rate_is_its_own_verdict_chain(self, test, model_name, sweep):
+        # a study evaluates all its grid points in one chain; each point's
+        # rate must still be that of its own trials (grid points run n-major)
+        model = ENGINE_MODELS[model_name]
+        part = PartitionParams(p_s=0.7, nu_s_ratio=0.5, q=0.4)
+        params = TestParams(alpha=0.5, delta=0.05, nu=0.1, nu_min=0.0)
+        config = SimConfig(model, params, part, n_values=(2, 50), bias_sweep=sweep,
+                           trials=200, test=test, seed=11)
+        samplers = _group_samplers(model, part.p_s)
+        base = model.overall_mean(part.p_s)
+        rates = {}
+        for index, (n, mu) in enumerate(itertools.product(config.n_values, sweep)):
+            stats = _sufficient_stats(samplers, part, n, mu - base, config.seed, index,
+                                      config.trials, classic=test == TEST_CLASSIC)
+            rates[(n, mu)] = np.count_nonzero(verdict_chain(*stats, params).passed) / config.trials
+        assert len(set(rates.values())) > 1
+        curves = run_simulation(config)
+        if len(sweep) == 1:
+            got = {(int(p.grid_value), sweep[0]): p.pass_rate for p in curves[0].points}
+        else:
+            got = {(int(c.fixed["n"]), p.grid_value): p.pass_rate for c in curves for p in c.points}
+        assert got == rates
+        worst = [max(rates[(n, mu)] for mu in sweep) for n in config.n_values]
+        assert [point.pass_rate for point in user_risk_audit(config)] == worst
+
     def test_partitioned_full_quota_equals_classic_when_failing_is_structural(self):
         # at n=80 the clamped halfwidth exceeds the margin: both tests fail
         # every trial, whatever the draws
@@ -177,7 +232,7 @@ class TestRunSimulation:
         run_simulation(config)
         run_simulation(replace(config, test=TEST_PARTITIONED))
         engines = {"run_simulation": captured}
-        for engine in (_trial_stats, _sufficient_stats):
+        for engine in (_trial_stats, _sufficient):
             engines[engine.__name__] = [
                 engine(model, part, n, 0.0, seed, 0, trials, classic=classic)
                 for classic in (True, False)
@@ -258,7 +313,7 @@ class TestSufficientStatisticEngine:
         part = PartitionParams(p_s=p_s, nu_s_ratio=0.5, q=q)
         for classic in (False, True):
             oracle = _engine_summary(_trial_stats(model, part, n, 0.003, 51, 0, 400, classic))
-            drawn = _engine_summary(_sufficient_stats(model, part, n, 0.003, 52, 0, 1200, classic))
+            drawn = _engine_summary(_sufficient(model, part, n, 0.003, 52, 0, 1200, classic))
             off = [k for k in oracle if not _within_4_se(oracle[k], drawn[k])]
             assert off == [], f"classic={classic}: {off} disagree"
 
@@ -267,7 +322,7 @@ class TestSufficientStatisticEngine:
         # each trial draws from its own stream, so a run is a prefix of any longer one
         model = ENGINE_MODELS["criterion_8_pool"]
         part = PartitionParams(p_s=0.9, nu_s_ratio=0.5, q=0.35)
-        for engine in (_sufficient_stats, _trial_stats):
+        for engine in (_sufficient, _trial_stats):
             short = engine(model, part, 50, 0.0, 8, 3, 40, classic)
             longer = engine(model, part, 50, 0.0, 8, 3, 97, classic)
             np.testing.assert_array_equal(short, longer[:, :40], err_msg=engine.__name__)
@@ -281,8 +336,8 @@ class TestSufficientStatisticEngine:
         model = ENGINE_MODELS[model_name]
         part = PartitionParams(p_s=0.7, nu_s_ratio=1.0, q=1.0)
         n, trials = 300, 2000
-        classic = _sufficient_stats(model, part, n, 0.0, 2024, 0, trials, classic=True)
-        n_s, n_u, _, d_bar_s, d_bar_u, nu_hat_s, nu_hat_u = _sufficient_stats(
+        classic = _sufficient(model, part, n, 0.0, 2024, 0, trials, classic=True)
+        n_s, n_u, _, d_bar_s, d_bar_u, nu_hat_s, nu_hat_u = _sufficient(
             model, part, n, 0.0, 2024, 0, trials
         )
         assert np.all(classic[0] == 0) and np.all(classic[1] == n)
@@ -342,7 +397,7 @@ class TestTrialStreams:
         part = PartitionParams(p_s=0.9, nu_s_ratio=0.5, q=0.35)
         trials = 60
         forward = {e: e(model, part, 50, 0.0, 8, 3, trials, classic)
-                   for e in (_sufficient_stats, _trial_stats)}
+                   for e in (_sufficient, _trial_stats)}
         monkeypatch.setattr(simulate, "_trial_rng",
                             lambda point, trial: _trial_rng(point, trials - 1 - trial))
         for engine, rows in forward.items():
