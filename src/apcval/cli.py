@@ -13,7 +13,6 @@ import argparse
 import csv
 import io as _stringio
 import math
-import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -368,11 +367,12 @@ def _attach_list_values(argv: list[str]) -> list[str]:
     """Write `--bias-grid -0.01,0` as `--bias-grid=-0.01,0`, for every list flag.
 
     argparse takes a value that starts with "-" and is not one plain
-    negative number for an option, and then finds the flag without its value.
+    negative number for an option, and then finds the flag without its
+    value. A list flag takes the next token unless it is a long option.
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in _LIST_FLAGS and re.match(r"-[\d.]", token):
+        if out and out[-1] in _LIST_FLAGS and not token.startswith("--"):
             out[-1] += "=" + token
         else:
             out.append(token)

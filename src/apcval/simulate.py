@@ -215,10 +215,9 @@ def _trial_rng(point: tuple[np.random.Generator, dict], trial: int) -> np.random
 # --- sufficient-statistic engine ----------------------------------------------
 
 
-_Sampler = Callable[[np.random.Generator, int], tuple[float, float]]
-
-
-def _group_sampler(model: NormalErrors | ResamplingErrors, safe: bool) -> _Sampler:
+def _group_sampler(
+    model: NormalErrors | ResamplingErrors, safe: bool
+) -> Callable[[np.random.Generator, int], tuple[float, float]]:
     """Draw of the mean and sum of squared deviations of k >= 1 iid stratum values.
 
     A normal group has a normal mean and a sum of squares of
@@ -256,7 +255,7 @@ def _group_sampler(model: NormalErrors | ResamplingErrors, safe: bool) -> _Sampl
 
 def _group_samplers(
     model: NormalErrors | ResamplingErrors, p_s: float
-) -> tuple[_Sampler | None, _Sampler | None]:
+) -> tuple[Callable | None, Callable | None]:
     """A study's safe and unsafe group samplers; None for a stratum p_s leaves empty."""
     return (_group_sampler(model, True) if p_s > 0.0 else None,
             _group_sampler(model, False) if p_s < 1.0 else None)
@@ -268,7 +267,7 @@ def _deviation(squares: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _sufficient_stats(
-    samplers: tuple[_Sampler | None, _Sampler | None],
+    samplers: tuple[Callable | None, Callable | None],
     partition: PartitionParams,
     n: int,
     shift: float,

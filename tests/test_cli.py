@@ -274,7 +274,8 @@ class TestSimulateCostOptimize:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("--pool-s", "0,nan"), ("--pool-u", "inf,0.1"), ("--bias-grid", "nan,0.02")],
+        [("--pool-s", "0,nan"), ("--pool-u", "inf,0.1"), ("--bias-grid", "nan,0.02"),
+         ("--pool-u", "-inf,0.1")],
     )
     def test_simulate_rejects_non_finite_lists(self, capsys, flag, value):
         argv = ["simulate", "--n-grid", "50", "--trials", "10", flag, value]

@@ -386,7 +386,8 @@ class TestTrialStreams:
         previous = _trial_rng(point, trial - 1).bit_generator.random_raw(8)
         assert not np.any(np.isin(first, previous))
         # the trial in the least significant word would shift one stream into the next
-        key = point[1]["state"]["key"]
+        # the state holds Python ints, which np.asarray would round to float64
+        key = np.array(point[1]["state"]["key"], dtype=np.uint64)
         low = np.random.Philox(key=key, counter=trial).random_raw(4)
         shifted = np.random.Philox(key=key, counter=trial - 1).random_raw(8)[4:]
         np.testing.assert_array_equal(low, shifted)
