@@ -190,14 +190,15 @@ def cmd_classify(args) -> int:
         raise io_mod.ConfigError("classify needs --out to write the labeled campaign")
     io_mod.save_campaign(labeled, args.out)
     n = len(labeled)
+    n_s = sum(1 for r in labeled if r.label == SAFE)
     payload = {
         "report": "classification",
         "version": io_mod.VERSION,
         "kind": _classifier(config).kind,
         "n": n,
-        "n_s": sum(1 for r in labeled if r.label == SAFE),
+        "n_s": n_s,
         "n_u": sum(1 for r in labeled if r.label == UNSAFE),
-        "p_hat_s": (sum(1 for r in labeled if r.label == SAFE) / n) if n else 0.0,
+        "p_hat_s": n_s / n if n else 0.0,
         "reclassified": None if flags is None else int(sum(flags.values())),
         "out": str(args.out),
     }
@@ -251,13 +252,12 @@ def _details_csv(records: list[DopRecord], report) -> str:
     writer.writerow(["dop_id", "d_i", "stratum", "weight"])
     for r in records:
         d = d_of.get(r.dop_id)
-        if classic:
-            stratum, weight = {SAFE: "s", UNSAFE: "u", UNLABELED: ""}[r.label], "1"
-        elif r.label == UNSAFE:
-            stratum, weight = "u", "1"
+        if classic or r.label == UNSAFE:
+            weight = "1"
         else:
-            stratum, weight = "s", weight_s if r.sampled else "0"
-        writer.writerow([r.dop_id, "" if d is None else f"{d:.12g}", stratum, weight])
+            weight = weight_s if r.sampled else "0"
+        writer.writerow([r.dop_id, "" if d is None else f"{d:.12g}",
+                         io_mod._LABEL_TO_CSV[r.label], weight])
     return buf.getvalue()
 
 

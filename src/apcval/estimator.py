@@ -282,6 +282,40 @@ def _report(
     )
 
 
+def _evaluate(
+    unsafe: list[DopRecord],
+    counted: list[DopRecord],
+    n_s: int,
+    params: TestParams,
+    warnings: list[str],
+    q_planned: float | None = None,
+) -> EvaluationReport:
+    """The report from the unsafe records, the counted safe records and the safe count.
+
+    The classic test passes every record as unsafe and an empty safe stratum.
+    """
+    _require_truth(unsafe + counted)
+    n = n_s + len(unsafe)
+    q_effective = len(counted) / n_s if n_s else 1.0
+    m_hat = _mean_count(unsafe, counted, n, q_effective)
+    if m_hat <= 0.0:
+        raise ValueError("campaign has no boarding passengers (mean count is 0)")
+    d_bar_s, sigma_s = _moments(_differences(counted, m_hat))
+    d_bar_u, sigma_u = _moments(_differences(unsafe, m_hat))
+    stats = PartitionStats(
+        n=n,
+        n_s=n_s,
+        n_u=len(unsafe),
+        q_effective=q_effective,
+        d_bar_s=d_bar_s,
+        d_bar_u=d_bar_u,
+        nu_hat_s=sigma_s,
+        nu_hat_u=sigma_u,
+        m_hat_q=m_hat,
+    )
+    return _report(stats, params, warnings, q_planned)
+
+
 def evaluate_classic(records: list[DopRecord], params: TestParams) -> EvaluationReport:
     """Run the classic equivalence test on a fully counted campaign.
 
@@ -291,29 +325,12 @@ def evaluate_classic(records: list[DopRecord], params: TestParams) -> Evaluation
     """
     if not records:
         raise ValueError("no records to evaluate")
-    _require_truth(records)
-    n = len(records)
-    m_bar = _fmean([float(r.m_final) for r in records])
-    if m_bar <= 0.0:
-        raise ValueError("campaign has no boarding passengers (mean count is 0)")
-    d_bar, sigma = _moments(_differences(records, m_bar))
     warnings = []
-    if n < 2:
+    if len(records) < 2:
         warnings.append(
             "single-record campaign: standard deviation undefined, floored at nu_min"
         )
-    stats = PartitionStats(
-        n=n,
-        n_s=0,
-        n_u=n,
-        q_effective=1.0,
-        d_bar_s=None,
-        d_bar_u=d_bar,
-        nu_hat_s=None,
-        nu_hat_u=sigma,
-        m_hat_q=m_bar,
-    )
-    return _report(stats, params, warnings)
+    return _evaluate(records, [], 0, params, warnings)
 
 
 def evaluate_partitioned(
@@ -334,32 +351,10 @@ def evaluate_partitioned(
     unsafe, sampled, safe = _split(records)
     if safe and not sampled:
         raise ValueError("safe partition is nonempty but no record was sampled")
-    n = len(records)
-    n_s = len(safe)
-    n_u = len(unsafe)
-    q_effective = len(sampled) / n_s if n_s else 1.0
-
-    _require_truth(unsafe + sampled)
-    m_hat = _mean_count(unsafe, sampled, n, q_effective)
-    d_s = _differences(sampled, m_hat)
-    d_u = _differences(unsafe, m_hat)
     warnings = [
         f"{name} stratum has fewer than 2 counted records: "
         "standard deviation floored at nu_min"
-        for name, size, diffs in (("safe", n_s, d_s), ("unsafe", n_u, d_u))
-        if size and len(diffs) < 2
+        for name, size, counted in (("safe", len(safe), sampled), ("unsafe", len(unsafe), unsafe))
+        if size and len(counted) < 2
     ]
-    d_bar_s, sigma_s = _moments(d_s)
-    d_bar_u, sigma_u = _moments(d_u)
-    stats = PartitionStats(
-        n=n,
-        n_s=n_s,
-        n_u=n_u,
-        q_effective=q_effective,
-        d_bar_s=d_bar_s,
-        d_bar_u=d_bar_u,
-        nu_hat_s=sigma_s,
-        nu_hat_u=sigma_u,
-        m_hat_q=m_hat,
-    )
-    return _report(stats, params, warnings, q_planned)
+    return _evaluate(unsafe, sampled, len(safe), params, warnings, q_planned)

@@ -312,9 +312,10 @@ def load_config_with_overrides(path: str | Path | None, overrides: list[str]) ->
 # --- report emission --------------------------------------------------------
 
 
-def _round12(x: float) -> float | None:
+def _round12(x: float) -> float:
+    """`x` at 12 significant digits; a report never carries a non-finite number."""
     if not math.isfinite(x):
-        return None
+        raise ValueError(f"a report value is not finite: {x}")
     return float(f"{x:.12g}")
 
 

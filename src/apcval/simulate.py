@@ -10,7 +10,10 @@ resampled stratum has multinomial counts over the pool's distinct
 values. A study builds its group samplers once, and the verdicts of all
 trials of all its grid points are then evaluated at once, over arrays,
 by the estimator's `verdict_chain`, the same code that evaluates a live
-campaign.
+campaign. They become one table of pass rates, a row per sample size and
+a column per bias, which success curves and user-risk audits both read;
+every grid point reports its own trials, also where a sample size or a
+bias repeats.
 
 `bias_estimates` runs the record-level trial: stratum values are drawn
 per record and the counted subset of the safe stratum comes from the
@@ -27,6 +30,7 @@ costs a state reset instead of a seed derivation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -404,19 +408,6 @@ def _trial_stats(
     return np.array(rows, dtype=float).reshape(trials, 7).T
 
 
-def _grid(
-    config: SimConfig, base_mean: float
-) -> tuple[tuple[float, ...], list[tuple[int, int, float]]]:
-    sweep = config.bias_sweep if config.bias_sweep is not None else (base_mean,)
-    points = []
-    index = 0
-    for n in config.n_values:
-        for mu in sweep:
-            points.append((index, n, mu))
-            index += 1
-    return sweep, points
-
-
 def _analytic_for(config: SimConfig, n: int, mu: float) -> float | None:
     if config.test != TEST_CLASSIC or not isinstance(config.error_model, NormalErrors):
         return None
@@ -433,6 +424,29 @@ def _analytic_for(config: SimConfig, n: int, mu: float) -> float | None:
     return analytic_success(mu, math.sqrt(nu2), n, config.params.alpha, config.params.delta)
 
 
+def _pass_rates(config: SimConfig) -> tuple[tuple[float, ...], list[list[float]]]:
+    """The study's bias sweep and its pass rates: one row per n, one column per bias.
+
+    The sweep is the configured one or, without one, the model's overall
+    mean. Grid point i * len(sweep) + j, at the i-th n and the j-th bias,
+    keys its own trial streams, so every point reports its own trials,
+    also where an n or a bias repeats. All verdicts of the study come from
+    one `verdict_chain` call.
+    """
+    partition, trials = config.partition, config.trials
+    base_mean = config.error_model.overall_mean(partition.p_s)
+    sweep = config.bias_sweep if config.bias_sweep is not None else (base_mean,)
+    samplers = _group_samplers(config.error_model, partition.p_s)
+    stats = np.concatenate([
+        _sufficient_stats(samplers, partition, n, mu - base_mean, config.seed, index, trials,
+                          classic=config.test == TEST_CLASSIC)
+        for index, (n, mu) in enumerate(itertools.product(config.n_values, sweep))
+    ], axis=1)
+    passed = verdict_chain(*stats, config.params).passed
+    counts = np.count_nonzero(passed.reshape(len(config.n_values), len(sweep), trials), axis=2)
+    return sweep, (counts / trials).tolist()
+
+
 def run_simulation(config: SimConfig) -> list[SuccessCurve]:
     """Estimate pass probability over the configured (n, bias) grid.
 
@@ -440,53 +454,30 @@ def run_simulation(config: SimConfig) -> list[SuccessCurve]:
     single point, otherwise one curve over the bias sweep per sample size.
     Deterministic given the config, including its seed.
     """
-    partition, trials = config.partition, config.trials
-    base_mean = config.error_model.overall_mean(partition.p_s)
-    sweep, points = _grid(config, base_mean)
-    samplers = _group_samplers(config.error_model, partition.p_s)
-    stats = np.concatenate([
-        _sufficient_stats(samplers, partition, n, mu - base_mean, config.seed, index, trials,
-                          classic=config.test == TEST_CLASSIC)
-        for index, n, mu in points
-    ], axis=1)
-    passed = verdict_chain(*stats, config.params).passed.reshape(len(points), trials)
-    results: dict[tuple[int, float], CurvePoint] = {}
-    for (_, n, mu), count in zip(points, np.count_nonzero(passed, axis=1).tolist()):
-        rate = count / trials
-        results[(n, mu)] = CurvePoint(
-            grid_value=float(mu),
-            pass_rate=rate,
-            mc_se=_mc_se(rate, trials),
-            analytic=_analytic_for(config, n, mu),
+    sweep, rates = _pass_rates(config)
+
+    def point(n: int, mu: float, rate: float, grid_value: float) -> CurvePoint:
+        return CurvePoint(grid_value, rate, _mc_se(rate, config.trials),
+                          _analytic_for(config, n, mu))
+
+    def curve(grid_var: str, points: tuple[CurvePoint, ...], **fixed: float) -> SuccessCurve:
+        return SuccessCurve(
+            grid_var=grid_var, points=points, test=config.test, trials=config.trials,
+            seed=config.seed,
+            fixed={**fixed, "alpha": config.params.alpha, "delta": config.params.delta,
+                   "nu_min": config.params.nu_min, "p_s": config.partition.p_s,
+                   "q": config.partition.q},
         )
 
-    context = {
-        "alpha": config.params.alpha,
-        "delta": config.params.delta,
-        "nu_min": config.params.nu_min,
-        "p_s": config.partition.p_s,
-        "q": config.partition.q,
-    }
-    curves: list[SuccessCurve] = []
     if len(sweep) == 1:
-        mu = sweep[0]
-        pts = tuple(
-            CurvePoint(float(n), results[(n, mu)].pass_rate, results[(n, mu)].mc_se,
-                       results[(n, mu)].analytic)
-            for n in config.n_values
-        )
-        curves.append(
-            SuccessCurve(grid_var="n", points=pts, test=config.test, trials=config.trials,
-                         seed=config.seed, fixed={"mu": float(mu), **context})
-        )
-    else:
-        for n in config.n_values:
-            pts = tuple(results[(n, mu)] for mu in sweep)
-            curves.append(
-                SuccessCurve(grid_var="mu", points=pts, test=config.test, trials=config.trials,
-                             seed=config.seed, fixed={"n": float(n), **context})
-            )
-    return curves
+        (mu,) = sweep
+        points = tuple(point(n, mu, row[0], float(n)) for n, row in zip(config.n_values, rates))
+        return [curve("n", points, mu=float(mu))]
+    return [
+        curve("mu", tuple(point(n, mu, rate, float(mu)) for mu, rate in zip(sweep, row)),
+              n=float(n))
+        for n, row in zip(config.n_values, rates)
+    ]
 
 
 def user_risk_audit(config: SimConfig) -> tuple[AuditPoint, ...]:
@@ -494,26 +485,19 @@ def user_risk_audit(config: SimConfig) -> tuple[AuditPoint, ...]:
 
     The bias sweep must stay in the null region (|mu| >= delta): the
     returned rates are the realized user risk, which the test promises to
-    keep at or below alpha/2.
+    keep at or below alpha/2. A tie goes to the first bias in sweep order.
     """
     if config.bias_sweep is None:
         raise ValueError("user risk audit needs an explicit bias sweep")
     off = [mu for mu in config.bias_sweep if abs(mu) < config.params.delta]
     if off:
         raise ValueError(f"bias sweep values inside the equivalence margin: {off}")
-    curves = run_simulation(config)
-    audit: list[AuditPoint] = []
-    if len(config.bias_sweep) == 1:
-        (curve,) = curves
-        for point in curve.points:
-            audit.append(
-                AuditPoint(int(point.grid_value), point.pass_rate, point.mc_se,
-                           config.bias_sweep[0])
-            )
-    else:
-        for n, curve in zip(config.n_values, curves):
-            worst = max(curve.points, key=lambda p: p.pass_rate)
-            audit.append(AuditPoint(n, worst.pass_rate, worst.mc_se, worst.grid_value))
+    sweep, rates = _pass_rates(config)
+    audit = []
+    for n, row in zip(config.n_values, rates):
+        worst = row.index(max(row))
+        audit.append(AuditPoint(n, row[worst], _mc_se(row[worst], config.trials),
+                                float(sweep[worst])))
     return tuple(audit)
 
 

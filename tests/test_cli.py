@@ -385,6 +385,21 @@ class TestSimulateCostOptimize:
         assert code == 1 and out == ""
         assert err == f"error: row 3: {column} must be finite, got {cell!r}\n"
 
+    @pytest.mark.parametrize("command,rows,extra", [
+        ("cost", ["a3,1e308,7,7,,7,6,,,u,"], ["--set", "costs.c_labor=1e300"]),
+        ("optimize", [f"r{i},1e308,4,4,,4,4,,,u," for i in range(3)], []),
+    ], ids=["cost", "optimize"])
+    def test_overflowing_cost_is_an_error_not_null(self, capsys, tmp_path, command, rows, extra):
+        # the per-record cost or the unsafe stratum's cost sum overflows to inf
+        path = tmp_path / "c.csv"
+        path.write_text("\n".join([*GOLDEN.splitlines()[:3], *rows]) + "\n")
+        out_path = tmp_path / "report.json"
+        for out in ([], ["--out", str(out_path)]):
+            code, stdout, err = run(capsys, [command, "--campaign", str(path), *extra, *out])
+            assert code == 1 and stdout == ""
+            assert err == "error: a report value is not finite: inf\n"
+        assert not out_path.exists()
+
     def test_negative_seed_flag_is_a_config_error(self, capsys):
         code, out, err = run(capsys, ["plan", "--seed", "-3"])
         assert code == 1 and out == ""

@@ -249,6 +249,10 @@ class TestEvaluateClassic:
         records = [make_record(i, 0, 0, UNSAFE) for i in range(5)]
         with pytest.raises(ValueError, match="no boarding passengers"):
             evaluate_classic(records, TestParams())
+        # the partitioned test fails with the same text
+        records.append(make_record(5, 0, 0, SAFE, sampled=True))
+        with pytest.raises(ValueError, match=r"no boarding passengers \(mean count is 0\)"):
+            evaluate_partitioned(records, TestParams())
 
     def test_labels_ignored(self):
         records = [make_record(i, 3, 3 + (i % 2), SAFE, sampled=False) for i in range(40)]

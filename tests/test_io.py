@@ -483,12 +483,22 @@ _FUZZ_COMMANDS = (
     ["evaluate", "--mode", "classic"],
     ["classify", "--set", "classifier.kind=first_count", "--set", "classifier.threshold=0"],
     ["classify", "--set", "classifier.kind=combined", "--set", "classifier.threshold=8"],
+    ["cost", "--set", "costs.scheme=combined",
+     "--set", "classifier.kind=combined", "--set", "classifier.threshold=8"],
+    ["optimize"],
 )
+_HEADER = ",".join(aio.CAMPAIGN_COLUMNS)
+_SAFE_ROWS = "a1,42.15,4,4,,4,4,4,0.97,s,true\na2,30.0,2,3,3,3,4,3,0.5,s,false\n"
 
 
 @settings(max_examples=200, deadline=None)
 @given(text=campaign_texts(), command=st.sampled_from(_FUZZ_COMMANDS))
-@example(text=f"{','.join(aio.CAMPAIGN_COLUMNS)}\nr0,10.0,2,2,,2,2,,,u,\n", command=["evaluate"])
+@example(text=f"{_HEADER}\nr0,10.0,2,2,,2,2,,,u,\n", command=["evaluate"])
+# an overflowing counting cost or unsafe stratum cost sum
+@example(text=f"{_HEADER}\n{_SAFE_ROWS}a3,1e308,7,7,,7,6,,,u,\n",
+         command=["cost", "--set", "costs.c_labor=1e300"])
+@example(text=f"{_HEADER}\n{_SAFE_ROWS}r0,1e308,4,4,,4,4,,,u,\nr1,1e308,3,3,,3,3,,,u,\n"
+              "r2,1e308,5,5,,5,5,,,u,\n", command=["optimize"])
 def test_classify_and_evaluate_on_any_campaign_exit_0_or_1(text, command):
     from apcval.cli import main
 
@@ -510,6 +520,14 @@ def test_classify_and_evaluate_on_any_campaign_exit_0_or_1(text, command):
     payload = json.loads(out.getvalue())
     if command[0] == "classify":
         assert _finite_numbers(payload, ("n", "n_s", "n_u", "p_hat_s")) == []
+        return
+    if command[0] == "cost":
+        assert _finite_numbers(payload, ("c_u", "c_s0", "c_sz")) == []
+        per_record = dict(payload["per_record"])
+        assert _finite_numbers(per_record, list(per_record)) == []
+        return
+    if command[0] == "optimize":
+        assert _finite_numbers(payload, ("total_cost_classic", "total_cost_partitioned")) == []
         return
     assert _finite_numbers(payload, ("d_hat", "nu_hat", "n", "ci_low", "ci_high", "delta")) == []
     assert _finite_numbers(

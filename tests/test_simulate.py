@@ -157,33 +157,42 @@ class TestRunSimulation:
                     assert main([*cli, "--test", test, *extra]) == 0
                     assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("sweep", [(0.06,), (-0.05, 0.05, 0.07)])
+    @pytest.mark.parametrize("n_values,sweep", [
+        ((2, 50), (0.06,)),
+        ((2, 50), (-0.05, 0.05, 0.07)),
+        ((2, 50, 2), (0.05, -0.05, 0.05)),  # a repeated n and a repeated bias
+    ], ids=["sweep0", "sweep1", "repeated"])
     @pytest.mark.parametrize("model_name", ["normal", "many_value_pools"])
     @pytest.mark.parametrize("test", [TEST_CLASSIC, TEST_PARTITIONED])
-    def test_each_point_rate_is_its_own_verdict_chain(self, test, model_name, sweep):
+    def test_each_point_rate_is_its_own_verdict_chain(self, test, model_name, n_values, sweep):
         # a study evaluates all its grid points in one chain; each point's
         # rate must still be that of its own trials (grid points run n-major)
         model = ENGINE_MODELS[model_name]
         part = PartitionParams(p_s=0.7, nu_s_ratio=0.5, q=0.4)
         params = TestParams(alpha=0.5, delta=0.05, nu=0.1, nu_min=0.0)
-        config = SimConfig(model, params, part, n_values=(2, 50), bias_sweep=sweep,
+        config = SimConfig(model, params, part, n_values=n_values, bias_sweep=sweep,
                            trials=200, test=test, seed=11)
         samplers = _group_samplers(model, part.p_s)
         base = model.overall_mean(part.p_s)
-        rates = {}
-        for index, (n, mu) in enumerate(itertools.product(config.n_values, sweep)):
-            stats = _sufficient_stats(samplers, part, n, mu - base, config.seed, index,
-                                      config.trials, classic=test == TEST_CLASSIC)
-            rates[(n, mu)] = np.count_nonzero(verdict_chain(*stats, params).passed) / config.trials
-        assert len(set(rates.values())) > 1
+        rates = []  # one row per n, one column per bias
+        for i, n in enumerate(n_values):
+            rates.append([])
+            for j, mu in enumerate(sweep):
+                stats = _sufficient_stats(samplers, part, n, mu - base, config.seed,
+                                          i * len(sweep) + j, config.trials,
+                                          classic=test == TEST_CLASSIC)
+                passed = verdict_chain(*stats, params).passed
+                rates[i].append(np.count_nonzero(passed) / config.trials)
+        assert len({rate for row in rates for rate in row}) > 1
         curves = run_simulation(config)
         if len(sweep) == 1:
-            got = {(int(p.grid_value), sweep[0]): p.pass_rate for p in curves[0].points}
+            assert [[p.pass_rate] for p in curves[0].points] == rates
+            assert [p.grid_value for p in curves[0].points] == list(n_values)
         else:
-            got = {(int(c.fixed["n"]), p.grid_value): p.pass_rate for c in curves for p in c.points}
-        assert got == rates
-        worst = [max(rates[(n, mu)] for mu in sweep) for n in config.n_values]
-        assert [point.pass_rate for point in user_risk_audit(config)] == worst
+            assert [[p.pass_rate for p in c.points] for c in curves] == rates
+            assert [c.fixed["n"] for c in curves] == list(n_values)
+            assert all([p.grid_value for p in c.points] == list(sweep) for c in curves)
+        assert [point.pass_rate for point in user_risk_audit(config)] == [max(r) for r in rates]
 
     def test_partitioned_full_quota_equals_classic_when_failing_is_structural(self):
         # at n=80 the clamped halfwidth exceeds the margin: both tests fail
@@ -498,6 +507,15 @@ class TestUserRiskAudit:
         for point in audit:
             assert 0.0 <= point.pass_rate <= 1.0
             assert point.worst_mu in (-0.01, 0.01)
+
+    @pytest.mark.parametrize("sweep", [(0.05, -0.06, 0.07), (-0.06, 0.05)])
+    def test_tie_goes_to_the_first_bias_in_sweep_order(self, sweep):
+        # five margins out every trial fails: every rate is 0, a tie over the whole sweep
+        config = SimConfig(NormalErrors(nu_s=0.15, nu_u=0.15), PARAMS, SINGLE_STRATUM,
+                           n_values=(500, 800), bias_sweep=sweep, trials=50, seed=4)
+        audit = user_risk_audit(config)
+        assert [point.pass_rate for point in audit] == [0.0, 0.0]
+        assert [point.worst_mu for point in audit] == [sweep[0], sweep[0]]
 
 
 class TestBiasEstimates:
