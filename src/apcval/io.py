@@ -312,13 +312,6 @@ def load_config_with_overrides(path: str | Path | None, overrides: list[str]) ->
 # --- report emission --------------------------------------------------------
 
 
-def _round12(x: float) -> float:
-    """`x` at 12 significant digits; a report never carries a non-finite number."""
-    if not math.isfinite(x):
-        raise ValueError(f"a report value is not finite: {x}")
-    return float(f"{x:.12g}")
-
-
 # Result type -> report name. A report is its name and the toolkit version
 # followed by the result's fields in declaration order; `_clean` turns nested
 # dataclasses into dictionaries of their fields the same way.
@@ -332,7 +325,7 @@ _REPORT_NAMES = {
 
 def _clean(obj):
     if isinstance(obj, float):
-        return _round12(obj)
+        return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -359,12 +352,15 @@ def report_to_dict(report) -> dict:
 
 
 def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
+    """Append the `(key, value)` rows of a cleaned report; a non-finite value is an error."""
     if isinstance(value, dict):
         for k, v in value.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
     elif isinstance(value, list):
         for i, v in enumerate(value):
             _flatten(f"{prefix}[{i}]", v, rows)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"report value {prefix} is not finite: {value}")
     else:
         rows.append((prefix, "" if value is None else str(value)))
 
@@ -394,7 +390,9 @@ def emit_report(report, fmt: str = "json", timestamp: bool = True) -> str:
     curve table (grid_var, grid_value, pass_rate, mc_se, analytic; one
     header, then the rows of every curve of a `success_curves` report) and
     a flat key,value table for every other report type. The `created` field
-    is informational and excluded from reproducibility comparisons.
+    is informational and excluded from reproducibility comparisons. A
+    non-finite number is a ValueError that names its key as the flat table
+    does (`per_record[2][1]`).
     """
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -405,7 +403,11 @@ def emit_report(report, fmt: str = "json", timestamp: bool = True) -> str:
     if timestamp:
         payload["created"] = datetime.now(timezone.utc).isoformat()
     if fmt == "json":
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        try:
+            return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            _flatten("", payload, [])  # raises naming the non-finite value
+            raise
     rows: list[tuple[str, str]] = []
     _flatten("", payload, rows)
     buf = _stringio.StringIO()

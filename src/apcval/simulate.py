@@ -11,9 +11,10 @@ values. A study builds its group samplers once, and the verdicts of all
 trials of all its grid points are then evaluated at once, over arrays,
 by the estimator's `verdict_chain`, the same code that evaluates a live
 campaign. They become one table of pass rates, a row per sample size and
-a column per bias, which success curves and user-risk audits both read;
-every grid point reports its own trials, also where a sample size or a
-bias repeats.
+a column per bias. Success curves are built from it, and a user-risk
+audit reads its rows back from the curves' points, in order; every grid
+point reports its own trials, also where a sample size or a bias
+repeats.
 
 `bias_estimates` runs the record-level trial: stratum values are drawn
 per record and the counted subset of the safe stratum comes from the
@@ -452,7 +453,9 @@ def run_simulation(config: SimConfig) -> list[SuccessCurve]:
 
     Returns one curve per grid slice: over n when the bias sweep is a
     single point, otherwise one curve over the bias sweep per sample size.
-    Deterministic given the config, including its seed.
+    Either way the curves' points, read in order, are the rows of the
+    pass-rate table one after the other. Deterministic given the config,
+    including its seed.
     """
     sweep, rates = _pass_rates(config)
 
@@ -492,9 +495,13 @@ def user_risk_audit(config: SimConfig) -> tuple[AuditPoint, ...]:
     off = [mu for mu in config.bias_sweep if abs(mu) < config.params.delta]
     if off:
         raise ValueError(f"bias sweep values inside the equivalence margin: {off}")
-    sweep, rates = _pass_rates(config)
+    # the curves' points in order are the pass-rate table's rows, so a wrong
+    # rate anywhere in run_simulation shows in the audit too
+    sweep = config.bias_sweep
+    rates = [point.pass_rate for curve in run_simulation(config) for point in curve.points]
     audit = []
-    for n, row in zip(config.n_values, rates):
+    for i, n in enumerate(config.n_values):
+        row = rates[i * len(sweep):(i + 1) * len(sweep)]
         worst = row.index(max(row))
         audit.append(AuditPoint(n, row[worst], _mc_se(row[worst], config.trials),
                                 float(sweep[worst])))

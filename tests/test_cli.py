@@ -385,11 +385,12 @@ class TestSimulateCostOptimize:
         assert code == 1 and out == ""
         assert err == f"error: row 3: {column} must be finite, got {cell!r}\n"
 
-    @pytest.mark.parametrize("command,rows,extra", [
-        ("cost", ["a3,1e308,7,7,,7,6,,,u,"], ["--set", "costs.c_labor=1e300"]),
-        ("optimize", [f"r{i},1e308,4,4,,4,4,,,u," for i in range(3)], []),
+    @pytest.mark.parametrize("command,rows,extra,key", [
+        ("cost", ["a3,1e308,7,7,,7,6,,,u,"], ["--set", "costs.c_labor=1e300"], "c_u"),
+        ("optimize", [f"r{i},1e308,4,4,,4,4,,,u," for i in range(3)], [], "total_cost_classic"),
     ], ids=["cost", "optimize"])
-    def test_overflowing_cost_is_an_error_not_null(self, capsys, tmp_path, command, rows, extra):
+    def test_overflowing_cost_is_an_error_not_null(self, capsys, tmp_path, command, rows, extra,
+                                                   key):
         # the per-record cost or the unsafe stratum's cost sum overflows to inf
         path = tmp_path / "c.csv"
         path.write_text("\n".join([*GOLDEN.splitlines()[:3], *rows]) + "\n")
@@ -397,7 +398,7 @@ class TestSimulateCostOptimize:
         for out in ([], ["--out", str(out_path)]):
             code, stdout, err = run(capsys, [command, "--campaign", str(path), *extra, *out])
             assert code == 1 and stdout == ""
-            assert err == "error: a report value is not finite: inf\n"
+            assert err == f"error: report value {key} is not finite: inf\n"
         assert not out_path.exists()
 
     def test_negative_seed_flag_is_a_config_error(self, capsys):

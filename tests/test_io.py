@@ -5,7 +5,7 @@ import json
 import math
 import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +365,23 @@ class TestEmitReport:
         lines = text.splitlines()
         assert lines[0] == "key,value"
         assert any(line.startswith("d_hat,") for line in lines)
+
+    @pytest.mark.parametrize("key,value", [("stats.m_hat_q", math.nan),
+                                           ("per_record[1][1]", -math.inf)])
+    def test_non_finite_value_is_refused_by_its_csv_key(self, key, value):
+        report = self.evaluation_report()
+        records = [make_record(0, 2, 2, SAFE), make_record(1, 3, 3, UNSAFE)]
+        breakdown = cost_breakdown(records, CostRates(), SCHEME_NO_FIRST_COUNT)
+        if key.startswith("stats"):
+            bad = replace(report, stats=replace(report.stats, m_hat_q=value))
+        else:
+            report = breakdown
+            bad = replace(report, per_record=(report.per_record[0], ("r1", value)))
+        assert f"\n{key}," in aio.emit_report(report, "csv")
+        for fmt in ("json", "csv"):
+            with pytest.raises(ValueError) as excinfo:
+                aio.emit_report(bad, fmt)
+            assert str(excinfo.value) == f"report value {key} is not finite: {value}"
 
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="unknown format"):

@@ -518,6 +518,31 @@ class TestUserRiskAudit:
         assert [point.worst_mu for point in audit] == [sweep[0], sweep[0]]
 
 
+    @pytest.mark.parametrize("n_values,sweep", [((60, 90, 60), (0.05,)),
+                                                ((60, 90, 60), (0.05, -0.06, 0.05))])
+    def test_audit_reads_the_rates_of_run_simulation(self, monkeypatch, n_values, sweep):
+        # the benchmark plants its pass-rate fault in run_simulation and
+        # expects the audit workload's check to see it
+        run_simulation = simulate.run_simulation
+        planted = [[(7 * i + 3 * j) % 5 / 10 for j in range(len(sweep))]
+                   for i in range(len(n_values))]
+
+        def table_rates(config):
+            rates = iter(rate for row in planted for rate in row)
+            return [replace(curve, points=tuple(replace(p, pass_rate=next(rates))
+                                                for p in curve.points))
+                    for curve in run_simulation(config)]
+
+        monkeypatch.setattr(simulate, "run_simulation", table_rates)
+        config = SimConfig(NormalErrors(nu_s=0.15, nu_u=0.15), PARAMS, SINGLE_STRATUM,
+                           n_values=n_values, bias_sweep=sweep, trials=10, seed=4)
+        audit = user_risk_audit(config)
+        assert [point.n for point in audit] == list(n_values)
+        assert [point.pass_rate for point in audit] == [max(row) for row in planted]
+        assert [point.worst_mu for point in audit] == [sweep[row.index(max(row))]
+                                                       for row in planted]
+
+
 class TestBiasEstimates:
     def test_unbiased_smoke(self):
         part = PartitionParams(p_s=0.8, nu_s_ratio=0.4, q=0.3)
