@@ -7,9 +7,10 @@ size, mean and deviation, and these have exact sampling distributions
 counted safe records are iid draws of the safe model, a normal stratum
 has a normal mean and a sum of squares of sigma^2 chi^2(k-1), and a
 resampled stratum has multinomial counts over the pool's distinct
-values. A study builds its group samplers once, and the verdicts of all
-trials of all its grid points are then evaluated at once, over arrays,
-by the estimator's `verdict_chain`, the same code that evaluates a live
+values, which over two values are one binomial draw. A study builds its
+group samplers once, and the verdicts of its trials are then evaluated
+over arrays, a chunk of whole rows of the grid at a time, by the
+estimator's `verdict_chain`, the same code that evaluates a live
 campaign. They become one table of pass rates, a row per sample size and
 a column per bias. Success curves are built from it, and a user-risk
 audit reads its rows back from the curves' points, in order; every grid
@@ -40,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .classify import _sample_mask
-from .domain import PartitionParams, TestParams
+from .domain import PartitionParams, TestParams, _require_finite
 from .estimator import verdict_chain
 from .normal import norm_cdf, norm_ppf
 from .planner import counted_count
@@ -59,6 +60,7 @@ class NormalErrors:
     nu_u: float = 0.15
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.nu_s < 0.0 or self.nu_u < 0.0:
             raise ValueError("standard deviations must be >= 0")
 
@@ -72,6 +74,12 @@ class ResamplingErrors:
 
     pool_s: tuple[float, ...] = ()
     pool_u: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in ("pool_s", "pool_u"):
+            for value in getattr(self, name):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} values must be finite, got {value}")
 
     def overall_mean(self, p_s: float) -> float:
         mean_s = float(np.mean(self.pool_s)) if self.pool_s else 0.0
@@ -229,8 +237,11 @@ def _group_sampler(
     sigma^2 chi^2(k-1). A resampled group draws its k values directly
     while k is below the pool's number of distinct values, and otherwise
     its multinomial counts over them, so a draw costs at most
-    min(k, distinct values) in time and memory. The pool of a resampled
-    group must not be empty.
+    min(k, distinct values) in time and memory. Over two distinct values
+    the counts are one binomial draw: numpy's multinomial over two
+    categories makes exactly that draw on the same stream, so the counts
+    are the same and only the last bit of the sums may round differently.
+    The pool of a resampled group must not be empty.
     """
     if isinstance(model, NormalErrors):
         mu, sigma = (model.mu_s, model.nu_s) if safe else (model.mu_u, model.nu_u)
@@ -255,7 +266,19 @@ def _group_sampler(
             s1, s2 = np.dot(rng.multinomial(k, probs), powers).tolist()
         return centre + s1 / k, max(s2 - s1 * s1 / k, 0.0)
 
-    return resampled
+    if values.size != 2:
+        return resampled
+    p0 = float(probs[0])
+    (v0, squared0), (v1, squared1) = powers.tolist()
+
+    def two_valued(rng: np.random.Generator, k: int) -> tuple[float, float]:
+        if k < 2:
+            return resampled(rng, k)
+        c0 = rng.binomial(k, p0)
+        s1, s2 = c0 * v0 + (k - c0) * v1, c0 * squared0 + (k - c0) * squared1
+        return centre + s1 / k, max(s2 - s1 * s1 / k, 0.0)
+
+    return two_valued
 
 
 def _group_samplers(
@@ -425,27 +448,39 @@ def _analytic_for(config: SimConfig, n: int, mu: float) -> float | None:
     return analytic_success(mu, math.sqrt(nu2), n, config.params.alpha, config.params.delta)
 
 
+# Most trials one `verdict_chain` call evaluates: its stats and intermediate
+# arrays take a few hundred bytes per trial.
+_CHAIN_TRIALS = 50_000
+
+
 def _pass_rates(config: SimConfig) -> tuple[tuple[float, ...], list[list[float]]]:
     """The study's bias sweep and its pass rates: one row per n, one column per bias.
 
     The sweep is the configured one or, without one, the model's overall
     mean. Grid point i * len(sweep) + j, at the i-th n and the j-th bias,
     keys its own trial streams, so every point reports its own trials,
-    also where an n or a bias repeats. All verdicts of the study come from
-    one `verdict_chain` call.
+    also where an n or a bias repeats. One `verdict_chain` call evaluates
+    as many consecutive rows as keep its trials within `_CHAIN_TRIALS`,
+    and at least one row, so a study's memory does not grow with its grid.
     """
     partition, trials = config.partition, config.trials
     base_mean = config.error_model.overall_mean(partition.p_s)
     sweep = config.bias_sweep if config.bias_sweep is not None else (base_mean,)
     samplers = _group_samplers(config.error_model, partition.p_s)
-    stats = np.concatenate([
-        _sufficient_stats(samplers, partition, n, mu - base_mean, config.seed, index, trials,
-                          classic=config.test == TEST_CLASSIC)
-        for index, (n, mu) in enumerate(itertools.product(config.n_values, sweep))
-    ], axis=1)
-    passed = verdict_chain(*stats, config.params).passed
-    counts = np.count_nonzero(passed.reshape(len(config.n_values), len(sweep), trials), axis=2)
-    return sweep, (counts / trials).tolist()
+    chunk = max(1, _CHAIN_TRIALS // (len(sweep) * trials))
+    rates = []
+    for first in range(0, len(config.n_values), chunk):
+        rows = config.n_values[first:first + chunk]
+        stats = np.concatenate([
+            _sufficient_stats(samplers, partition, n, mu - base_mean, config.seed, index, trials,
+                              classic=config.test == TEST_CLASSIC)
+            for index, (n, mu) in enumerate(itertools.product(rows, sweep),
+                                            first * len(sweep))
+        ], axis=1)
+        passed = verdict_chain(*stats, config.params).passed
+        counts = np.count_nonzero(passed.reshape(len(rows), len(sweep), trials), axis=2)
+        rates.extend((counts / trials).tolist())
+    return sweep, rates
 
 
 def run_simulation(config: SimConfig) -> list[SuccessCurve]:

@@ -85,6 +85,19 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match="safe pool"):
             SimConfig(ResamplingErrors(pool_u=(0.0,)), PARAMS, SINGLE_STRATUM, n_values=(10,))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["mu_s", "nu_s", "mu_u", "nu_u"])
+    def test_normal_model_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            NormalErrors(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["pool_s", "pool_u"])
+    def test_resampling_pools_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} values must be finite"):
+            ResamplingErrors(**{"pool_s": (0.01, 0.02), "pool_u": (0.01, 0.02),
+                                name: (0.01, value, 0.02)})
+
 
 class TestRunSimulation:
     def test_single_trial_rate_is_binary(self):
@@ -193,6 +206,25 @@ class TestRunSimulation:
             assert [c.fixed["n"] for c in curves] == list(n_values)
             assert all([p.grid_value for p in c.points] == list(sweep) for c in curves)
         assert [point.pass_rate for point in user_risk_audit(config)] == [max(r) for r in rates]
+
+    @pytest.mark.parametrize("test", [TEST_CLASSIC, TEST_PARTITIONED])
+    def test_chained_in_chunks_of_rows_gives_the_one_chain_table(self, test, monkeypatch):
+        model = ENGINE_MODELS["many_value_pools"]
+        part = PartitionParams(p_s=0.7, nu_s_ratio=0.5, q=0.4)
+        params = TestParams(alpha=0.5, delta=0.05, nu=0.1, nu_min=0.0)
+        config = SimConfig(model, params, part, n_values=(2, 50, 9, 50, 30),
+                           bias_sweep=(-0.05, 0.05, 0.07), trials=40, test=test, seed=11)
+        chained = []  # trials per verdict_chain call
+        verdicts = simulate.verdict_chain
+        monkeypatch.setattr(simulate, "verdict_chain",
+                            lambda *stats: chained.append(stats[0].size) or verdicts(*stats))
+        sweep, one_chain = simulate._pass_rates(config)
+        assert chained == [600] and len({rate for row in one_chain for rate in row}) > 1
+        for limit, calls in ((240, [240, 240, 120]), (239, [120] * 5), (1, [120] * 5)):
+            chained.clear()
+            monkeypatch.setattr(simulate, "_CHAIN_TRIALS", limit)
+            assert simulate._pass_rates(config) == (sweep, one_chain)
+            assert chained == calls
 
     def test_partitioned_full_quota_equals_classic_when_failing_is_structural(self):
         # at n=80 the clamped halfwidth exceeds the margin: both tests fail
@@ -446,6 +478,45 @@ class TestTrialStreams:
         keys.clear()
         bias_estimates(model, part, n=40, trials=9, seed=2)
         assert streams == list(range(9)) and keys == [(0,)]
+
+
+TWO_VALUE_POOLS = {
+    "p0_near_0": (-1.0,) + (0.5,) * 999,
+    "p0_near_half": (0.1,) * 49 + (0.3,) * 51,
+    "p0_near_1": CRITERION_8_POOL,
+}
+
+
+class TestTwoValuedSampler:
+    @pytest.mark.parametrize("k", [1, 2, 50, 5000])
+    @pytest.mark.parametrize("pool_name", sorted(TWO_VALUE_POOLS))
+    def test_counts_are_the_multinomial_counts_on_the_same_stream(self, pool_name, k):
+        # numpy's multinomial over two categories is one binomial draw, so
+        # the two-valued sampler reads the general path's counts off the
+        # same stream; a single value is drawn as a value, as in the general path
+        pool = np.asarray(TWO_VALUE_POOLS[pool_name])
+        centre = float(pool.mean())
+        values, counts = np.unique(pool - centre, return_counts=True)
+        probs = counts / counts.sum()
+        (sampler, _) = _group_samplers(ResamplingErrors(pool_s=tuple(pool)), 1.0)
+        point = _point_rng(5, 0)
+        for trial in range(100):
+            mean, squares = sampler(_trial_rng(point, trial), k)
+            after = point[0].bit_generator.random_raw(4)
+            rng = _trial_rng(point, trial)
+            if k == 1:
+                drawn = pool[rng.integers(0, pool.size, 1)] - centre
+                expected = np.array([np.count_nonzero(drawn == v) for v in values])
+            else:
+                expected = rng.multinomial(k, probs)
+            np.testing.assert_array_equal(point[0].bit_generator.random_raw(4), after)
+            count = round(k * (mean - centre - values[1]) / (values[0] - values[1]))
+            assert count == expected[0], f"trial {trial}"
+            s1, s2 = expected @ values, expected @ values**2
+            np.testing.assert_allclose(mean, centre + s1 / k, rtol=1e-12)
+            # relative to the sum of squares before the mean's share is taken out
+            np.testing.assert_allclose(squares, max(s2 - s1 * s1 / k, 0.0), rtol=1e-12,
+                                       atol=1e-12 * k * float(values @ values))
 
 
 class TestTrialEngineMatchesRecordPipeline:
