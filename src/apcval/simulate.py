@@ -448,8 +448,9 @@ def _analytic_for(config: SimConfig, n: int, mu: float) -> float | None:
     return analytic_success(mu, math.sqrt(nu2), n, config.params.alpha, config.params.delta)
 
 
-# Most trials one `verdict_chain` call evaluates: its stats and intermediate
-# arrays take a few hundred bytes per trial.
+# Most trials one `verdict_chain` call evaluates when a row holds fewer: a
+# study's stats and the chain's intermediate arrays peak at about 120 bytes
+# per trial, so one call stays near 6 MB.
 _CHAIN_TRIALS = 50_000
 
 

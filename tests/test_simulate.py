@@ -498,7 +498,7 @@ class TestTwoValuedSampler:
         centre = float(pool.mean())
         values, counts = np.unique(pool - centre, return_counts=True)
         probs = counts / counts.sum()
-        (sampler, _) = _group_samplers(ResamplingErrors(pool_s=tuple(pool)), 1.0)
+        sampler, _ = _group_samplers(ResamplingErrors(pool_s=tuple(pool)), 1.0)
         point = _point_rng(5, 0)
         for trial in range(100):
             mean, squares = sampler(_trial_rng(point, trial), k)
