@@ -11,12 +11,12 @@ independently of every measured value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .domain import SAFE, UNSAFE, DopRecord
+from .domain import SAFE, UNSAFE, DopRecord, relabel
 from .estimator import _differences, _fmean, _moments
 from .planner import counted_count
 
@@ -126,9 +126,9 @@ def classify(
     if not records:
         return [], 0.0
     if spec.kind == KIND_ALL_SAFE:
-        return [replace(r, label=SAFE) for r in records], 1.0
+        return [relabel(r, SAFE, r.sampled) for r in records], 1.0
     if spec.kind == KIND_ALL_UNSAFE:
-        return [replace(r, label=UNSAFE) for r in records], 0.0
+        return [relabel(r, UNSAFE, r.sampled) for r in records], 0.0
 
     scores = [_unsafety_score(r, spec) for r in records]
     n = len(records)
@@ -141,7 +141,7 @@ def classify(
         for i in order[:n_safe]:
             safe_flags[i] = True
     labeled = [
-        replace(r, label=SAFE if flag else UNSAFE)
+        relabel(r, SAFE if flag else UNSAFE, r.sampled)
         for r, flag in zip(records, safe_flags)
     ]
     return labeled, sum(safe_flags) / n
@@ -173,7 +173,7 @@ def combined_classify(
             final.append(r)
             flags[r.dop_id] = 0
         elif r.m1 == r.k_auto:
-            final.append(replace(r, label=SAFE))
+            final.append(relabel(r, SAFE, r.sampled))
             flags[r.dop_id] = 1
         else:
             final.append(r)

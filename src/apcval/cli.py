@@ -14,7 +14,6 @@ import csv
 import io as _stringio
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import cost as cost_mod
@@ -28,7 +27,7 @@ from .classify import (
     draw_sample,
 )
 from .classify import classify as run_classifier
-from .domain import SAFE, UNLABELED, UNSAFE, DopRecord
+from .domain import SAFE, UNLABELED, UNSAFE, DopRecord, relabel
 from .estimator import (
     _differences,
     evaluate_classic,
@@ -215,7 +214,7 @@ def cmd_sample(args) -> int:
     mask = draw_sample(safe_ids, config.partition.q, config.seed)
     chosen = dict(zip(safe_ids, mask))
     updated = [
-        replace(r, sampled=bool(chosen[r.dop_id])) if r.label == SAFE else r
+        relabel(r, SAFE, bool(chosen[r.dop_id])) if r.label == SAFE else r
         for r in records
     ]
     if not args.out:

@@ -52,6 +52,18 @@ class DopRecord:
     sampled: bool | None = None
 
 
+def relabel(r: DopRecord, label: str, sampled: bool | None) -> DopRecord:
+    """`r` with the given label and sampling indicator, all else kept.
+
+    Equals `dataclasses.replace(r, label=label, sampled=sampled)` at under
+    half its cost: one positional constructor call in field order.
+    """
+    return DopRecord(
+        r.dop_id, r.k_auto, r.duration_s, r.m1, r.m2, r.m_sup, r.m_final,
+        r.alg_count, r.alg_confidence, label, sampled,
+    )
+
+
 def validate_record(record: DopRecord) -> list[str]:
     """Return human-readable invariant violations for `record`.
 

@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
 
 from ._version import VERSION
@@ -50,6 +51,7 @@ CAMPAIGN_COLUMNS = (
 
 _LABEL_TO_CSV = {SAFE: "s", UNSAFE: "u", UNLABELED: ""}
 _CSV_TO_LABEL = {"s": SAFE, "u": UNSAFE, "": UNLABELED}
+_CSV_TO_SAMPLED = {"true": True, "false": False, "": None}
 
 
 class CampaignError(ValueError):
@@ -77,12 +79,42 @@ def _opt_float(cell: str, row: int, column: str) -> float | None:
     return value
 
 
+def _checked_record(cells: tuple[str, ...], row_no: int) -> DopRecord:
+    """The record of stripped `cells` (in `DopRecord` field order), cell by cell.
+
+    Raises the CampaignError of the first bad number, in the order k_auto,
+    duration_s, m1, m2, m_sup, m_final, alg_count, alg_confidence.
+    """
+    dop_id, k_cell, duration, m1, m2, m_sup, m_final, alg_count, conf, label, sampled = cells
+    k_auto = _opt_int(k_cell, row_no, "k_auto")
+    if k_auto is None:
+        raise CampaignError(f"row {row_no}: k_auto is mandatory")
+    return DopRecord(
+        dop_id,
+        k_auto,
+        _opt_float(duration, row_no, "duration_s") or 0.0,
+        _opt_int(m1, row_no, "m1"),
+        _opt_int(m2, row_no, "m2"),
+        _opt_int(m_sup, row_no, "m_sup"),
+        _opt_int(m_final, row_no, "m_final"),
+        _opt_int(alg_count, row_no, "alg_count"),
+        _opt_float(conf, row_no, "alg_confidence"),
+        _CSV_TO_LABEL[label],
+        _CSV_TO_SAMPLED[sampled],
+    )
+
+
 def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecord], list[str]]:
     """Read a campaign file into records plus a validation report.
 
     Parse problems (bad header, unparseable cells, duplicate ids) are hard
     errors. Domain invariant violations are returned as a list; with
     strict=True any violation is promoted to a CampaignError.
+
+    Each row is read in one pass: one getter takes its cells in
+    `DopRecord` field order and the numbers are parsed inline. Only a row
+    whose numbers do not parse or are not finite goes through the per-cell
+    checks of `_checked_record`, which name the bad cell.
     """
     path = Path(path)
     try:
@@ -99,48 +131,54 @@ def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecor
         raise CampaignError(
             f"{path}: malformed header {header!r}, expected columns {list(CAMPAIGN_COLUMNS)}"
         )
-    col = {name: header.index(name) for name in CAMPAIGN_COLUMNS}
+    width = len(header)
+    pick = itemgetter(*(header.index(field.name) for field in fields(DopRecord)))
+    strip = str.strip
+    isfinite = math.isfinite
 
     records: list[DopRecord] = []
     violations: list[str] = []
     seen: set[str] = set()
     for row_no, row in enumerate(reader, start=2):
-        if not row or all(cell == "" for cell in row):
-            continue
-        if len(row) != len(header):
-            raise CampaignError(f"row {row_no}: expected {len(header)} cells, got {len(row)}")
-        cell = lambda name: row[col[name]].strip()
-        dop_id = cell("dop_id")
+        if len(row) != width:
+            if not any(row):
+                continue
+            raise CampaignError(f"row {row_no}: expected {width} cells, got {len(row)}")
+        cells = tuple(map(strip, pick(row)))
+        dop_id, k_auto, duration, m1, m2, m_sup, m_final, alg_count, conf, label, sampled = cells
         if not dop_id:
+            if not any(row):
+                continue
             raise CampaignError(f"row {row_no}: empty dop_id")
         if dop_id in seen:
             raise CampaignError(f"duplicate dop_id {dop_id!r}")
         seen.add(dop_id)
-
-        label_cell = cell("label")
-        if label_cell not in _CSV_TO_LABEL:
-            raise CampaignError(f"row {row_no}: unknown label {label_cell!r} (use s/u or empty)")
-        sampled_cell = cell("sampled")
-        if sampled_cell not in ("", "true", "false"):
+        if label not in _CSV_TO_LABEL:
+            raise CampaignError(f"row {row_no}: unknown label {label!r} (use s/u or empty)")
+        if sampled not in _CSV_TO_SAMPLED:
             raise CampaignError(
-                f"row {row_no}: sampled must be true/false or empty, got {sampled_cell!r}"
+                f"row {row_no}: sampled must be true/false or empty, got {sampled!r}"
             )
-        k_auto = _opt_int(cell("k_auto"), row_no, "k_auto")
-        if k_auto is None:
-            raise CampaignError(f"row {row_no}: k_auto is mandatory")
-        record = DopRecord(
-            dop_id=dop_id,
-            duration_s=_opt_float(cell("duration_s"), row_no, "duration_s") or 0.0,
-            m1=_opt_int(cell("m1"), row_no, "m1"),
-            m2=_opt_int(cell("m2"), row_no, "m2"),
-            m_sup=_opt_int(cell("m_sup"), row_no, "m_sup"),
-            m_final=_opt_int(cell("m_final"), row_no, "m_final"),
-            k_auto=k_auto,
-            alg_count=_opt_int(cell("alg_count"), row_no, "alg_count"),
-            alg_confidence=_opt_float(cell("alg_confidence"), row_no, "alg_confidence"),
-            label=_CSV_TO_LABEL[label_cell],
-            sampled={"true": True, "false": False, "": None}[sampled_cell],
-        )
+        try:
+            duration_s = float(duration) if duration else 0.0
+            confidence = float(conf) if conf else None
+            if not isfinite(duration_s) or not (confidence is None or isfinite(confidence)):
+                raise ValueError  # _checked_record names the cell
+            record = DopRecord(
+                dop_id,
+                int(k_auto),
+                duration_s or 0.0,
+                int(m1) if m1 else None,
+                int(m2) if m2 else None,
+                int(m_sup) if m_sup else None,
+                int(m_final) if m_final else None,
+                int(alg_count) if alg_count else None,
+                confidence,
+                _CSV_TO_LABEL[label],
+                _CSV_TO_SAMPLED[sampled],
+            )
+        except ValueError:
+            record = _checked_record(cells, row_no)
         records.append(record)
         violations.extend(validate_record(record))
 

@@ -107,6 +107,9 @@ class SimConfig:
             raise ValueError("every simulated sample size must be >= 2")
         if self.test not in (TEST_CLASSIC, TEST_PARTITIONED):
             raise ValueError(f"unknown test {self.test!r}")
+        for mu in self.bias_sweep or ():
+            if not math.isfinite(mu):
+                raise ValueError(f"bias_sweep values must be finite, got {mu}")
         model = self.error_model
         if isinstance(model, ResamplingErrors):
             if self.partition.p_s > 0.0 and not model.pool_s:

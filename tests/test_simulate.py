@@ -98,6 +98,13 @@ class TestSimConfigValidation:
             ResamplingErrors(**{"pool_s": (0.01, 0.02), "pool_u": (0.01, 0.02),
                                 name: (0.01, value, 0.02)})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [run_simulation, user_risk_audit])
+    def test_bias_sweep_must_be_finite(self, entry, value):
+        with pytest.raises(ValueError, match="^bias_sweep values must be finite"):
+            entry(SimConfig(NormalErrors(nu_s=0.15, nu_u=0.15), PARAMS, SINGLE_STRATUM,
+                            n_values=(50,), bias_sweep=(value, 0.05), trials=20))
+
 
 class TestRunSimulation:
     def test_single_trial_rate_is_binary(self):
