@@ -214,7 +214,7 @@ def cmd_sample(args) -> int:
     mask = draw_sample(safe_ids, config.partition.q, config.seed)
     chosen = dict(zip(safe_ids, mask))
     updated = [
-        relabel(r, SAFE, bool(chosen[r.dop_id])) if r.label == SAFE else r
+        relabel(r, r.label, bool(chosen[r.dop_id])) if r.label == SAFE else r
         for r in records
     ]
     if not args.out:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from apcval.domain import SAFE, UNSAFE, DopRecord
@@ -18,6 +20,21 @@ def make_record(i: int, m: int, k: int, label: str, sampled=None, duration: floa
         label=label,
         sampled=sampled,
     )
+
+
+def every_field_set() -> DopRecord:
+    """A record whose fields all differ from their defaults and from each other.
+
+    Built from `dataclasses.fields(DopRecord)`, so a field added later gets a
+    value here too, and code that lists the fields by hand and misses it
+    returns a different record. The label is not one of `LABELS`.
+    """
+    values = {}
+    for i, f in enumerate(fields(DopRecord)):
+        kind = f.type.split(" | ")[0]
+        values[f.name] = {"str": f"{f.name}-{i}", "int": 10 + i, "float": 0.5 + i / 64,
+                          "bool": True}[kind]
+    return DopRecord(**values)
 
 
 def fully_counted_campaign(

@@ -1,8 +1,12 @@
+from dataclasses import fields, replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import every_field_set
 from apcval.domain import (
+    LABELS,
     SAFE,
     UNLABELED,
     UNSAFE,
@@ -13,6 +17,7 @@ from apcval.domain import (
     PartitionStats,
     TestParams,
     ground_truth,
+    relabel,
     validate_record,
 )
 
@@ -21,6 +26,18 @@ def rec(**kwargs) -> DopRecord:
     base = dict(dop_id="d1", k_auto=3)
     base.update(kwargs)
     return DopRecord(**base)
+
+
+class TestRelabel:
+    def test_equals_replace_on_every_field(self):
+        record = every_field_set()
+        for f in fields(DopRecord):
+            assert getattr(record, f.name) not in (f.default, None)
+        for label in (*LABELS, "other"):
+            for sampled in (True, False, None):
+                assert relabel(record, label, sampled) == replace(
+                    record, label=label, sampled=sampled
+                )
 
 
 class TestValidateRecord:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fully_counted_campaign, make_record
+from conftest import every_field_set, fully_counted_campaign, make_record
 import apcval.io as aio
 from apcval.classify import KIND_FIRST_COUNT, KINDS
 from apcval.cost import SCHEME_NO_FIRST_COUNT, SCHEMES, cost_breakdown
@@ -25,6 +25,8 @@ from apcval.domain import (
     DopRecord,
     PartitionParams,
     TestParams,
+    relabel,
+    validate_record,
 )
 from apcval.estimator import evaluate_partitioned
 from apcval.planner import make_plan
@@ -114,6 +116,8 @@ class TestLoadCampaign:
                 label=UNLABELED,
             )
         )
+        # every field set and distinct: a column read into the wrong field shows
+        records.append(relabel(every_field_set(), SAFE, True))
         path = tmp_path / "out.csv"
         aio.save_campaign(records, path)
         loaded, _ = aio.load_campaign(path)
@@ -551,3 +555,134 @@ def test_classify_and_evaluate_on_any_campaign_exit_0_or_1(text, command):
         payload["stats"], ("n", "n_s", "n_u", "q_effective", "m_hat_q"),
         optional=("d_bar_s", "d_bar_u", "nu_hat_s", "nu_hat_u"),
     ) == []
+
+
+# --- one-pass loader against the per-cell reference -------------------------
+
+
+def _ref_int(cell: str, row: int, column: str) -> int | None:
+    if cell == "":
+        return None
+    try:
+        return int(cell)
+    except ValueError:
+        raise aio.CampaignError(f"row {row}: {column} is not an integer: {cell!r}") from None
+
+
+def _ref_float(cell: str, row: int, column: str) -> float | None:
+    if cell == "":
+        return None
+    try:
+        value = float(cell)
+    except ValueError:
+        raise aio.CampaignError(f"row {row}: {column} is not a number: {cell!r}") from None
+    if not math.isfinite(value):
+        raise aio.CampaignError(f"row {row}: {column} must be finite, got {cell!r}")
+    return value
+
+
+def reference_load_campaign(path, strict: bool = False):
+    """The per-cell loader `aio.load_campaign` replaced: one lookup, strip and check per cell."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise aio.CampaignError(f"cannot read campaign file {path}: {exc}") from exc
+
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise aio.CampaignError(f"{path}: empty file, header row is mandatory") from None
+    columns = aio.CAMPAIGN_COLUMNS
+    if sorted(header) != sorted(columns):
+        raise aio.CampaignError(
+            f"{path}: malformed header {header!r}, expected columns {list(columns)}"
+        )
+    col = {name: header.index(name) for name in columns}
+    labels = {"s": SAFE, "u": UNSAFE, "": UNLABELED}
+
+    records: list[DopRecord] = []
+    violations: list[str] = []
+    seen: set[str] = set()
+    for row_no, row in enumerate(reader, start=2):
+        if not row or all(cell == "" for cell in row):
+            continue
+        if len(row) != len(header):
+            raise aio.CampaignError(f"row {row_no}: expected {len(header)} cells, got {len(row)}")
+        cell = lambda name: row[col[name]].strip()  # noqa: E731
+        dop_id = cell("dop_id")
+        if not dop_id:
+            raise aio.CampaignError(f"row {row_no}: empty dop_id")
+        if dop_id in seen:
+            raise aio.CampaignError(f"duplicate dop_id {dop_id!r}")
+        seen.add(dop_id)
+
+        label_cell = cell("label")
+        if label_cell not in labels:
+            raise aio.CampaignError(
+                f"row {row_no}: unknown label {label_cell!r} (use s/u or empty)"
+            )
+        sampled_cell = cell("sampled")
+        if sampled_cell not in ("", "true", "false"):
+            raise aio.CampaignError(
+                f"row {row_no}: sampled must be true/false or empty, got {sampled_cell!r}"
+            )
+        k_auto = _ref_int(cell("k_auto"), row_no, "k_auto")
+        if k_auto is None:
+            raise aio.CampaignError(f"row {row_no}: k_auto is mandatory")
+        record = DopRecord(
+            dop_id=dop_id,
+            duration_s=_ref_float(cell("duration_s"), row_no, "duration_s") or 0.0,
+            m1=_ref_int(cell("m1"), row_no, "m1"),
+            m2=_ref_int(cell("m2"), row_no, "m2"),
+            m_sup=_ref_int(cell("m_sup"), row_no, "m_sup"),
+            m_final=_ref_int(cell("m_final"), row_no, "m_final"),
+            k_auto=k_auto,
+            alg_count=_ref_int(cell("alg_count"), row_no, "alg_count"),
+            alg_confidence=_ref_float(cell("alg_confidence"), row_no, "alg_confidence"),
+            label=labels[label_cell],
+            sampled={"true": True, "false": False, "": None}[sampled_cell],
+        )
+        records.append(record)
+        violations.extend(validate_record(record))
+
+    if strict and violations:
+        raise aio.CampaignError("validation failed:\n" + "\n".join(violations))
+    return records, violations
+
+
+def _load_outcome(load, path: Path, strict: bool) -> str:
+    """`repr` of the records and violations (so -0.0 shows), or the CampaignError's text."""
+    try:
+        return repr(load(path, strict=strict))
+    except aio.CampaignError as exc:
+        return f"CampaignError: {exc}"
+
+
+def _rows(*rows: str) -> str:
+    return "\n".join((_HEADER, *rows)) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=campaign_texts(), strict=st.booleans())
+@example(text=_rows("r0,-0.0,2,2,,2,2,,,u,"), strict=False)
+@example(text=_rows("r0,nan,2,2,,2,2,,,u,"), strict=False)
+@example(text=_rows("r0,inf,2,2,,2,2,,,u,"), strict=False)
+@example(text=_rows("r0,10.0,2,2,,2,2,2,nan,u,"), strict=False)
+@example(text=_rows("r0,10.0,2,2,,2,2,2,-inf,u,"), strict=False)
+@example(text=_rows("r0,1_000.5,1_000,1_000,,1_000,1_000,,,u,"), strict=False)
+@example(text=_rows(" r0 , 10.0 , 2 ,2,, 2,\t2 ,, 0.5 , u , "), strict=False)
+@example(text=_rows("r0,10.0,2,2,,2,2,,,u,", " , ,,,,,,,,,"), strict=False)  # not skipped
+@example(text=_rows("", ",,,", "r0,10.0,2,2,,2,2,,,u,", ",,,,,,,,,,"), strict=False)
+@example(text=_rows("r0,10.0,2,2,,2,,,,u,"), strict=False)  # empty k_auto
+@example(text=_rows("r0,abc,2,2,,2,x,,,u,"), strict=False)  # the k_auto message wins
+@example(text="k_auto,sampled,dop_id,label,m_final,duration_s,m1,alg_confidence,m2,m_sup,"
+              "alg_count\n5,,x1,u,5,10.0,5,,5,,\n6,true,x2,s,,,1,0.4,y,,\n", strict=False)
+@example(text=_rows("r0,10.0,-1,2,,2,2,,,u,"), strict=True)
+def test_load_campaign_matches_the_per_cell_reference(text, strict):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "campaign.csv"
+        path.write_text(text, encoding="utf-8")
+        expected = _load_outcome(reference_load_campaign, path, strict)
+        assert _load_outcome(aio.load_campaign, path, strict) == expected
