@@ -34,10 +34,6 @@ from .estimator import (
     equivalence_verdict,
     evaluate_classic,
     evaluate_partitioned,
-    mean_count_estimate,
-    pooled_variance,
-    relative_differences,
-    stratified_mean,
 )
 from .normal import norm_cdf, norm_ppf
 from .planner import (
@@ -45,10 +41,7 @@ from .planner import (
     apply_buffer,
     make_plan,
     optimal_quota,
-    quota_for_fixed_record,
     recorded_size,
-    round_quota,
-    sample_size_classic,
     total_cost,
 )
 from .simulate import (

@@ -130,21 +130,26 @@ def classify(
     if spec.kind == KIND_ALL_UNSAFE:
         return [relabel(r, UNSAFE, r.sampled) for r in records], 0.0
 
-    scores = [_unsafety_score(r, spec) for r in records]
-    n = len(records)
-    if spec.threshold is not None:
-        safe_flags = [s[0] <= spec.threshold for s in scores]
-    else:
-        n_safe = min(n, max(0, round(spec.target_share * n)))
-        order = sorted(range(n), key=lambda i: (scores[i], records[i].dop_id))
-        safe_flags = [False] * n
-        for i in order[:n_safe]:
-            safe_flags[i] = True
+    safe_flags = _safe_flags(records, spec)
     labeled = [
         relabel(r, SAFE if flag else UNSAFE, r.sampled)
         for r, flag in zip(records, safe_flags)
     ]
-    return labeled, sum(safe_flags) / n
+    return labeled, sum(safe_flags) / len(records)
+
+
+def _safe_flags(records: list[DopRecord], spec: ClassifierSpec) -> list[bool]:
+    """Whether a score-based classifier marks each record safe."""
+    scores = [_unsafety_score(r, spec) for r in records]
+    if spec.threshold is not None:
+        return [s[0] <= spec.threshold for s in scores]
+    n = len(records)
+    n_safe = min(n, max(0, round(spec.target_share * n)))
+    order = sorted(range(n), key=lambda i: (scores[i], records[i].dop_id))
+    safe_flags = [False] * n
+    for i in order[:n_safe]:
+        safe_flags[i] = True
+    return safe_flags
 
 
 def combined_classify(

@@ -23,17 +23,13 @@ from .classify import (
     KIND_COMBINED,
     KIND_RULE_OF_THUMB,
     ClassifierSpec,
+    _safe_flags,
     combined_classify,
     draw_sample,
 )
 from .classify import classify as run_classifier
 from .domain import SAFE, UNLABELED, UNSAFE, DopRecord, relabel
-from .estimator import (
-    _differences,
-    evaluate_classic,
-    evaluate_partitioned,
-    relative_differences,
-)
+from .estimator import _differences, evaluate_classic, evaluate_partitioned
 
 
 def _add_common(p: argparse.ArgumentParser, campaign: bool = False) -> None:
@@ -124,35 +120,39 @@ def _classifier(config: io_mod.Config) -> ClassifierSpec:
     return config.classifier
 
 
+def _first_stage(spec: ClassifierSpec) -> ClassifierSpec:
+    """The rule-of-thumb classifier that opens the combined two-stage flow."""
+    return ClassifierSpec(
+        kind=KIND_RULE_OF_THUMB, threshold=spec.threshold, target_share=spec.target_share
+    )
+
+
 def _classify_records(
     records: list[DopRecord], config: io_mod.Config
 ) -> tuple[list[DopRecord], dict[str, int] | None]:
     """Apply the configured classifier; combined uses the two-stage flow."""
     spec = _classifier(config)
     if spec.kind == KIND_COMBINED:
-        first = ClassifierSpec(
-            kind=KIND_RULE_OF_THUMB,
-            threshold=spec.threshold,
-            target_share=spec.target_share,
-        )
-        return combined_classify(records, first)
+        return combined_classify(records, _first_stage(spec))
     labeled, _ = run_classifier(records, spec)
     return labeled, None
 
 
 def _cost_params(records: list[DopRecord], config: io_mod.Config):
+    """Cost breakdown of the campaign's labels; an unlabeled campaign is classified first."""
+    combined = config.scheme == cost_mod.SCHEME_COMBINED
+    if combined and _classifier(config).kind != KIND_COMBINED:
+        raise io_mod.ConfigError("costs.scheme=combined needs classifier.kind=combined")
     reclass_flags = None
-    if config.scheme == cost_mod.SCHEME_COMBINED:
-        if _classifier(config).kind != KIND_COMBINED:
-            raise io_mod.ConfigError("costs.scheme=combined needs classifier.kind=combined")
-        records, reclass_flags = _classify_records(records, config)
-    elif any(r.label == UNLABELED for r in records):
-        if config.classifier is not None:
-            records, reclass_flags = _classify_records(records, config)
-        else:
+    if any(r.label == UNLABELED for r in records):
+        if config.classifier is None:
             raise io_mod.CampaignError(
                 "campaign has unlabeled records and no classifier is configured"
             )
+        records, reclass_flags = _classify_records(records, config)
+    elif combined:
+        first = _safe_flags(records, _first_stage(config.classifier))
+        reclass_flags = {r.dop_id: int(not safe) for r, safe in zip(records, first)}
     return cost_mod.cost_breakdown(records, config.rates, config.scheme, reclass_flags)
 
 
@@ -237,26 +237,25 @@ def cmd_sample(args) -> int:
 
 
 def _details_csv(records: list[DopRecord], report) -> str:
-    """Per-record CSV so the aggregation can be redone in a spreadsheet."""
+    """Per-record CSV so the aggregation can be redone in a spreadsheet.
+
+    A record is evaluable when its weight is not "0": every record of the
+    classic test, else the unsafe and the counted safe records.
+    """
     stats = report.stats
     classic = stats.n_s == 0  # every record counted, as in the classic test
-    if classic:
-        pairs = zip(records, _differences(records, stats.m_hat_q))
-    else:
-        pairs = relative_differences(records, stats.m_hat_q)
-    d_of = {r.dop_id: d for r, d in pairs}
     weight_s = f"{1.0 / stats.q_effective:.12g}"
+    weights = [
+        "1" if classic or r.label == UNSAFE else weight_s if r.sampled else "0"
+        for r in records
+    ]
+    d_i = iter(_differences([r for r, w in zip(records, weights) if w != "0"], stats.m_hat_q))
     buf = _stringio.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["dop_id", "d_i", "stratum", "weight"])
-    for r in records:
-        d = d_of.get(r.dop_id)
-        if classic or r.label == UNSAFE:
-            weight = "1"
-        else:
-            weight = weight_s if r.sampled else "0"
-        writer.writerow([r.dop_id, "" if d is None else f"{d:.12g}",
-                         io_mod._LABEL_TO_CSV[r.label], weight])
+    for r, weight in zip(records, weights):
+        d = "" if weight == "0" else f"{next(d_i):.12g}"
+        writer.writerow([r.dop_id, d, io_mod._LABEL_TO_CSV[r.label], weight])
     return buf.getvalue()
 
 

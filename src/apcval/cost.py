@@ -62,7 +62,10 @@ def cost_breakdown(
     Each safe record has a sunk share w of its first review pass, already
     paid before classification: 0 for `no_first_count`, 1 for
     `with_first_count`, and under `combined` its reclassification flag
-    from `reclass_flags` (1 if a first manual count reclassified it safe).
+    from `reclass_flags`: 1 when the first stage of the combined classifier
+    marked it unsafe, so that a first manual count was paid and reclassified
+    it safe. The records' own labels are priced; the flags come from
+    `combined_classify` or, for a labeled campaign, from its first stage.
     Then c_s0 = mean(w * c) and c_sz = mean((1 - w + r_s) * c) over the
     safe stratum, so attribution moves cost between the two and never
     creates it. `recording_cost` is added to c_u and c_s0.

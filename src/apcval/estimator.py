@@ -56,12 +56,6 @@ class EvaluationReport:
             raise ValueError(f"verdict {self.verdict!r} inconsistent with interval")
 
 
-class PooledVariance(NamedTuple):
-    value: float
-    clamped_s: bool
-    clamped_u: bool
-
-
 class Verdicts(NamedTuple):
     """Output of `verdict_chain`: scalars or arrays, like its inputs."""
 
@@ -107,58 +101,11 @@ def _split(records: list[DopRecord]) -> tuple[list[DopRecord], list[DopRecord], 
     return unsafe, sampled, safe
 
 
-def _require_truth(records: list[DopRecord]) -> None:
-    missing = [r.dop_id for r in records if r.m_final is None]
-    if missing:
-        raise ValueError(f"records lack ground truth: {', '.join(missing)}")
-
-
-def _mean_count(
-    unsafe: list[DopRecord], sampled: list[DopRecord], n: int, q_effective: float
-) -> float:
-    total = math.fsum(r.m_final for r in unsafe) + (
-        math.fsum(r.m_final for r in sampled) / q_effective
-    )
-    return total / n
-
-
 def _differences(records: list[DopRecord], m_hat: float) -> list[float]:
     """Relative counting error (k_auto - m_final) / m_hat of each record."""
     if m_hat <= 0.0:
         raise ValueError(f"mean count estimate must be > 0, got {m_hat}")
     return [(r.k_auto - r.m_final) / m_hat for r in records]
-
-
-def mean_count_estimate(records: list[DopRecord], q_effective: float) -> float:
-    """Mean manual count reconstructed from a partially counted campaign.
-
-    Unsafe records enter with weight 1, counted safe records with weight
-    1/q_effective, so the estimate stays unbiased for the full-campaign
-    mean although only the quota was counted. `q_effective` must equal
-    (number of sampled safe records) / (number of safe records).
-    """
-    if not records:
-        raise ValueError("no records to evaluate")
-    if q_effective <= 0.0:
-        raise ValueError(f"q_effective must be > 0, got {q_effective}")
-    unsafe, sampled, _ = _split(records)
-    _require_truth(unsafe + sampled)
-    return _mean_count(unsafe, sampled, len(records), q_effective)
-
-
-def relative_differences(
-    records: list[DopRecord], m_hat: float
-) -> list[tuple[DopRecord, float]]:
-    """Per-record relative counting error for every evaluable record.
-
-    Evaluable means unsafe or sampled safe; uncounted safe records yield
-    no value. `m_hat` must be positive (a campaign without boarding
-    passengers has no meaningful relative error).
-    """
-    unsafe, sampled, _ = _split(records)
-    evaluable = unsafe + sampled
-    _require_truth(evaluable)
-    return list(zip(evaluable, _differences(evaluable, m_hat)))
 
 
 # --- the verdict chain ------------------------------------------------------
@@ -169,29 +116,6 @@ def relative_differences(
 # carried as size 0 with mean 0.0, an undefined deviation as NaN.
 
 
-def _weighted_mean(n_s, n_u, d_bar_s, d_bar_u):
-    n = n_s + n_u
-    return (n_s / n) * d_bar_s + (n_u / n) * d_bar_u
-
-
-def _pooled(
-    n_s, n_u, q_effective, d_bar_s, d_bar_u, nu_hat_s, nu_hat_u, nu_min
-) -> PooledVariance:
-    n = n_s + n_u
-    # fmax drops NaN, so an undefined deviation floors like a small one
-    eff_s = np.fmax(nu_hat_s, nu_min)
-    eff_u = np.fmax(nu_hat_u, nu_min)
-    gap = d_bar_s - d_bar_u
-    value = (
-        (n_s / n) * (eff_s * eff_s) / q_effective
-        + (n_u / n) * (eff_u * eff_u)
-        + (n_s * n_u / n**2) * (gap * gap)
-    )
-    clamped_s = (n_s > 0) & (eff_s != nu_hat_s)
-    clamped_u = (n_u > 0) & (eff_u != nu_hat_u)
-    return PooledVariance(value, clamped_s, clamped_u)
-
-
 def _inside(low, high, delta):
     return (-delta <= low) & (high <= delta)
 
@@ -199,14 +123,29 @@ def _inside(low, high, delta):
 def verdict_chain(
     n_s, n_u, q_effective, d_bar_s, d_bar_u, nu_hat_s, nu_hat_u, params: TestParams
 ) -> Verdicts:
-    """Stratified mean, pooled variance, interval and verdict, elementwise."""
-    d_hat = _weighted_mean(n_s, n_u, d_bar_s, d_bar_u)
-    pooled = _pooled(n_s, n_u, q_effective, d_bar_s, d_bar_u, nu_hat_s, nu_hat_u, params.nu_min)
-    nu_hat = np.sqrt(pooled.value)
-    low, high = confidence_interval(d_hat, nu_hat, n_s + n_u, params.alpha)
+    """Stratified mean, pooled variance, interval and verdict, elementwise.
+
+    The pooled variance has three terms: the safe stratum inflated by
+    1/q_effective, the unsafe stratum, and the between-strata spread that
+    accounts for the randomness of the classification itself. A stratum
+    deviation below nu_min, or undefined, is replaced by nu_min; the
+    clamped flags record where that happened in a nonempty stratum.
+    """
+    n = n_s + n_u
+    d_hat = (n_s / n) * d_bar_s + (n_u / n) * d_bar_u
+    # fmax drops NaN, so an undefined deviation floors like a small one
+    eff_s = np.fmax(nu_hat_s, params.nu_min)
+    eff_u = np.fmax(nu_hat_u, params.nu_min)
+    gap = d_bar_s - d_bar_u
+    nu_hat = np.sqrt(
+        (n_s / n) * (eff_s * eff_s) / q_effective
+        + (n_u / n) * (eff_u * eff_u)
+        + (n_s * n_u / n**2) * (gap * gap)
+    )
+    low, high = confidence_interval(d_hat, nu_hat, n, params.alpha)
     return Verdicts(
         d_hat, nu_hat, low, high, _inside(low, high, params.delta),
-        pooled.clamped_s, pooled.clamped_u,
+        (n_s > 0) & (eff_s != nu_hat_s), (n_u > 0) & (eff_u != nu_hat_u),
     )
 
 
@@ -221,27 +160,6 @@ def _chain_inputs(stats: PartitionStats) -> tuple:
         math.nan if stats.nu_hat_s is None else stats.nu_hat_s,
         math.nan if stats.nu_hat_u is None else stats.nu_hat_u,
     )
-
-
-def stratified_mean(stats: PartitionStats) -> float:
-    """Bias estimate recombining the two partitions by their shares."""
-    if stats.n == 0:
-        raise ValueError("no records to evaluate")
-    n_s, n_u, _, d_bar_s, d_bar_u, _, _ = _chain_inputs(stats)
-    return _weighted_mean(n_s, n_u, d_bar_s, d_bar_u)
-
-
-def pooled_variance(stats: PartitionStats, nu_min: float) -> PooledVariance:
-    """Pooled squared relative standard deviation of the bias estimate.
-
-    Three contributions: the safe stratum inflated by 1/q_effective, the
-    unsafe stratum, and the between-strata spread that accounts for the
-    randomness of the classification itself. Stratum standard deviations
-    below nu_min (or undefined, with fewer than two counted records) are
-    replaced by nu_min; the returned flags record where that happened.
-    """
-    value, clamped_s, clamped_u = _pooled(*_chain_inputs(stats), nu_min)
-    return PooledVariance(float(value), bool(clamped_s), bool(clamped_u))
 
 
 def confidence_interval(d_hat, nu_hat, n, alpha: float) -> tuple:
@@ -293,11 +211,18 @@ def _evaluate(
     """The report from the unsafe records, the counted safe records and the safe count.
 
     The classic test passes every record as unsafe and an empty safe stratum.
+    Unsafe records enter the mean count with weight 1 and counted safe
+    records with weight 1/q_effective, so it estimates the full campaign's.
     """
-    _require_truth(unsafe + counted)
+    missing = [r.dop_id for r in unsafe + counted if r.m_final is None]
+    if missing:
+        raise ValueError(f"records lack ground truth: {', '.join(missing)}")
     n = n_s + len(unsafe)
     q_effective = len(counted) / n_s if n_s else 1.0
-    m_hat = _mean_count(unsafe, counted, n, q_effective)
+    total = math.fsum(r.m_final for r in unsafe) + (
+        math.fsum(r.m_final for r in counted) / q_effective
+    )
+    m_hat = total / n
     if m_hat <= 0.0:
         raise ValueError("campaign has no boarding passengers (mean count is 0)")
     d_bar_s, sigma_s = _moments(_differences(counted, m_hat))

@@ -317,10 +317,6 @@ def config_from_raw(raw: dict[str, str]) -> Config:
     )
 
 
-def load_config(path: str | Path) -> Config:
-    return load_config_with_overrides(path, [])
-
-
 def merge_overrides(raw: dict[str, str], overrides: list[str]) -> dict[str, str]:
     """Apply `key=value` override strings on top of raw config pairs."""
     merged = dict(raw)

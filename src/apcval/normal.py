@@ -12,17 +12,11 @@ from statistics import NormalDist
 
 _STANDARD = NormalDist()
 _SQRT_TWO = math.sqrt(2.0)
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
 def norm_cdf(x: float) -> float:
     """Cumulative distribution function of the standard normal."""
     return 0.5 * math.erfc(-x / _SQRT_TWO)
-
-
-def norm_pdf(x: float) -> float:
-    """Density of the standard normal."""
-    return math.exp(-0.5 * x * x) / _SQRT_TWO_PI
 
 
 def norm_ppf(p: float) -> float:

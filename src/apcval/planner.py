@@ -2,9 +2,9 @@
 
 Covers the classic sample size, the enlarged recorded size needed when
 only a quota of the safe partition is counted, quota selection for a fixed
-recording budget, the cost-optimal quota, buffering, and integer quota
-rounding. All sizes round up; rounding up is conservative for the user
-risk.
+recording budget, the cost-optimal quota, buffering, and the integer
+number of counted safe records. All sizes round up; rounding up is
+conservative for the user risk.
 """
 
 from __future__ import annotations
@@ -63,11 +63,6 @@ def counted_count(q0: float, n_s: int) -> int:
     return min(n_s, max(1, _ceil_snapped(q0 * n_s)))
 
 
-def round_quota(q0: float, n_s: int) -> float:
-    """Round the quota up so the number of counted safe records is integer."""
-    return counted_count(q0, n_s) / n_s
-
-
 def _quantile_sum(params: TestParams) -> float:
     """z_{1-alpha/2} + z_{1-beta/2}."""
     return norm_ppf(1.0 - params.alpha / 2.0) + norm_ppf(1.0 - params.beta / 2.0)
@@ -83,14 +78,6 @@ def _planning_nu(params: TestParams) -> tuple[float, list[str]]:
         _warnings.warn(notes[-1], stacklevel=3)
         nu = params.nu_min
     return nu, notes
-
-
-def sample_size_classic(params: TestParams) -> int:
-    """Sample size of the classic equivalence test, rounded up."""
-    if params.delta <= 0.0:
-        raise ValueError("delta must be > 0")
-    nu, _ = _planning_nu(params)
-    return _classic_size(params, nu)
 
 
 def _classic_size(params: TestParams, nu: float) -> int:
@@ -112,24 +99,16 @@ def recorded_size(n_e: int, partition: PartitionParams) -> int:
     return _ceil_snapped(n_e * factor)
 
 
-def quota_for_fixed_record(
-    n_rec: int, params: TestParams, partition: PartitionParams
+def _budget_quota(
+    n_rec: int, n_e: int, params: TestParams, partition: PartitionParams, nu: float
 ) -> float:
     """Quota that exhausts a fixed recording budget n_rec.
 
-    n_rec must be at least the classic sample size, otherwise no quota can
+    `n_e` and `nu` are the classic sample size and the planning deviation
+    (see `_planning_nu`). n_rec must be at least n_e, otherwise no quota can
     deliver the planned power. Degenerate partitions (p_s * nu_s^2 == 0)
     put no constraint on the quota; the full count 1.0 is returned then.
     """
-    nu, _ = _planning_nu(params)
-    return _budget_quota(n_rec, params, partition, nu)
-
-
-def _budget_quota(
-    n_rec: int, params: TestParams, partition: PartitionParams, nu: float
-) -> float:
-    """`quota_for_fixed_record` at the planning deviation `nu` (see `_planning_nu`)."""
-    n_e = _classic_size(params, nu)
     if n_rec < n_e:
         raise ValueError(
             f"recording budget {n_rec} below classic requirement {n_e}: no feasible quota"
@@ -198,7 +177,7 @@ def make_plan(
     n_e = _classic_size(params, nu)
 
     if n_rec_budget is not None:
-        q = _budget_quota(n_rec_budget, params, partition, nu)
+        q = _budget_quota(n_rec_budget, n_e, params, partition, nu)
         source = "fixed"
         notes.append(f"quota solved for recording budget {n_rec_budget}")
         if q == 1.0:

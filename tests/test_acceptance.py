@@ -14,13 +14,7 @@ from apcval.classify import draw_sample
 from apcval.cost import SCHEME_NO_FIRST_COUNT, cost_breakdown, counting_cost
 from apcval.domain import SAFE, UNSAFE, CostRates, PartitionParams, TestParams
 from apcval.estimator import evaluate_classic, evaluate_partitioned
-from apcval.planner import (
-    counted_count,
-    optimal_quota,
-    recorded_size,
-    sample_size_classic,
-    total_cost,
-)
+from apcval.planner import counted_count, make_plan, optimal_quota, total_cost
 from apcval.simulate import (
     NormalErrors,
     ResamplingErrors,
@@ -42,7 +36,8 @@ def report(criterion: int, message: str) -> None:
 
 
 def test_criterion_01_sample_size_reproduction():
-    n_e = sample_size_classic(TestParams(alpha=0.05, beta=0.05, delta=0.01, nu=0.20))
+    params = TestParams(alpha=0.05, beta=0.05, delta=0.01, nu=0.20)
+    n_e = make_plan(params, PartitionParams()).n_e
     assert n_e == 6147
     report(1, f"plan(alpha=beta=5%, delta=1%, nu=20%) yields n_e = {n_e}")
 
@@ -356,8 +351,8 @@ def test_criterion_10_end_to_end_cost_advantage():
 
     params = TestParams(nu=0.15)
     partition = PartitionParams(p_s=0.9, nu_s_ratio=0.35, q=0.175)
-    n_e = sample_size_classic(params)
-    n_rec = recorded_size(n_e, partition)
+    plan = make_plan(params, partition)
+    n_e, n_rec = plan.n_e, plan.n_rec
     assert (n_e, n_rec) == (3458, 5256)
 
     cost_classic = total_cost(n_e, 1.0, partition, costs)

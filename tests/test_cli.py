@@ -1,4 +1,9 @@
+import io
 import json
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,9 @@ a1,42.15,4,4,,4,4,4,0.97,s,true
 a2,30.0,2,3,3,3,4,3,0.5,s,false
 a3,55.5,7,7,,7,6,,,u,
 """
+# At threshold 5 the combined classifier gives the golden campaign's labels:
+# a2 is safe at the first stage, a1 is reclassified safe, a3 stays unsafe.
+_COMBINED = ["--set", "classifier.kind=combined", "--set", "classifier.threshold=5"]
 
 
 def run(capsys, argv) -> tuple[int, str, str]:
@@ -156,6 +164,53 @@ class TestEvaluate:
         code2, out2, _ = run(capsys, ["evaluate", "--campaign", str(golden_campaign)])
         assert code1 == code2 == 0
         assert without_created(out1) == without_created(out2)
+
+
+class TestDetailsCsv:
+    # safe d00000 counted (M 2, K 1), safe d00001 not counted, unsafe d00002
+    # (M 3, K 4): m_hat = (3 + 2 / 0.5) / 3 = 7/3
+    RECORDS = [
+        make_record(0, 2, 1, SAFE, sampled=True),
+        make_record(1, 4, 4, SAFE, sampled=False),
+        make_record(2, 3, 4, UNSAFE),
+    ]
+
+    def details(self, capsys, tmp_path, records, *argv):
+        path, details = tmp_path / "c.csv", tmp_path / "details.csv"
+        aio.save_campaign(records, path)
+        code, _, err = run(capsys, ["evaluate", "--campaign", str(path), "--details",
+                                    str(details), *argv])
+        rows = details.read_text().splitlines() if details.exists() else None
+        return code, err, rows
+
+    def test_partitioned_hand_example(self, capsys, tmp_path):
+        code, _, rows = self.details(capsys, tmp_path, self.RECORDS)
+        assert code == 0
+        assert rows == [
+            "dop_id,d_i,stratum,weight",
+            "d00000,-0.428571428571,s,2",  # -1 / (7/3), weight 1 / q_effective
+            "d00001,,s,0",  # uncounted safe record: no d_i
+            "d00002,0.428571428571,u,1",
+        ]
+        assert float(rows[1].split(",")[1]) == pytest.approx(-3 / 7, rel=1e-11)
+
+    def test_classic_mode_weights_every_record_1(self, capsys, tmp_path):
+        # m_hat = (2 + 4 + 3) / 3 = 3 over all records, labels ignored
+        code, _, rows = self.details(capsys, tmp_path, self.RECORDS, "--mode", "classic")
+        assert code == 0
+        assert rows == [
+            "dop_id,d_i,stratum,weight",
+            "d00000,-0.333333333333,s,1",
+            "d00001,0,s,1",
+            "d00002,0.333333333333,u,1",
+        ]
+
+    @pytest.mark.parametrize("mode", ["auto", "classic"])
+    def test_zero_mean_count_exits_1(self, capsys, tmp_path, mode):
+        records = [make_record(0, 0, 1, SAFE, sampled=True), make_record(1, 0, 0, UNSAFE)]
+        code, err, rows = self.details(capsys, tmp_path, records, "--mode", mode)
+        assert code == 1 and rows is None
+        assert err == "error: campaign has no boarding passengers (mean count is 0)\n"
 
 
 class TestClassifyAndSample:
@@ -363,6 +418,20 @@ class TestSimulateCostOptimize:
         assert code == 0
         assert json.loads(out)["report"] == "cost"
 
+    def test_combined_scheme_prices_the_file_labels(self, capsys, tmp_path):
+        # the combined classifier would label a2 safe; the file says unsafe
+        path = tmp_path / "c.csv"
+        path.write_text(GOLDEN.replace("0.5,s,false", "0.5,u,"), encoding="utf-8")
+        code, out, err = run(capsys, ["cost", "--campaign", str(path),
+                                      "--set", "costs.scheme=combined", *_COMBINED])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        c = dict(payload["per_record"])
+        assert payload["c_u"] == pytest.approx(2.2 * (c["a2"] + c["a3"]) / 2, rel=1e-11)
+        # a1, the one safe record, was unsafe at the first stage: its first pass was paid
+        assert payload["c_s0"] == pytest.approx(c["a1"], rel=1e-11)
+        assert payload["c_sz"] == pytest.approx(1.2 * c["a1"], rel=1e-11)
+
     @pytest.mark.parametrize("command", ["cost", "optimize"])
     def test_combined_scheme_needs_combined_classifier(self, capsys, golden_campaign, command):
         code, out, err = run(
@@ -412,3 +481,62 @@ class TestSimulateCostOptimize:
         with pytest.raises(SystemExit) as exc:
             main(["cost"])
         assert exc.value.code == 2
+
+
+# --- golden bytes -------------------------------------------------------------
+#
+# Each case runs one command on the golden campaign; `{campaign}` and
+# `{details}` stand for the campaign file and a details CSV path. The expected
+# exit code, stdout (without the `created` line), stderr and details CSV of
+# every case are in cli_golden.json. Regenerate that file, after checking that
+# a change to the outputs is intended, with
+#   PYTHONPATH=src:tests python -c "import test_cli; test_cli.write_golden()"
+GOLDEN_CASES = {
+    "plan": ["plan"],
+    "evaluate_auto": ["evaluate", "--campaign", "{campaign}", "--details", "{details}"],
+    "evaluate_auto_csv": ["evaluate", "--campaign", "{campaign}", "--format", "csv",
+                          "--details", "{details}"],
+    "evaluate_classic": ["evaluate", "--campaign", "{campaign}", "--mode", "classic",
+                         "--details", "{details}"],
+    "cost_no_first_count": ["cost", "--campaign", "{campaign}"],
+    "cost_with_first_count": ["cost", "--campaign", "{campaign}",
+                              "--set", "costs.scheme=with_first_count"],
+    "cost_combined": ["cost", "--campaign", "{campaign}", "--set", "costs.scheme=combined",
+                      *_COMBINED],
+    "optimize_no_first_count": ["optimize", "--campaign", "{campaign}"],
+    "optimize_with_first_count": ["optimize", "--campaign", "{campaign}",
+                                  "--set", "costs.scheme=with_first_count"],
+    "optimize_combined": ["optimize", "--campaign", "{campaign}",
+                          "--set", "costs.scheme=combined", *_COMBINED],
+}
+GOLDEN_FILE = Path(__file__).with_name("cli_golden.json")
+_CREATED = re.compile(r'^(  "created": .*|created,.*)\n', re.MULTILINE)
+
+
+def golden_output(case: str, workdir: Path) -> dict:
+    """Exit code, stdout without `created`, stderr and details CSV of one case."""
+    campaign = workdir / "campaign.csv"
+    campaign.write_text(GOLDEN, encoding="utf-8")
+    details = workdir / f"{case}.details.csv"
+    argv = [a.format(campaign=campaign, details=details) for a in GOLDEN_CASES[case]]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return {
+        "code": code,
+        "stdout": _CREATED.sub("", out.getvalue()),
+        "stderr": err.getvalue(),
+        "details": details.read_text(encoding="utf-8") if details.exists() else None,
+    }
+
+
+def write_golden() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = {case: golden_output(case, Path(tmp)) for case in GOLDEN_CASES}
+    GOLDEN_FILE.write_text(json.dumps(outputs, indent=1) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_output_matches_the_golden_bytes(tmp_path, case):
+    expected = json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))[case]
+    assert golden_output(case, tmp_path) == expected

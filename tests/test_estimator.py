@@ -10,14 +10,11 @@ from apcval.domain import SAFE, UNSAFE, DopRecord, PartitionStats, TestParams
 from apcval.estimator import (
     FAIL,
     PASS,
+    _chain_inputs,
     confidence_interval,
     equivalence_verdict,
     evaluate_classic,
     evaluate_partitioned,
-    mean_count_estimate,
-    pooled_variance,
-    relative_differences,
-    stratified_mean,
     verdict_chain,
 )
 
@@ -34,13 +31,16 @@ def three_record_campaign() -> list[DopRecord]:
 
 
 class TestMeanCountEstimate:
+    # the inverse-quota mean count m_hat_q in the report's stats
     def test_hand_example(self):
         # (3 + 2/0.5) / 3 = 7/3
-        assert mean_count_estimate(three_record_campaign(), 0.5) == pytest.approx(7 / 3, abs=1e-15)
+        report = evaluate_partitioned(three_record_campaign(), TestParams())
+        assert report.stats.m_hat_q == pytest.approx(7 / 3, abs=1e-15)
 
     def test_all_unsafe_reduces_to_plain_mean(self):
         records = [make_record(i, m, m, UNSAFE) for i, m in enumerate([1, 2, 3])]
-        assert mean_count_estimate(records, 1.0) == pytest.approx(2.0, abs=1e-15)
+        report = evaluate_partitioned(records, TestParams())
+        assert report.stats.m_hat_q == pytest.approx(2.0, abs=1e-15)
 
     def test_full_quota_equals_plain_mean(self):
         records = [
@@ -48,43 +48,20 @@ class TestMeanCountEstimate:
             make_record(1, 4, 4, SAFE, sampled=True),
             make_record(2, 3, 3, UNSAFE),
         ]
-        assert mean_count_estimate(records, 1.0) == pytest.approx(3.0, abs=1e-15)
+        report = evaluate_partitioned(records, TestParams())
+        assert report.stats.m_hat_q == pytest.approx(3.0, abs=1e-15)
 
     def test_errors(self):
-        with pytest.raises(ValueError):
-            mean_count_estimate([], 1.0)
-        with pytest.raises(ValueError):
-            mean_count_estimate(three_record_campaign(), 0.0)
+        with pytest.raises(ValueError, match="no records to evaluate"):
+            evaluate_partitioned([], TestParams())
+        # no counted safe record: the quota would be 0
+        none_counted = [make_record(0, 2, 2, SAFE, sampled=False), make_record(1, 3, 3, UNSAFE)]
+        with pytest.raises(ValueError, match="no record was sampled"):
+            evaluate_partitioned(none_counted, TestParams())
         broken = [make_record(0, 2, 2, UNSAFE)]
         object.__setattr__(broken[0], "m_final", None)
         with pytest.raises(ValueError, match="ground truth"):
-            mean_count_estimate(broken, 1.0)
-
-
-class TestRelativeDifferences:
-    def test_direct_formula(self):
-        r = make_record(0, 4, 5, UNSAFE)
-        [(_, d)] = relative_differences([r], 2.0)
-        assert d == pytest.approx(0.5, abs=1e-15)
-
-    def test_zero_error(self):
-        r = make_record(0, 4, 4, UNSAFE)
-        [(_, d)] = relative_differences([r], 123.0)
-        assert d == 0.0
-
-    def test_hand_example(self):
-        r = make_record(0, 4, 3, UNSAFE)
-        [(_, d)] = relative_differences([r], 7 / 3)
-        assert d == pytest.approx(-3 / 7, abs=1e-15)
-
-    def test_non_sampled_safe_yield_no_value(self):
-        diffs = relative_differences(three_record_campaign(), 7 / 3)
-        assert len(diffs) == 2
-        assert {r.dop_id for r, _ in diffs} == {"d00000", "d00002"}
-
-    def test_degenerate_mean(self):
-        with pytest.raises(ValueError, match="> 0"):
-            relative_differences(three_record_campaign(), 0.0)
+            evaluate_partitioned(broken, TestParams())
 
 
 def stats(
@@ -96,13 +73,18 @@ def stats(
     )
 
 
+def chain(s: PartitionStats, nu_min: float = 0.03):
+    return verdict_chain(*_chain_inputs(s), TestParams(nu_min=nu_min))
+
+
 class TestStratifiedMean:
+    # the chain's d_hat recombines the two partitions by their shares
     def test_all_unsafe(self):
-        assert stratified_mean(stats(3, 0, 3, d_u=-0.2)) == pytest.approx(-0.2)
+        assert chain(stats(3, 0, 3, d_u=-0.2)).d_hat == pytest.approx(-0.2)
 
     def test_weighted_recombination(self):
         s = stats(3, 2, 1, q=1.0, d_s=0.1, d_u=-0.2)
-        assert stratified_mean(s) == pytest.approx(0.0, abs=1e-15)
+        assert chain(s).d_hat == pytest.approx(0.0, abs=1e-15)
 
     def test_full_quota_equals_plain_mean(self):
         d = [0.3, -0.1, 0.2, 0.4, -0.5]
@@ -110,33 +92,33 @@ class TestStratifiedMean:
             5, 3, 2, q=1.0,
             d_s=float(np.mean(d[:3])), d_u=float(np.mean(d[3:])),
         )
-        assert stratified_mean(s) == pytest.approx(float(np.mean(d)), abs=1e-15)
+        assert chain(s).d_hat == pytest.approx(float(np.mean(d)), abs=1e-15)
 
 
 class TestPooledVariance:
+    # the chain's nu_hat ** 2 and its clamped flags
     def test_hand_example(self):
         # 0.9*0.0025/0.5 + 0.1*0.09 + 0.09*0.0004 = 0.013536
         s = stats(1000, 900, 100, q=0.5, d_s=0.0, d_u=0.02, nu_s=0.05, nu_u=0.3)
-        pooled = pooled_variance(s, 0.03)
-        assert pooled.value == pytest.approx(0.013536, abs=1e-15)
-        assert not pooled.clamped_s and not pooled.clamped_u
+        v = chain(s)
+        assert v.nu_hat**2 == pytest.approx(0.013536, abs=1e-15)
+        assert not v.clamped_s and not v.clamped_u
 
     def test_clamping_flags(self):
         s = stats(100, 50, 50, q=1.0, d_s=0.0, d_u=0.0, nu_s=0.01, nu_u=0.3)
-        pooled = pooled_variance(s, 0.03)
-        assert pooled.clamped_s and not pooled.clamped_u
-        assert pooled.value == pytest.approx(0.5 * 0.03**2 + 0.5 * 0.3**2, abs=1e-15)
+        v = chain(s)
+        assert v.clamped_s and not v.clamped_u
+        assert v.nu_hat**2 == pytest.approx(0.5 * 0.03**2 + 0.5 * 0.3**2, abs=1e-15)
 
     def test_single_stratum_collapse(self):
         s = stats(100, 100, 0, q=0.5, d_s=0.0, nu_s=0.1)
-        pooled = pooled_variance(s, 0.03)
-        assert pooled.value == pytest.approx(0.1**2 / 0.5, abs=1e-15)
+        assert chain(s).nu_hat**2 == pytest.approx(0.1**2 / 0.5, abs=1e-15)
 
     def test_undefined_sigma_uses_floor(self):
         s = stats(2, 1, 1, q=1.0, d_s=0.0, d_u=0.0, nu_s=None, nu_u=None)
-        pooled = pooled_variance(s, 0.03)
-        assert pooled.clamped_s and pooled.clamped_u
-        assert pooled.value == pytest.approx(0.03**2, abs=1e-18)
+        v = chain(s)
+        assert v.clamped_s and v.clamped_u
+        assert v.nu_hat**2 == pytest.approx(0.03**2, abs=1e-18)
 
     @given(
         nu_min_a=st.floats(min_value=0, max_value=0.5),
@@ -148,7 +130,7 @@ class TestPooledVariance:
     def test_monotone_in_nu_min(self, nu_min_a, nu_min_b, nu_s, nu_u, q):
         s = stats(10, 6, 4, q=q, d_s=0.01, d_u=-0.02, nu_s=nu_s, nu_u=nu_u)
         lo, hi = sorted([nu_min_a, nu_min_b])
-        assert pooled_variance(s, lo).value <= pooled_variance(s, hi).value + 1e-18
+        assert chain(s, lo).nu_hat**2 <= chain(s, hi).nu_hat**2 + 1e-18
 
 
 class TestConfidenceInterval:

@@ -163,7 +163,7 @@ class TestConfig:
             """,
             encoding="utf-8",
         )
-        config = aio.load_config(path)
+        config = aio.load_config_with_overrides(path, [])
         assert config.params.nu == 0.15
         assert config.partition.q == 0.175
         assert config.seed == 99
@@ -188,7 +188,7 @@ class TestConfig:
         path = tmp_path / "cfg.txt"
         path.write_text("gamma = 0.1\n", encoding="utf-8")
         with pytest.raises(aio.ConfigError, match="unknown key 'gamma'"):
-            aio.load_config(path)
+            aio.load_config_with_overrides(path, [])
 
     def test_invalid_value_rejected(self):
         with pytest.raises(aio.ConfigError):
@@ -219,7 +219,7 @@ class TestConfig:
         path = tmp_path / "cfg.txt"
         path.write_text("nu = 0.2\nnu = 0.3\n", encoding="utf-8")
         with pytest.raises(aio.ConfigError, match="duplicate key"):
-            aio.load_config(path)
+            aio.load_config_with_overrides(path, [])
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm as scipy_norm
 
-from apcval.normal import norm_cdf, norm_pdf, norm_ppf
+from apcval.normal import norm_cdf, norm_ppf
 
 
 def test_ppf_against_scipy_grid():
@@ -45,8 +45,3 @@ def test_cdf_against_scipy():
 def test_cdf_ppf_roundtrip():
     for p in (1e-10, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-10):
         assert norm_cdf(norm_ppf(p)) == pytest.approx(p, rel=1e-10)
-
-
-def test_pdf_matches_scipy():
-    for x in (-3.0, -0.5, 0.0, 1.0, 4.2):
-        assert norm_pdf(x) == pytest.approx(scipy_norm.pdf(x), abs=1e-15)

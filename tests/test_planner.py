@@ -12,10 +12,7 @@ from apcval.planner import (
     counted_count,
     make_plan,
     optimal_quota,
-    quota_for_fixed_record,
     recorded_size,
-    round_quota,
-    sample_size_classic,
     total_cost,
 )
 
@@ -23,17 +20,25 @@ Z975 = 1.959963984540054
 ZSUM2 = (2 * Z975) ** 2
 
 
+def classic_size(params: TestParams) -> int:
+    return make_plan(params, PartitionParams()).n_e
+
+
+def budget_quota(n_rec: int, params: TestParams, partition: PartitionParams) -> float:
+    return make_plan(params, partition, n_rec_budget=n_rec).q_planned
+
+
 class TestSampleSize:
     def test_reference_plan(self):
-        assert sample_size_classic(TestParams()) == 6147
+        assert classic_size(TestParams()) == 6147
 
     def test_nu_15(self):
         # (2*1.959964)^2 * 225 = 3457.3, rounded up
-        assert sample_size_classic(TestParams(nu=0.15)) == 3458
+        assert classic_size(TestParams(nu=0.15)) == 3458
 
     def test_degenerate_nu_floors_at_one(self):
-        with pytest.warns(UserWarning):
-            assert sample_size_classic(TestParams(nu=0.0, nu_min=0.0)) == 1
+        with pytest.warns(UserWarning, match="sample size floored at 1"):
+            assert classic_size(TestParams(nu=0.0, nu_min=0.0)) == 1
 
     def test_plan_warns_once_about_substituted_nu(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -50,7 +55,7 @@ class TestSampleSize:
 
     def test_nu_below_floor_is_substituted(self):
         with pytest.warns(UserWarning, match="nu_min"):
-            n = sample_size_classic(TestParams(nu=0.001, nu_min=0.03))
+            n = classic_size(TestParams(nu=0.001, nu_min=0.03))
         assert n == math.ceil(ZSUM2 * 0.03**2 / 0.01**2)
 
 
@@ -87,7 +92,7 @@ class TestQuotaForFixedRecord:
         # the exact-inverse value 1 (the ceiling frees ~0.7 records to spend)
         params = TestParams(nu=0.15)
         part = PartitionParams(p_s=0.9, nu_s_ratio=0.35, q=0.5)
-        q0 = quota_for_fixed_record(3458, params, part)
+        q0 = budget_quota(3458, params, part)
         assert q0 == pytest.approx(1.0, abs=3e-3)
         assert q0 <= 1.0
 
@@ -95,24 +100,25 @@ class TestQuotaForFixedRecord:
         params = TestParams(nu=0.15)
         part = PartitionParams(p_s=0.9, nu_s_ratio=0.35, q=0.5)
         for budget in (3458, 3459, 4000):
-            assert 0.0 < quota_for_fixed_record(budget, params, part) <= 1.0
+            assert 0.0 < budget_quota(budget, params, part) <= 1.0
 
     def test_round_trip_of_recorded_size_example(self):
         params = TestParams(nu=0.15)
         part = PartitionParams(p_s=0.9, nu_s_ratio=0.35, q=0.175)
-        q0 = quota_for_fixed_record(5256, params, part)
+        q0 = budget_quota(5256, params, part)
         assert q0 == pytest.approx(0.175, abs=2e-3)
 
     def test_degenerate_partition_clamps_to_full_count(self):
         params = TestParams(nu=0.15)
         part = PartitionParams(p_s=0.0, nu_s_ratio=0.35, q=0.5)
-        assert quota_for_fixed_record(5000, params, part) == 1.0
+        assert budget_quota(5000, params, part) == 1.0
 
     def test_infeasible_budget(self):
         params = TestParams(nu=0.15)
         part = PartitionParams()
-        with pytest.raises(ValueError, match="no feasible quota"):
-            quota_for_fixed_record(3000, params, part)
+        message = "recording budget 3000 below classic requirement 3458: no feasible quota"
+        with pytest.raises(ValueError, match=message):
+            budget_quota(3000, params, part)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -126,9 +132,9 @@ class TestQuotaForFixedRecord:
         # the slack of the two integer ceilings
         params = TestParams(nu=nu)
         part = PartitionParams(p_s=p_s, nu_s_ratio=ratio, q=q)
-        n_e = sample_size_classic(params)
-        n_rec = recorded_size(n_e, part)
-        recovered = quota_for_fixed_record(n_rec, params, part)
+        plan = make_plan(params, part)
+        n_e, n_rec = plan.n_e, plan.n_rec
+        recovered = budget_quota(n_rec, params, part)
         # sensitivity of q to a one-unit budget change (evaluated at the
         # larger quota endpoint, where it peaks); the n_e ceiling inflates
         # the budget by up to n_rec/n_e units, the n_rec one by 1 more
@@ -222,10 +228,10 @@ class TestBufferAndQuotaRounding:
     def test_ceiling(self):
         assert apply_buffer(1, 1.15) == 2
 
-    def test_round_quota_examples(self):
-        assert round_quota(0.5, 7) == pytest.approx(4 / 7)
-        assert round_quota(0.5, 8) == 0.5
-        assert round_quota(0.01, 3) == pytest.approx(1 / 3)
+    def test_counted_count_examples(self):
+        assert counted_count(0.5, 7) == 4
+        assert counted_count(0.5, 8) == 4
+        assert counted_count(0.01, 3) == 1
 
     def test_float_noise_does_not_overshoot(self):
         # 0.07 * 100 is 7.000000000000001 in binary floating point
@@ -233,12 +239,11 @@ class TestBufferAndQuotaRounding:
         assert counted_count(0.175, 1000) == 175
 
     @given(q=st.floats(min_value=1e-6, max_value=1.0), n=st.integers(min_value=1, max_value=100000))
-    def test_rounded_quota_counts_are_integral(self, q, n):
-        rounded = round_quota(q, n)
-        count = rounded * n
-        assert abs(count - round(count)) < 1e-6
-        assert 1 <= round(count) <= n
-        assert rounded >= q - 1e-9
+    def test_counted_count_covers_the_quota(self, q, n):
+        count = counted_count(q, n)
+        assert isinstance(count, int)
+        assert 1 <= count <= n
+        assert count / n >= q - 1e-9
 
 
 class TestMakePlan:
