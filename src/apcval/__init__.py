@@ -4,11 +4,9 @@ equivalence tests in automatic passenger counting validation."""
 from ._version import VERSION as __version__
 from .classify import (
     ClassifierSpec,
-    PartitionEstimate,
     classify,
     combined_classify,
     draw_sample,
-    partition_stats_estimate,
 )
 from .cost import (
     CostBreakdown,

@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .domain import SAFE, UNSAFE, DopRecord, relabel
-from .estimator import _differences, _fmean, _moments
 from .planner import counted_count
 
 KIND_ALL_SAFE = "all_safe"
@@ -46,9 +45,6 @@ _SCORED_KINDS = (
     KIND_COMBINED,
 )
 
-RATE_MANUAL_FIRST = "m1_fallback"
-RATE_AUTO = "k_auto"
-
 
 @dataclass(frozen=True, slots=True)
 class ClassifierSpec:
@@ -56,15 +52,13 @@ class ClassifierSpec:
 
     Score-based kinds need exactly one of `threshold` (inclusive on the
     safe side; applied to the primary score component) or `target_share`
-    (desired safe share). `rate_counts` selects the count source of the
-    passengers-per-minute rule: first manual count with automatic-count
-    fallback, or automatic counts only.
+    (desired safe share). The rule of thumb rates passengers per minute
+    from `m1`, or from `k_auto` where `m1` is absent.
     """
 
     kind: str
     threshold: float | None = None
     target_share: float | None = None
-    rate_counts: str = RATE_MANUAL_FIRST
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -81,18 +75,13 @@ class ClassifierSpec:
             raise ValueError(f"classifier.threshold must be finite, got {self.threshold}")
         if self.target_share is not None and not 0.0 <= self.target_share <= 1.0:
             raise ValueError(f"target_share must be in [0, 1], got {self.target_share}")
-        if self.rate_counts not in (RATE_MANUAL_FIRST, RATE_AUTO):
-            raise ValueError(f"unknown rate_counts {self.rate_counts!r}")
 
 
 def _unsafety_score(record: DopRecord, spec: ClassifierSpec) -> tuple[float, float]:
     """(primary, tiebreak) unsafety score; raises on missing inputs."""
     r = record
     if spec.kind == KIND_RULE_OF_THUMB:
-        if spec.rate_counts == RATE_MANUAL_FIRST and r.m1 is not None:
-            count = r.m1
-        else:
-            count = r.k_auto
+        count = r.k_auto if r.m1 is None else r.m1
         if r.duration_s <= 0.0:
             return (math.inf, 0.0)
         return (count / (r.duration_s / 60.0), 0.0)
@@ -211,66 +200,3 @@ def draw_sample(safe_ids: Sequence, q0: float, seed: int) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     mask[order[rank_mask]] = True
     return mask
-
-
-@dataclass(frozen=True, slots=True)
-class PartitionEstimate:
-    """Plug-in partition parameters estimated from counted pilot data."""
-
-    p_s: float
-    mu_s: float | None
-    mu_u: float | None
-    nu_s: float | None
-    nu_u: float | None
-    nu: float
-
-    @property
-    def nu_s_ratio(self) -> float | None:
-        if self.nu_s is None or self.nu == 0.0:
-            return None
-        return self.nu_s / self.nu
-
-
-def partition_stats_estimate(records: list[DopRecord]) -> PartitionEstimate:
-    """Estimate per-stratum means/deviations and the composite deviation.
-
-    Input must be labeled; each nonempty stratum needs at least one
-    counted record. The composite variance recombines the strata:
-    p_s*nu_s^2 + p_u*nu_u^2 + p_s*p_u*(mu_s - mu_u)^2.
-    """
-    if not records:
-        raise ValueError("no records")
-    unlabeled = [r.dop_id for r in records if r.label not in (SAFE, UNSAFE)]
-    if unlabeled:
-        raise ValueError(f"records are unlabeled: {', '.join(unlabeled)}")
-    n = len(records)
-    safe = [r for r in records if r.label == SAFE]
-    unsafe = [r for r in records if r.label == UNSAFE]
-    counted_s = [r for r in safe if r.m_final is not None]
-    counted_u = [r for r in unsafe if r.m_final is not None]
-    if safe and not counted_s:
-        raise ValueError("safe stratum has no counted records")
-    if unsafe and not counted_u:
-        raise ValueError("unsafe stratum has no counted records")
-
-    m_bar = _fmean([r.m_final for r in counted_s + counted_u])
-    if m_bar <= 0.0:
-        raise ValueError("campaign has no boarding passengers (mean count is 0)")
-
-    mu_s, nu_s = _moments(_differences(counted_s, m_bar))
-    mu_u, nu_u = _moments(_differences(counted_u, m_bar))
-    # a single counted record reports no spread rather than an undefined one
-    nu_s = 0.0 if len(counted_s) == 1 else nu_s
-    nu_u = 0.0 if len(counted_u) == 1 else nu_u
-    p_s = len(safe) / n
-    p_u = 1.0 - p_s
-    nu2 = 0.0
-    if counted_s:
-        nu2 += p_s * nu_s**2
-    if counted_u:
-        nu2 += p_u * nu_u**2
-    if counted_s and counted_u:
-        nu2 += p_s * p_u * (mu_s - mu_u) ** 2
-    return PartitionEstimate(
-        p_s=p_s, mu_s=mu_s, mu_u=mu_u, nu_s=nu_s, nu_u=nu_u, nu=math.sqrt(nu2)
-    )

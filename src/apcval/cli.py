@@ -182,11 +182,11 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if not args.out:
+        raise io_mod.ConfigError("classify needs --out to write the labeled campaign")
     config = _load(args)
     records = _load_campaign(args)
     labeled, flags = _classify_records(records, config)
-    if not args.out:
-        raise io_mod.ConfigError("classify needs --out to write the labeled campaign")
     io_mod.save_campaign(labeled, args.out)
     n = len(labeled)
     n_s = sum(1 for r in labeled if r.label == SAFE)
@@ -206,6 +206,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if not args.out:
+        raise io_mod.ConfigError("sample needs --out to write the updated campaign")
     config = _load(args)
     records = _load_campaign(args)
     safe_ids = [r.dop_id for r in records if r.label == SAFE]
@@ -217,8 +219,6 @@ def cmd_sample(args) -> int:
         relabel(r, r.label, bool(chosen[r.dop_id])) if r.label == SAFE else r
         for r in records
     ]
-    if not args.out:
-        raise io_mod.ConfigError("sample needs --out to write the updated campaign")
     io_mod.save_campaign(updated, args.out)
     n_s = len(safe_ids)
     counted = int(mask.sum())

@@ -5,8 +5,7 @@ factor times the hourly labor rate. Three attribution schemes build the
 per-stratum cost parameters from it, depending on whether a first manual
 count already happened before classification and on reclassification;
 they differ only in the share of a safe record's first review pass that
-is sunk into its basic cost. Recording costs default to zero; a flat
-per-record recording cost may be added to both strata.
+is sunk into its basic cost.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ def cost_breakdown(
     rates: CostRates,
     scheme: str,
     reclass_flags: dict[str, int] | None = None,
-    recording_cost: float = 0.0,
 ) -> CostBreakdown:
     """Build cost parameters under `scheme` with the per-record trail.
 
@@ -68,7 +66,7 @@ def cost_breakdown(
     `combined_classify` or, for a labeled campaign, from its first stage.
     Then c_s0 = mean(w * c) and c_sz = mean((1 - w + r_s) * c) over the
     safe stratum, so attribution moves cost between the two and never
-    creates it. `recording_cost` is added to c_u and c_s0.
+    creates it.
     """
     if scheme == SCHEME_COMBINED:
         if reclass_flags is None:
@@ -91,8 +89,8 @@ def cost_breakdown(
     mean_u = sum(unsafe) / len(unsafe) if unsafe else 0.0
     return CostBreakdown(
         scheme=scheme,
-        c_u=(1.0 + rates.r_s) * mean_u + recording_cost,
-        c_s0=sum(c * w for c, w in safe) / n_s + recording_cost,
+        c_u=(1.0 + rates.r_s) * mean_u,
+        c_s0=sum(c * w for c, w in safe) / n_s,
         c_sz=sum(c * (1.0 - w + rates.r_s) for c, w in safe) / n_s,
         per_record=per_record,
     )

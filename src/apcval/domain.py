@@ -68,6 +68,8 @@ def validate_record(record: DopRecord) -> list[str]:
     """Return human-readable invariant violations for `record`.
 
     Total: never raises, an empty list means the record is consistent.
+    Where both counters counted, `m_final` must be their `ground_truth`;
+    a record without a second count keeps its `m_final` as given.
     """
     violations: list[str] = []
     r = record
@@ -87,6 +89,15 @@ def validate_record(record: DopRecord) -> list[str]:
         violations.append(f"{r.dop_id}: unknown label {r.label!r}")
     if r.m_final is not None and r.m1 is None:
         violations.append(f"{r.dop_id}: m_final present without a first manual count")
+    if r.m2 is not None and r.m1 is not None and not r.m_final == r.m1 == r.m2:
+        truth = ground_truth(r.m1, r.m2, r.m_sup)
+        if r.m_final != truth:
+            violations.append(
+                f"{r.dop_id}: m_final must be absent while m1={r.m1} and m2={r.m2} "
+                f"disagree without m_sup, got {r.m_final}" if truth is None else
+                f"{r.dop_id}: m_final must equal the ground truth {truth} of m1={r.m1}, "
+                f"m2={r.m2}, m_sup={r.m_sup}, got {r.m_final}"
+            )
     if r.label == UNSAFE and r.m_final is None:
         violations.append(f"{r.dop_id}: unsafe record lacks ground truth")
     if r.label == SAFE and r.sampled is True and r.m_final is None:

@@ -129,7 +129,8 @@ def optimal_quota(partition: PartitionParams, nu: float, costs: CostParams) -> f
     sqrt(a / b) with a the cost ratio of mandatory to quota-dependent
     spending and b the relative variance surplus outside the safe stratum.
     Capped at 1; when b <= 0 the cost is monotone decreasing in precision
-    terms and the full count is optimal.
+    terms and the full count is optimal. Otherwise a mandatory cost of 0
+    leaves no optimum: every smaller quota is cheaper.
     """
     if costs.c_sz <= 0.0:
         raise ValueError("optimal quota undefined: counting a safe record costs 0")
@@ -140,6 +141,11 @@ def optimal_quota(partition: PartitionParams, nu: float, costs: CostParams) -> f
     b = (nu**2 - partition.p_s * nu_s2) / (partition.p_s * nu_s2)
     if b <= 0.0:
         return 1.0
+    if a == 0.0:
+        raise ValueError(
+            "optimal quota undefined: the mandatory cost p_u*c_u + p_s*c_s0 is 0, "
+            "so every smaller quota is cheaper"
+        )
     return min(1.0, math.sqrt(a / b))
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fully_counted_campaign, make_record
+from conftest import make_record
 from apcval.classify import (
     KIND_ALL_SAFE,
     KIND_ALL_UNSAFE,
@@ -18,7 +18,6 @@ from apcval.classify import (
     classify,
     combined_classify,
     draw_sample,
-    partition_stats_estimate,
 )
 from apcval.domain import SAFE, UNSAFE, DopRecord
 
@@ -99,11 +98,12 @@ class TestClassify:
         assert [r.label for r in labeled] == [SAFE, UNSAFE, UNSAFE]
 
     def test_rule_of_thumb_count_source_switch(self):
-        r = DopRecord(dop_id="a", k_auto=30, m1=2, duration_s=60.0)
-        manual = ClassifierSpec(kind=KIND_RULE_OF_THUMB, threshold=10.0)
-        auto = ClassifierSpec(kind=KIND_RULE_OF_THUMB, threshold=10.0, rate_counts="k_auto")
-        assert classify([r], manual)[0][0].label == SAFE
-        assert classify([r], auto)[0][0].label == UNSAFE
+        # the first manual count when present, the automatic count otherwise
+        spec = ClassifierSpec(kind=KIND_RULE_OF_THUMB, threshold=10.0)
+        with_m1 = DopRecord(dop_id="a", k_auto=30, m1=2, duration_s=60.0)
+        without_m1 = DopRecord(dop_id="a", k_auto=30, duration_s=60.0)
+        assert classify([with_m1], spec)[0][0].label == SAFE
+        assert classify([without_m1], spec)[0][0].label == UNSAFE
 
     def test_missing_required_field(self):
         with pytest.raises(ValueError, match="alg_confidence"):
@@ -163,7 +163,7 @@ class TestCombinedClassify:
     def test_missing_first_count_on_provisional_unsafe(self):
         r = DopRecord(dop_id="x", k_auto=25, duration_s=60.0)
         with pytest.raises(ValueError, match="first manual count"):
-            combined_classify([r], ClassifierSpec(kind=KIND_RULE_OF_THUMB, threshold=10.0, rate_counts="k_auto"))
+            combined_classify([r], ClassifierSpec(kind=KIND_RULE_OF_THUMB, threshold=10.0))
 
 
 class TestDrawSample:
@@ -215,41 +215,3 @@ class TestDrawSample:
             counts += draw_sample(ids, 0.5, seed)
         freq = counts / reps
         assert np.all(np.abs(freq - 0.5) < 0.01)
-
-
-class TestPartitionStatsEstimate:
-    def test_single_stratum(self):
-        records = [make_record(i, 3, 3 + (i % 3) - 1, SAFE) for i in range(30)]
-        est = partition_stats_estimate(records)
-        assert est.p_s == 1.0
-        assert est.nu == pytest.approx(est.nu_s)
-        assert est.mu_u is None
-
-    def test_composite_identity_hand_values(self):
-        # 0.9*0.05^2 + 0.1*0.3^2 + 0.09*0.02^2 = 0.011286 composed directly
-        nu2 = 0.9 * 0.05**2 + 0.1 * 0.3**2 + 0.9 * 0.1 * 0.02**2
-        assert nu2 == pytest.approx(0.011286, abs=1e-15)
-
-    def test_composite_matches_total_variance(self):
-        # law of total variance: composite deviation vs plain deviation of all
-        rng = np.random.default_rng(5)
-        records = fully_counted_campaign(rng, 4000, p_s=0.7, error_rate=0.5)
-        est = partition_stats_estimate(records)
-        m = np.array([r.m_final for r in records], dtype=float)
-        k = np.array([r.k_auto for r in records], dtype=float)
-        d = (k - m) / m.mean()
-        assert est.nu == pytest.approx(float(d.std(ddof=1)), rel=0.01)
-
-    def test_uncounted_nonempty_stratum_is_an_error(self):
-        records = [
-            make_record(0, 3, 3, SAFE),
-            DopRecord(dop_id="u1", k_auto=2, label=UNSAFE),
-        ]
-        with pytest.raises(ValueError, match="unsafe stratum"):
-            partition_stats_estimate(records)
-
-    def test_nu_s_ratio_property(self):
-        rng = np.random.default_rng(6)
-        records = fully_counted_campaign(rng, 500, p_s=0.6, error_rate=0.4)
-        est = partition_stats_estimate(records)
-        assert est.nu_s_ratio == pytest.approx(est.nu_s / est.nu)

@@ -147,6 +147,24 @@ class TestEvaluate:
         assert code == 1
         assert "validation failed" in err
 
+    def test_m_final_off_the_ground_truth_is_a_violation(self, capsys, tmp_path):
+        # counters agree on 4 but m_final says 9; counters disagree with no
+        # supervisor count, yet m_final is set
+        path = tmp_path / "c.csv"
+        path.write_text(GOLDEN + "b1,30.0,4,4,,9,9,,,u,\nb2,30.0,2,3,,2,2,,,u,\n",
+                        encoding="utf-8")
+        messages = [
+            "b1: m_final must equal the ground truth 4 of m1=4, m2=4, m_sup=None, got 9",
+            "b2: m_final must be absent while m1=2 and m2=3 disagree without m_sup, got 2",
+        ]
+        argv = ["evaluate", "--campaign", str(path), "--mode", "classic"]
+        code, out, err = run(capsys, argv)
+        assert code == 0 and json.loads(out)["n"] == 5
+        assert err == "".join(f"violation: {m}\n" for m in messages)
+        code, out, err = run(capsys, [*argv, "--strict"])
+        assert code == 1 and out == ""
+        assert err == "error: validation failed:\n" + "\n".join(messages) + "\n"
+
     def test_full_quota_matches_classic_mode(self, capsys, tmp_path):
         rng = np.random.default_rng(12)
         records = fully_counted_campaign(rng, 120, p_s=0.6)
@@ -290,6 +308,20 @@ class TestClassifyAndSample:
         run(capsys, ["sample", "--campaign", str(path), "--out", str(out2), "--seed", "5"])
         assert out1.read_text() == out2.read_text()
 
+    @pytest.mark.parametrize("command,message", [
+        ("classify", "classify needs --out to write the labeled campaign"),
+        ("sample", "sample needs --out to write the updated campaign"),
+    ])
+    def test_missing_out_is_reported_before_the_work(self, capsys, tmp_path, command,
+                                                     message):
+        # first_count cannot score a record without m1, and no record is safe
+        path = tmp_path / "c.csv"
+        path.write_text(GOLDEN.splitlines()[0] + "\nb1,30.0,,,,,4,,,u,\n", encoding="utf-8")
+        code, out, err = run(capsys, [command, "--campaign", str(path),
+                                      "--set", "classifier.kind=first_count",
+                                      "--set", "classifier.threshold=0"])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_sample_without_safe_rows(self, capsys, tmp_path):
         records = [make_record(0, 2, 2, UNSAFE)]
         path = tmp_path / "c.csv"
@@ -403,6 +435,18 @@ class TestSimulateCostOptimize:
         payload = json.loads(out)
         assert payload["q_source"] == "optimized"
         assert payload["total_cost_partitioned"] < payload["total_cost_classic"]
+
+    def test_optimize_without_mandatory_cost_names_the_cause(self, capsys, tmp_path):
+        # all safe under no_first_count: c_u = c_s0 = 0, so no quota is optimal
+        path = tmp_path / "c.csv"
+        path.write_text("\n".join(GOLDEN.splitlines()[:3]) + "\n", encoding="utf-8")
+        with pytest.warns(UserWarning, match="no unsafe records"):
+            code, out, err = run(capsys, ["optimize", "--campaign", str(path)])
+        assert code == 1 and out == ""
+        assert err == (
+            "error: optimal quota undefined: the mandatory cost p_u*c_u + p_s*c_s0 is 0, "
+            "so every smaller quota is cheaper\n"
+        )
 
     def test_cost_classifies_unlabeled_campaign_when_configured(self, capsys, tmp_path):
         records = [make_record(i, 3, 3 + (i % 2), "unlabeled") for i in range(20)]

@@ -162,16 +162,6 @@ class TestBreakdownAndHooks:
         with pytest.raises(ValueError, match="unknown cost scheme 'bogus'"):
             cost_breakdown(mixed_campaign(), RATES, "bogus")
 
-    def test_recording_cost_hook(self):
-        flags = {"d00000": 1, "d00001": 0, "d00002": 1}
-        for scheme in (NO_FIRST, WITH_FIRST, COMBINED):
-            base = cost_breakdown(mixed_campaign(), RATES, scheme, flags)
-            bumped = cost_breakdown(mixed_campaign(), RATES, scheme, flags, recording_cost=0.05)
-            assert bumped.c_s0 == pytest.approx(base.c_s0 + 0.05)
-            assert bumped.c_u == pytest.approx(base.c_u + 0.05)
-            assert bumped.c_sz == pytest.approx(base.c_sz)
-            assert bumped.per_record == base.per_record
-
     def test_with_first_count_scheme_via_breakdown(self):
         breakdown = cost_breakdown(mixed_campaign(), RATES, SCHEME_WITH_FIRST_COUNT)
         assert breakdown.c_s0 == pytest.approx(MEAN_SAFE, rel=1e-12)

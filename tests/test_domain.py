@@ -57,6 +57,39 @@ class TestValidateRecord:
         violations = validate_record(rec(m_final=3))
         assert any("first manual count" in v for v in violations)
 
+    def test_m_final_must_be_the_resolved_ground_truth(self):
+        assert validate_record(rec(m1=4, m2=4, m_final=9)) == [
+            "d1: m_final must equal the ground truth 4 of m1=4, m2=4, m_sup=None, got 9"
+        ]
+        assert validate_record(rec(m1=4, m2=5, m_sup=4, m_final=5)) == [
+            "d1: m_final must equal the ground truth 4 of m1=4, m2=5, m_sup=4, got 5"
+        ]
+        assert validate_record(rec(m1=4, m2=5, m_sup=5, m_final=5)) == []
+        assert validate_record(rec(m1=4, m2=4)) == [
+            "d1: m_final must equal the ground truth 4 of m1=4, m2=4, m_sup=None, got None"
+        ]
+
+    def test_unresolved_conflict_leaves_m_final_absent(self):
+        assert validate_record(rec(m1=2, m2=3, m_final=2)) == [
+            "d1: m_final must be absent while m1=2 and m2=3 disagree without m_sup, got 2"
+        ]
+        assert validate_record(rec(m1=2, m2=3)) == []
+
+    def test_without_second_count_m_final_is_kept(self):
+        assert validate_record(rec(m1=2, m_final=5)) == []
+
+    @given(
+        st.integers(min_value=0, max_value=3) | st.none(),
+        st.integers(min_value=0, max_value=3) | st.none(),
+        st.integers(min_value=0, max_value=3) | st.none(),
+        st.integers(min_value=0, max_value=3) | st.none(),
+    )
+    def test_ground_truth_violation_iff_both_counts_and_a_mismatch(self, m1, m2, m_sup, m_final):
+        violations = validate_record(rec(m1=m1, m2=m2, m_sup=m_sup, m_final=m_final))
+        flagged = any("ground truth" in v or "disagree" in v for v in violations)
+        assert flagged == (m1 is not None and m2 is not None
+                           and m_final != ground_truth(m1, m2, m_sup))
+
     def test_negative_counts_flagged(self):
         violations = validate_record(rec(k_auto=-1, m1=-2))
         assert len(violations) >= 2

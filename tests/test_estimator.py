@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fully_counted_campaign, make_record
+from conftest import fully_counted_campaign, make_record, subsample_safe
 from apcval.domain import SAFE, UNSAFE, DopRecord, PartitionStats, TestParams
 from apcval.estimator import (
     FAIL,
@@ -131,6 +131,102 @@ class TestPooledVariance:
         s = stats(10, 6, 4, q=q, d_s=0.01, d_u=-0.02, nu_s=nu_s, nu_u=nu_u)
         lo, hi = sorted([nu_min_a, nu_min_b])
         assert chain(s, lo).nu_hat**2 <= chain(s, hi).nu_hat**2 + 1e-18
+
+
+def pilot_nu(s: PartitionStats) -> float:
+    """The composite deviation of a pilot: the chain's pooled nu at quota 1, no floor.
+
+    An empty stratum enters with mean 0.0 and an undefined deviation as NaN,
+    which the unfloored chain counts as no spread.
+    """
+    zero = lambda x: 0.0 if x is None else x
+    nan = lambda x: math.nan if x is None else x
+    return float(verdict_chain(
+        s.n_s, s.n_u, 1.0, zero(s.d_bar_s), zero(s.d_bar_u), nan(s.nu_hat_s),
+        nan(s.nu_hat_u), TestParams(nu_min=0.0),
+    ).nu_hat)
+
+
+def pilot_stats(records: list[DopRecord]) -> PartitionStats:
+    return evaluate_partitioned(records, TestParams(nu_min=0.0)).stats
+
+
+class TestPilotRecipe:
+    # p_s, the stratum moments and the composite nu of a counted pilot campaign
+    def test_single_stratum(self):
+        records = [make_record(i, 3, 3 + (i % 3) - 1, SAFE, sampled=True) for i in range(30)]
+        s = pilot_stats(records)
+        assert s.n_s / s.n == 1.0
+        assert pilot_nu(s) == pytest.approx(s.nu_hat_s, rel=1e-15)
+        assert s.d_bar_u is None
+
+    def test_composite_identity_hand_values(self):
+        # 0.9*0.05^2 + 0.1*0.3^2 + 0.09*0.02^2 = 0.011286
+        s = stats(1000, 900, 100, q=1.0, d_s=0.02, d_u=0.0, nu_s=0.05, nu_u=0.3)
+        assert pilot_nu(s) ** 2 == pytest.approx(0.011286, abs=1e-15)
+
+    def test_single_counted_record_adds_no_spread(self):
+        s = stats(10, 1, 9, q=1.0, d_s=0.1, d_u=0.0, nu_s=None, nu_u=0.2)
+        assert pilot_nu(s) ** 2 == pytest.approx(0.9 * 0.2**2 + 0.09 * 0.1**2, abs=1e-15)
+
+    def test_composite_matches_total_variance(self):
+        # law of total variance: composite deviation vs plain deviation of all
+        rng = np.random.default_rng(5)
+        records = fully_counted_campaign(rng, 4000, p_s=0.7, error_rate=0.5)
+        m = np.array([r.m_final for r in records], dtype=float)
+        k = np.array([r.k_auto for r in records], dtype=float)
+        d = (k - m) / m.mean()
+        assert pilot_nu(pilot_stats(records)) == pytest.approx(float(d.std(ddof=1)), rel=0.01)
+
+    def test_uncounted_nonempty_stratum_is_an_error(self):
+        records = [
+            make_record(0, 3, 3, SAFE, sampled=True),
+            DopRecord(dop_id="u1", k_auto=2, label=UNSAFE),
+        ]
+        with pytest.raises(ValueError, match="lack ground truth: u1"):
+            pilot_stats(records)
+
+    def test_nu_s_ratio_property(self):
+        # the scale-free ratio nu_s / nu against numpy on the raw differences
+        rng = np.random.default_rng(6)
+        records = fully_counted_campaign(rng, 500, p_s=0.6, error_rate=0.4)
+        s = pilot_stats(records)
+        m = np.array([r.m_final for r in records], dtype=float)
+        d = (np.array([r.k_auto for r in records], dtype=float) - m) / m.mean()
+        safe = np.array([r.label == SAFE for r in records])
+        p_s = safe.mean()
+        d_s, d_u = d[safe], d[~safe]
+        nu2 = (p_s * d_s.var(ddof=1) + (1 - p_s) * d_u.var(ddof=1)
+               + p_s * (1 - p_s) * (d_s.mean() - d_u.mean()) ** 2)
+        assert s.n_s / s.n == p_s
+        assert s.nu_hat_s / pilot_nu(s) == pytest.approx(d_s.std(ddof=1) / math.sqrt(nu2),
+                                                         rel=1e-12)
+
+    def test_quota_sampled_means_are_relative_to_m_hat_q(self):
+        # the safe records board fewer passengers, so the unweighted mean
+        # count of the counted records is far from the campaign's m_hat_q
+        rng = np.random.default_rng(12)
+        records = []
+        for i in range(400):
+            safe = rng.random() < 0.8
+            m = max(1, int(rng.poisson(3.0 if safe else 12.0)))
+            k = max(0, m + int(rng.integers(-2, 3)))
+            records.append(make_record(i, m, k, SAFE if safe else UNSAFE,
+                                       sampled=True if safe else None))
+        records = subsample_safe(records, rng, 0.2)
+        s = pilot_stats(records)
+        counted_s = [r for r in records if r.label == SAFE and r.sampled]
+        unsafe = [r for r in records if r.label == UNSAFE]
+        m_hat = (math.fsum(r.m_final for r in unsafe)
+                 + math.fsum(r.m_final for r in counted_s) * s.n_s / len(counted_s)) / s.n
+        m_bar = np.mean([r.m_final for r in counted_s + unsafe])
+        assert s.m_hat_q == pytest.approx(m_hat, rel=1e-12)
+        assert m_bar / m_hat > 1.3
+        for d_bar, nu_hat, stratum in ((s.d_bar_s, s.nu_hat_s, counted_s),
+                                       (s.d_bar_u, s.nu_hat_u, unsafe)):
+            d = np.array([(r.k_auto - r.m_final) / m_hat for r in stratum])
+            assert d_bar == pytest.approx(d.mean(), rel=1e-12, abs=1e-15)
+            assert nu_hat == pytest.approx(d.std(ddof=1), rel=1e-12)
 
 
 class TestConfidenceInterval:

@@ -175,6 +175,15 @@ class TestOptimalQuota:
         with pytest.raises(ValueError):
             optimal_quota(PartitionParams(p_s=0.0), 0.15, CostParams(c_u=1, c_s0=0, c_sz=1))
 
+    def test_zero_mandatory_cost_has_no_optimum(self):
+        # p_u*c_u + p_s*c_s0 == 0: every smaller quota is cheaper
+        part = PartitionParams(p_s=0.9, nu_s_ratio=0.35, q=0.5)
+        free = CostParams(c_u=0.0, c_s0=0.0, c_sz=1.0)
+        with pytest.raises(ValueError, match="mandatory cost p_u\\*c_u \\+ p_s\\*c_s0 is 0"):
+            optimal_quota(part, 0.15, free)
+        # without a variance surplus the full count stays optimal
+        assert optimal_quota(PartitionParams(p_s=1.0, nu_s_ratio=1.0, q=0.5), 0.2, free) == 1.0
+
     @settings(max_examples=100, deadline=None)
     @given(
         nu=st.floats(min_value=0.08, max_value=0.3),
