@@ -2,12 +2,7 @@
 equivalence tests in automatic passenger counting validation."""
 
 from ._version import VERSION as __version__
-from .classify import (
-    ClassifierSpec,
-    classify,
-    combined_classify,
-    draw_sample,
-)
+from .classify import ClassifierSpec, classify, draw_sample
 from .cost import (
     CostBreakdown,
     cost_breakdown,

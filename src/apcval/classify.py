@@ -36,7 +36,7 @@ KINDS = (
     KIND_CONFIDENCE_WITH_COUNT,
     KIND_COMBINED,
 )
-# combined is scored too: its first stage runs a score-based classifier
+# combined is scored as the rule of thumb, which is its first stage
 _SCORED_KINDS = (
     KIND_RULE_OF_THUMB,
     KIND_FIRST_COUNT,
@@ -53,7 +53,9 @@ class ClassifierSpec:
     Score-based kinds need exactly one of `threshold` (inclusive on the
     safe side; applied to the primary score component) or `target_share`
     (desired safe share). The rule of thumb rates passengers per minute
-    from `m1`, or from `k_auto` where `m1` is absent.
+    from `m1`, or from `k_auto` where `m1` is absent. For `combined` the
+    threshold or target share is that of its first stage, the rule of
+    thumb.
     """
 
     kind: str
@@ -80,7 +82,7 @@ class ClassifierSpec:
 def _unsafety_score(record: DopRecord, spec: ClassifierSpec) -> tuple[float, float]:
     """(primary, tiebreak) unsafety score; raises on missing inputs."""
     r = record
-    if spec.kind == KIND_RULE_OF_THUMB:
+    if spec.kind in (KIND_RULE_OF_THUMB, KIND_COMBINED):
         count = r.k_auto if r.m1 is None else r.m1
         if r.duration_s <= 0.0:
             return (math.inf, 0.0)
@@ -93,42 +95,52 @@ def _unsafety_score(record: DopRecord, spec: ClassifierSpec) -> tuple[float, flo
         if r.alg_confidence is None:
             raise ValueError(f"{r.dop_id}: alg_confidence required for {spec.kind}")
         return (1.0 - r.alg_confidence, 0.0)
-    if spec.kind == KIND_CONFIDENCE_WITH_COUNT:
-        if r.alg_count is None or r.alg_confidence is None:
-            raise ValueError(
-                f"{r.dop_id}: alg_count and alg_confidence required for {spec.kind}"
-            )
-        return (float(abs(r.k_auto - r.alg_count)), 1.0 - r.alg_confidence)
-    raise ValueError(f"{spec.kind} does not produce scores")
+    if r.alg_count is None or r.alg_confidence is None:
+        raise ValueError(f"{r.dop_id}: alg_count and alg_confidence required for {spec.kind}")
+    return (float(abs(r.k_auto - r.alg_count)), 1.0 - r.alg_confidence)
 
 
 def classify(
     records: list[DopRecord], spec: ClassifierSpec
-) -> tuple[list[DopRecord], float]:
-    """Assign safe/unsafe labels; returns the new records and the safe share.
+) -> tuple[list[DopRecord], dict[str, int] | None]:
+    """Assign safe/unsafe labels; returns the new records and the reclassification flags.
 
     Deterministic and independent of input order up to the dop_id
-    tie-break in target-share mode.
+    tie-break in target-share mode. The flags are None except for
+    `combined`, which classifies in two stages: records its first stage
+    (the rule of thumb) marks safe are safe with flag 0; provisionally
+    unsafe records become safe with flag 1 when their first manual count
+    equals the automatic count, else stay unsafe without a flag. The flags
+    feed the combined cost attribution. Every provisionally unsafe record
+    must carry a first manual count.
     """
-    if spec.kind == KIND_COMBINED:
-        raise ValueError("combined classification is performed by combined_classify")
-    if not records:
-        return [], 0.0
-    if spec.kind == KIND_ALL_SAFE:
-        return [relabel(r, SAFE, r.sampled) for r in records], 1.0
-    if spec.kind == KIND_ALL_UNSAFE:
-        return [relabel(r, UNSAFE, r.sampled) for r in records], 0.0
-
     safe_flags = _safe_flags(records, spec)
-    labeled = [
-        relabel(r, SAFE if flag else UNSAFE, r.sampled)
-        for r, flag in zip(records, safe_flags)
-    ]
-    return labeled, sum(safe_flags) / len(records)
+    if spec.kind != KIND_COMBINED:
+        labeled = [
+            relabel(r, SAFE if flag else UNSAFE, r.sampled)
+            for r, flag in zip(records, safe_flags)
+        ]
+        return labeled, None
+
+    missing = [r.dop_id for r, safe in zip(records, safe_flags) if not safe and r.m1 is None]
+    if missing:
+        raise ValueError(
+            f"provisionally unsafe records lack a first manual count: {', '.join(missing)}"
+        )
+    labeled = []
+    reclass_flags: dict[str, int] = {}
+    for r, safe in zip(records, safe_flags):
+        final_safe = safe or r.m1 == r.k_auto
+        if final_safe:
+            reclass_flags[r.dop_id] = int(not safe)
+        labeled.append(relabel(r, SAFE if final_safe else UNSAFE, r.sampled))
+    return labeled, reclass_flags
 
 
 def _safe_flags(records: list[DopRecord], spec: ClassifierSpec) -> list[bool]:
-    """Whether a score-based classifier marks each record safe."""
+    """Whether the classifier, for combined its first stage, marks each record safe."""
+    if spec.kind in (KIND_ALL_SAFE, KIND_ALL_UNSAFE):
+        return [spec.kind == KIND_ALL_SAFE] * len(records)
     scores = [_unsafety_score(r, spec) for r in records]
     if spec.threshold is not None:
         return [s[0] <= spec.threshold for s in scores]
@@ -139,39 +151,6 @@ def _safe_flags(records: list[DopRecord], spec: ClassifierSpec) -> list[bool]:
     for i in order[:n_safe]:
         safe_flags[i] = True
     return safe_flags
-
-
-def combined_classify(
-    records: list[DopRecord], first: ClassifierSpec
-) -> tuple[list[DopRecord], dict[str, int]]:
-    """Two-stage classification: a first classifier, then reclassification.
-
-    Records the first classifier marks safe stay safe (flag 0).
-    Provisionally unsafe records become safe with flag 1 when their first
-    manual count equals the automatic count, else stay unsafe. The flags
-    feed the combined cost attribution. Every provisionally unsafe record
-    must carry a first manual count.
-    """
-    provisional, _ = classify(records, first)
-    missing = [
-        r.dop_id for r in provisional if r.label == UNSAFE and r.m1 is None
-    ]
-    if missing:
-        raise ValueError(
-            f"provisionally unsafe records lack a first manual count: {', '.join(missing)}"
-        )
-    final: list[DopRecord] = []
-    flags: dict[str, int] = {}
-    for r in provisional:
-        if r.label == SAFE:
-            final.append(r)
-            flags[r.dop_id] = 0
-        elif r.m1 == r.k_auto:
-            final.append(relabel(r, SAFE, r.sampled))
-            flags[r.dop_id] = 1
-        else:
-            final.append(r)
-    return final, flags
 
 
 def _sample_mask(n: int, q0: float, rng: np.random.Generator) -> np.ndarray:

@@ -19,15 +19,7 @@ from pathlib import Path
 from . import cost as cost_mod
 from . import io as io_mod
 from . import planner, simulate
-from .classify import (
-    KIND_COMBINED,
-    KIND_RULE_OF_THUMB,
-    ClassifierSpec,
-    _safe_flags,
-    combined_classify,
-    draw_sample,
-)
-from .classify import classify as run_classifier
+from .classify import KIND_COMBINED, ClassifierSpec, _safe_flags, classify, draw_sample
 from .domain import SAFE, UNLABELED, UNSAFE, DopRecord, relabel
 from .estimator import _differences, evaluate_classic, evaluate_partitioned
 
@@ -120,24 +112,6 @@ def _classifier(config: io_mod.Config) -> ClassifierSpec:
     return config.classifier
 
 
-def _first_stage(spec: ClassifierSpec) -> ClassifierSpec:
-    """The rule-of-thumb classifier that opens the combined two-stage flow."""
-    return ClassifierSpec(
-        kind=KIND_RULE_OF_THUMB, threshold=spec.threshold, target_share=spec.target_share
-    )
-
-
-def _classify_records(
-    records: list[DopRecord], config: io_mod.Config
-) -> tuple[list[DopRecord], dict[str, int] | None]:
-    """Apply the configured classifier; combined uses the two-stage flow."""
-    spec = _classifier(config)
-    if spec.kind == KIND_COMBINED:
-        return combined_classify(records, _first_stage(spec))
-    labeled, _ = run_classifier(records, spec)
-    return labeled, None
-
-
 def _cost_params(records: list[DopRecord], config: io_mod.Config):
     """Cost breakdown of the campaign's labels; an unlabeled campaign is classified first."""
     combined = config.scheme == cost_mod.SCHEME_COMBINED
@@ -149,9 +123,9 @@ def _cost_params(records: list[DopRecord], config: io_mod.Config):
             raise io_mod.CampaignError(
                 "campaign has unlabeled records and no classifier is configured"
             )
-        records, reclass_flags = _classify_records(records, config)
+        records, reclass_flags = classify(records, config.classifier)
     elif combined:
-        first = _safe_flags(records, _first_stage(config.classifier))
+        first = _safe_flags(records, config.classifier)
         reclass_flags = {r.dop_id: int(not safe) for r, safe in zip(records, first)}
     return cost_mod.cost_breakdown(records, config.rates, config.scheme, reclass_flags)
 
@@ -186,7 +160,7 @@ def cmd_classify(args) -> int:
         raise io_mod.ConfigError("classify needs --out to write the labeled campaign")
     config = _load(args)
     records = _load_campaign(args)
-    labeled, flags = _classify_records(records, config)
+    labeled, flags = classify(records, _classifier(config))
     io_mod.save_campaign(labeled, args.out)
     n = len(labeled)
     n_s = sum(1 for r in labeled if r.label == SAFE)
@@ -382,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     try:
         return _COMMANDS[args.command](args)
-    except (io_mod.CampaignError, io_mod.ConfigError, ValueError) as exc:
+    except (io_mod.CampaignError, io_mod.ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OverflowError as exc:

@@ -63,7 +63,7 @@ def cost_breakdown(
     from `reclass_flags`: 1 when the first stage of the combined classifier
     marked it unsafe, so that a first manual count was paid and reclassified
     it safe. The records' own labels are priced; the flags come from
-    `combined_classify` or, for a labeled campaign, from its first stage.
+    `classify` or, for a labeled campaign, from its first stage.
     Then c_s0 = mean(w * c) and c_sz = mean((1 - w + r_s) * c) over the
     safe stratum, so attribution moves cost between the two and never
     creates it.

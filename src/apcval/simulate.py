@@ -107,6 +107,8 @@ class SimConfig:
             raise ValueError("every simulated sample size must be >= 2")
         if self.test not in (TEST_CLASSIC, TEST_PARTITIONED):
             raise ValueError(f"unknown test {self.test!r}")
+        if self.bias_sweep is not None and len(self.bias_sweep) == 0:
+            raise ValueError("bias_sweep must hold at least one value, or be None")
         for mu in self.bias_sweep or ():
             if not math.isfinite(mu):
                 raise ValueError(f"bias_sweep values must be finite, got {mu}")

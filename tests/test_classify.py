@@ -16,10 +16,39 @@ from apcval.classify import (
     KIND_RULE_OF_THUMB,
     ClassifierSpec,
     classify,
-    combined_classify,
     draw_sample,
 )
-from apcval.domain import SAFE, UNSAFE, DopRecord
+from apcval.domain import SAFE, UNSAFE, DopRecord, relabel
+
+
+def safe_share(labeled: list[DopRecord]) -> float:
+    return sum(r.label == SAFE for r in labeled) / len(labeled)
+
+
+def reference_combined_classify(
+    records: list[DopRecord], first: ClassifierSpec
+) -> tuple[list[DopRecord], dict[str, int]]:
+    """The combined classifier as two calls: the first stage, then reclassification."""
+    provisional, _ = classify(records, first)
+    missing = [
+        r.dop_id for r in provisional if r.label == UNSAFE and r.m1 is None
+    ]
+    if missing:
+        raise ValueError(
+            f"provisionally unsafe records lack a first manual count: {', '.join(missing)}"
+        )
+    final: list[DopRecord] = []
+    flags: dict[str, int] = {}
+    for r in provisional:
+        if r.label == SAFE:
+            final.append(r)
+            flags[r.dop_id] = 0
+        elif r.m1 == r.k_auto:
+            final.append(relabel(r, SAFE, r.sampled))
+            flags[r.dop_id] = 1
+        else:
+            final.append(r)
+    return final, flags
 
 
 class TestClassifierSpec:
@@ -47,15 +76,15 @@ class TestClassifierSpec:
 class TestClassify:
     def test_all_safe(self):
         records = [make_record(i, 2, 2, UNSAFE) for i in range(5)]
-        labeled, p_hat = classify(records, ClassifierSpec(kind=KIND_ALL_SAFE))
-        assert p_hat == 1.0
-        assert all(r.label == SAFE for r in labeled)
+        labeled, flags = classify(records, ClassifierSpec(kind=KIND_ALL_SAFE))
+        assert flags is None
+        assert safe_share(labeled) == 1.0
 
     def test_all_unsafe(self):
         records = [make_record(i, 2, 2, SAFE) for i in range(5)]
-        labeled, p_hat = classify(records, ClassifierSpec(kind=KIND_ALL_UNSAFE))
-        assert p_hat == 0.0
-        assert all(r.label == UNSAFE for r in labeled)
+        labeled, flags = classify(records, ClassifierSpec(kind=KIND_ALL_UNSAFE))
+        assert flags is None
+        assert safe_share(labeled) == 0.0
 
     def test_first_count_exact_match_rule(self):
         records = [
@@ -63,9 +92,9 @@ class TestClassify:
             make_record(1, 4, 4, UNSAFE),
             make_record(2, 3, 5, UNSAFE),
         ]
-        labeled, p_hat = classify(records, ClassifierSpec(kind=KIND_FIRST_COUNT, threshold=0.0))
+        labeled, _ = classify(records, ClassifierSpec(kind=KIND_FIRST_COUNT, threshold=0.0))
         assert [r.label for r in labeled] == [SAFE, SAFE, UNSAFE]
-        assert p_hat == pytest.approx(2 / 3)
+        assert safe_share(labeled) == pytest.approx(2 / 3)
 
     def test_confidence_with_count_lexicographic(self):
         records = [
@@ -74,9 +103,9 @@ class TestClassify:
             DopRecord(dop_id="c", k_auto=5, alg_count=6, alg_confidence=0.99),
         ]
         spec = ClassifierSpec(kind=KIND_CONFIDENCE_WITH_COUNT, target_share=2 / 3)
-        labeled, p_hat = classify(records, spec)
+        labeled, _ = classify(records, spec)
         assert [r.label for r in labeled] == [SAFE, SAFE, UNSAFE]
-        assert p_hat == pytest.approx(2 / 3)
+        assert safe_share(labeled) == pytest.approx(2 / 3)
 
     def test_confidence_only_threshold(self):
         records = [
@@ -109,9 +138,9 @@ class TestClassify:
         with pytest.raises(ValueError, match="alg_confidence"):
             classify([DopRecord(dop_id="a", k_auto=1)], ClassifierSpec(kind=KIND_CONFIDENCE_ONLY, threshold=0.5))
 
-    def test_combined_kind_redirects(self):
-        with pytest.raises(ValueError, match="combined_classify"):
-            classify([], ClassifierSpec(kind=KIND_COMBINED, threshold=1.0))
+    def test_empty_campaign(self):
+        assert classify([], ClassifierSpec(kind=KIND_ALL_SAFE)) == ([], None)
+        assert classify([], ClassifierSpec(kind=KIND_COMBINED, threshold=1.0)) == ([], {})
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
@@ -123,29 +152,28 @@ class TestClassify:
         ]
         share = data.draw(st.floats(min_value=0, max_value=1))
         spec = ClassifierSpec(kind=KIND_FIRST_COUNT, target_share=share)
-        labeled, p_hat = classify(records, spec)
+        labeled, _ = classify(records, spec)
         by_id = {r.dop_id: r.label for r in labeled}
 
         perm = data.draw(st.permutations(records))
-        labeled_perm, p_hat_perm = classify(list(perm), spec)
+        labeled_perm, _ = classify(list(perm), spec)
         assert {r.dop_id: r.label for r in labeled_perm} == by_id
-        assert p_hat_perm == p_hat
-        assert abs(p_hat - share) <= 1.0 / n + 1e-12
+        assert abs(safe_share(labeled) - share) <= 1.0 / n + 1e-12
 
 
 class TestCombinedClassify:
-    def rule_of_thumb(self, threshold=10.0):
-        return ClassifierSpec(kind=KIND_RULE_OF_THUMB, threshold=threshold)
+    def combined(self, threshold=10.0):
+        return ClassifierSpec(kind=KIND_COMBINED, threshold=threshold)
 
     def test_first_marks_all_safe(self):
         records = [DopRecord(dop_id=f"r{i}", k_auto=1, m1=1, duration_s=600.0) for i in range(3)]
-        labeled, flags = combined_classify(records, self.rule_of_thumb())
+        labeled, flags = classify(records, self.combined())
         assert all(r.label == SAFE for r in labeled)
         assert set(flags.values()) == {0}
 
     def test_reclassification_on_count_agreement(self):
         r = DopRecord(dop_id="x", k_auto=25, m1=25, duration_s=60.0)  # 25/min: unsafe
-        labeled, flags = combined_classify([r], self.rule_of_thumb())
+        labeled, flags = classify([r], self.combined())
         assert labeled[0].label == SAFE
         assert flags == {"x": 1}
 
@@ -156,14 +184,47 @@ class TestCombinedClassify:
             DopRecord(dop_id="c", k_auto=30, m1=28, duration_s=60.0),  # unsafe, disagree
             DopRecord(dop_id="d", k_auto=1, m1=1, duration_s=600.0),   # 0.1/min safe
         ]
-        labeled, flags = combined_classify(records, self.rule_of_thumb())
+        labeled, flags = classify(records, self.combined())
         assert [r.label for r in labeled] == [SAFE, SAFE, UNSAFE, SAFE]
         assert flags == {"a": 0, "b": 1, "d": 0}
+        assert safe_share(labeled) == 0.75
 
     def test_missing_first_count_on_provisional_unsafe(self):
         r = DopRecord(dop_id="x", k_auto=25, duration_s=60.0)
         with pytest.raises(ValueError, match="first manual count"):
-            combined_classify([r], ClassifierSpec(kind=KIND_RULE_OF_THUMB, threshold=10.0))
+            classify([r], self.combined())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_two_stage_reference(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=25))
+        # a campaign without missing m1 takes the reclassification path
+        may_lack_m1 = data.draw(st.booleans())
+        records = [
+            DopRecord(
+                dop_id=f"r{data.draw(st.integers(0, 30)):02d}",  # ids may repeat
+                k_auto=k,
+                m1=data.draw(st.integers(max(0, k - 2), k + 2)
+                             | (st.none() if may_lack_m1 else st.nothing())),
+                m2=data.draw(st.none() | st.integers(max(0, k - 1), k + 1)),
+                duration_s=data.draw(st.sampled_from([0.0, 5.0, 30.0, 60.0, 600.0])),
+            )
+            for k in data.draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
+        ]
+        if data.draw(st.booleans()):
+            rule = {"threshold": data.draw(st.floats(-1.0, 200.0))}
+        else:
+            rule = {"target_share": data.draw(st.floats(0.0, 1.0))}
+        try:
+            expected = reference_combined_classify(
+                records, ClassifierSpec(kind=KIND_RULE_OF_THUMB, **rule)
+            )
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                classify(records, ClassifierSpec(kind=KIND_COMBINED, **rule))
+            assert str(got.value) == str(exc)
+            return
+        assert classify(records, ClassifierSpec(kind=KIND_COMBINED, **rule)) == expected
 
 
 class TestDrawSample:

@@ -387,6 +387,12 @@ class TestSimulateCostOptimize:
             attached[0], without_created(attached[1]), attached[2]
         )
 
+    @pytest.mark.parametrize("audit", [[], ["--audit"]])
+    def test_simulate_refuses_an_empty_bias_grid(self, capsys, audit):
+        code, out, err = run(capsys, ["simulate", "--n-grid", "100", "--bias-grid", ",", *audit])
+        assert code == 1 and out == ""
+        assert err == "error: bias_sweep must hold at least one value, or be None\n"
+
     @pytest.mark.parametrize("value", ["1.5", "abc", "nan"])
     def test_simulate_n_grid_must_be_integers(self, capsys, value):
         code, out, err = run(capsys, ["simulate", "--n-grid", f"100,{value}", "--trials", "10"])
@@ -527,13 +533,29 @@ class TestSimulateCostOptimize:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["plan", "--out", "{missing}/p.json"],
+     ["evaluate", "--campaign", "{campaign}", "--details", "{missing}/d.csv"],
+     ["classify", "--campaign", "{campaign}", "--out", "{missing}/x.csv", *_COMBINED]],
+)
+def test_unwritable_output_is_an_error(capsys, golden_campaign, tmp_path, argv):
+    missing = tmp_path / "no_such_dir"
+    code, _, err = run(capsys, [a.format(campaign=golden_campaign, missing=missing)
+                                for a in argv])
+    assert code == 1
+    assert err.startswith("error: ") and "no_such_dir" in err
+    assert err.count("\n") == 1  # one line, no traceback
+
+
 # --- golden bytes -------------------------------------------------------------
 #
-# Each case runs one command on the golden campaign; `{campaign}` and
-# `{details}` stand for the campaign file and a details CSV path. The expected
-# exit code, stdout (without the `created` line), stderr and details CSV of
-# every case are in cli_golden.json. Regenerate that file, after checking that
-# a change to the outputs is intended, with
+# Each case runs one command on the golden campaign; `{campaign}`, `{details}`
+# and `{out}` stand for the campaign file, a details CSV path and an --out path.
+# The expected exit code, stdout (without the `created` line and with the --out
+# path written `{out}`), stderr and details CSV of every case, and the --out
+# file of every case that names one, are in cli_golden.json. Regenerate that
+# file, after checking that a change to the outputs is intended, with
 #   PYTHONPATH=src:tests python -c "import test_cli; test_cli.write_golden()"
 GOLDEN_CASES = {
     "plan": ["plan"],
@@ -553,25 +575,60 @@ GOLDEN_CASES = {
     "optimize_combined": ["optimize", "--campaign", "{campaign}",
                           "--set", "costs.scheme=combined", *_COMBINED],
 }
+# classify runs every kind in both formats. The confidence kinds end in an
+# error at a3, which carries no algorithm output.
+_CLASSIFY_RULES = {
+    "all_safe": [],
+    "all_unsafe": [],
+    "rule_of_thumb": ["--set", "classifier.threshold=5"],
+    "first_count": ["--set", "classifier.threshold=0"],
+    "confidence_only": ["--set", "classifier.threshold=0.1"],
+    "confidence_with_count": ["--set", "classifier.target_share=0.5"],
+    "combined": ["--set", "classifier.threshold=5"],
+}
+GOLDEN_CASES.update({
+    f"classify_{kind}{suffix}": ["classify", "--campaign", "{campaign}", "--out", "{out}",
+                                 "--set", f"classifier.kind={kind}", *rule, *fmt]
+    for kind, rule in _CLASSIFY_RULES.items()
+    for suffix, fmt in (("", []), ("_csv", ["--format", "csv"]))
+})
+GOLDEN_CASES.update({
+    "classify_rule_of_thumb_share": ["classify", "--campaign", "{campaign}", "--out", "{out}",
+                                     "--set", "classifier.kind=rule_of_thumb",
+                                     "--set", "classifier.target_share=0.5"],
+    "classify_combined_share": ["classify", "--campaign", "{campaign}", "--out", "{out}",
+                                "--set", "classifier.kind=combined",
+                                "--set", "classifier.target_share=0.5"],
+    "classify_no_out": ["classify", "--campaign", "{campaign}", *_COMBINED],
+    "classify_no_kind": ["classify", "--campaign", "{campaign}", "--out", "{out}"],
+    "sample": ["sample", "--campaign", "{campaign}", "--out", "{out}"],
+    "sample_csv": ["sample", "--campaign", "{campaign}", "--out", "{out}",
+                   "--set", "q=0.5", "--seed", "7", "--format", "csv"],
+})
 GOLDEN_FILE = Path(__file__).with_name("cli_golden.json")
 _CREATED = re.compile(r'^(  "created": .*|created,.*)\n', re.MULTILINE)
 
 
 def golden_output(case: str, workdir: Path) -> dict:
-    """Exit code, stdout without `created`, stderr and details CSV of one case."""
+    """Exit code, stdout without `created`, stderr, details CSV and --out file of one case."""
     campaign = workdir / "campaign.csv"
     campaign.write_text(GOLDEN, encoding="utf-8")
     details = workdir / f"{case}.details.csv"
-    argv = [a.format(campaign=campaign, details=details) for a in GOLDEN_CASES[case]]
+    out_file = workdir / f"{case}.out.csv"
+    argv = [a.format(campaign=campaign, details=details, out=out_file)
+            for a in GOLDEN_CASES[case]]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    return {
+    result = {
         "code": code,
-        "stdout": _CREATED.sub("", out.getvalue()),
+        "stdout": _CREATED.sub("", out.getvalue()).replace(str(out_file), "{out}"),
         "stderr": err.getvalue(),
         "details": details.read_text(encoding="utf-8") if details.exists() else None,
     }
+    if "{out}" in GOLDEN_CASES[case]:
+        result["out"] = out_file.read_text(encoding="utf-8") if out_file.exists() else None
+    return result
 
 
 def write_golden() -> None:

@@ -7,7 +7,7 @@ PUBLIC_NAMES = [
     "CurvePoint", "DopRecord", "EvaluationReport", "NormalErrors", "PartitionParams",
     "PartitionStats", "Plan", "ResamplingErrors", "SAFE", "SimConfig", "SuccessCurve",
     "TestParams", "UNLABELED", "UNSAFE", "analytic_success", "apply_buffer",
-    "bias_estimates", "classify", "combined_classify", "confidence_interval", "cost",
+    "bias_estimates", "classify", "confidence_interval", "cost",
     "cost_breakdown", "counting_cost", "domain", "draw_sample", "equivalence_verdict",
     "estimator", "evaluate_classic", "evaluate_partitioned", "ground_truth", "make_plan",
     "norm_cdf", "norm_ppf", "normal", "optimal_quota", "planner", "planning_normal_model",
@@ -18,4 +18,4 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(apcval.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 48
+    assert len(PUBLIC_NAMES) == 47

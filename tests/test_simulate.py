@@ -105,6 +105,13 @@ class TestSimConfigValidation:
             entry(SimConfig(NormalErrors(nu_s=0.15, nu_u=0.15), PARAMS, SINGLE_STRATUM,
                             n_values=(50,), bias_sweep=(value, 0.05), trials=20))
 
+    @pytest.mark.parametrize("sweep", [(), []])
+    @pytest.mark.parametrize("entry", [run_simulation, user_risk_audit])
+    def test_bias_sweep_must_not_be_empty(self, entry, sweep):
+        with pytest.raises(ValueError, match="^bias_sweep must hold at least one value"):
+            entry(SimConfig(NormalErrors(nu_s=0.15, nu_u=0.15), PARAMS, SINGLE_STRATUM,
+                            n_values=(50,), bias_sweep=sweep, trials=20))
+
 
 class TestRunSimulation:
     def test_single_trial_rate_is_binary(self):
