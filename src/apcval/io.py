@@ -89,7 +89,7 @@ def _checked_record(cells: tuple[str, ...], row_no: int) -> DopRecord:
     k_auto = _opt_int(k_cell, row_no, "k_auto")
     if k_auto is None:
         raise CampaignError(f"row {row_no}: k_auto is mandatory")
-    return DopRecord(
+    return tuple.__new__(DopRecord, (
         dop_id,
         k_auto,
         _opt_float(duration, row_no, "duration_s") or 0.0,
@@ -101,7 +101,7 @@ def _checked_record(cells: tuple[str, ...], row_no: int) -> DopRecord:
         _opt_float(conf, row_no, "alg_confidence"),
         _CSV_TO_LABEL[label],
         _CSV_TO_SAMPLED[sampled],
-    )
+    ))
 
 
 def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecord], list[str]]:
@@ -112,8 +112,9 @@ def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecor
     strict=True any violation is promoted to a CampaignError.
 
     Each row is read in one pass: one getter takes its cells in
-    `DopRecord` field order and the numbers are parsed inline. Only a row
-    whose numbers do not parse or are not finite goes through the per-cell
+    `DopRecord` field order, the numbers are parsed inline and the record
+    is built from one tuple, without a constructor call. Only a row whose
+    numbers do not parse or are not finite goes through the per-cell
     checks of `_checked_record`, which name the bad cell.
     """
     path = Path(path)
@@ -132,9 +133,10 @@ def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecor
             f"{path}: malformed header {header!r}, expected columns {list(CAMPAIGN_COLUMNS)}"
         )
     width = len(header)
-    pick = itemgetter(*(header.index(field.name) for field in fields(DopRecord)))
+    pick = itemgetter(*map(header.index, DopRecord._fields))
     strip = str.strip
     isfinite = math.isfinite
+    new = tuple.__new__
 
     records: list[DopRecord] = []
     violations: list[str] = []
@@ -164,7 +166,7 @@ def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecor
             confidence = float(conf) if conf else None
             if not isfinite(duration_s) or not (confidence is None or isfinite(confidence)):
                 raise ValueError  # _checked_record names the cell
-            record = DopRecord(
+            record = new(DopRecord, (
                 dop_id,
                 int(k_auto),
                 duration_s or 0.0,
@@ -176,7 +178,7 @@ def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecor
                 confidence,
                 _CSV_TO_LABEL[label],
                 _CSV_TO_SAMPLED[sampled],
-            )
+            ))
         except ValueError:
             record = _checked_record(cells, row_no)
         records.append(record)
@@ -192,22 +194,14 @@ def save_campaign(records: list[DopRecord], path: str | Path) -> None:
     buf = _stringio.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CAMPAIGN_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [
-                r.dop_id,
-                repr(r.duration_s),
-                "" if r.m1 is None else r.m1,
-                "" if r.m2 is None else r.m2,
-                "" if r.m_sup is None else r.m_sup,
-                "" if r.m_final is None else r.m_final,
-                r.k_auto,
-                "" if r.alg_count is None else r.alg_count,
-                "" if r.alg_confidence is None else repr(r.alg_confidence),
-                _LABEL_TO_CSV[r.label],
-                "" if r.sampled is None else ("true" if r.sampled else "false"),
-            ]
-        )
+    # csv writes None as an empty cell; floats go through repr to round-trip
+    for dop_id, k_auto, duration_s, m1, m2, m_sup, m_final, alg_count, conf, label, sampled in records:
+        writer.writerow((
+            dop_id, repr(duration_s), m1, m2, m_sup, m_final, k_auto, alg_count,
+            "" if conf is None else repr(conf),
+            _LABEL_TO_CSV[label],
+            "" if sampled is None else ("true" if sampled else "false"),
+        ))
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 

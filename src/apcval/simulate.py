@@ -103,7 +103,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not self.n_values or any(n < 2 for n in self.n_values):
+        if len(self.n_values) == 0:
+            raise ValueError("n_values must hold at least one sample size")
+        if any(n < 2 for n in self.n_values):
             raise ValueError("every simulated sample size must be >= 2")
         if self.test not in (TEST_CLASSIC, TEST_PARTITIONED):
             raise ValueError(f"unknown test {self.test!r}")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
+import typing
 
 import numpy as np
 
@@ -25,15 +25,15 @@ def make_record(i: int, m: int, k: int, label: str, sampled=None, duration: floa
 def every_field_set() -> DopRecord:
     """A record whose fields all differ from their defaults and from each other.
 
-    Built from `dataclasses.fields(DopRecord)`, so a field added later gets a
+    Built from the annotations of `DopRecord`, so a field added later gets a
     value here too, and code that lists the fields by hand and misses it
     returns a different record. The label is not one of `LABELS`.
     """
     values = {}
-    for i, f in enumerate(fields(DopRecord)):
-        kind = f.type.split(" | ")[0]
-        values[f.name] = {"str": f"{f.name}-{i}", "int": 10 + i, "float": 0.5 + i / 64,
-                          "bool": True}[kind]
+    for i, (name, hint) in enumerate(typing.get_type_hints(DopRecord).items()):
+        kind = (typing.get_args(hint) or (hint,))[0]  # `int | None` -> int
+        values[name] = {str: f"{name}-{i}", int: 10 + i, float: 0.5 + i / 64,
+                        bool: True}[kind]
     return DopRecord(**values)
 
 
@@ -67,8 +67,6 @@ def subsample_safe(
     records: list[DopRecord], rng: np.random.Generator, q: float
 ) -> list[DopRecord]:
     """Mark a random q-quota of the safe records as sampled (rest False)."""
-    from dataclasses import replace
-
     from apcval.planner import counted_count
 
     safe_idx = [i for i, r in enumerate(records) if r.label == SAFE]
@@ -76,5 +74,5 @@ def subsample_safe(
     chosen = set(rng.choice(len(safe_idx), size=m, replace=False).tolist())
     out = list(records)
     for rank, i in enumerate(safe_idx):
-        out[i] = replace(records[i], sampled=rank in chosen)
+        out[i] = records[i]._replace(sampled=rank in chosen)
     return out

@@ -112,9 +112,7 @@ class TestEvaluate:
                 zip(rng.integers(1, 6, 60), rng.integers(1, 6, 60))
             )
         ]
-        from dataclasses import replace
-
-        records = [replace(r, label="unlabeled") for r in records]
+        records = [r._replace(label="unlabeled") for r in records]
         path = tmp_path / "c.csv"
         aio.save_campaign(records, path)
         code, out, _ = run(capsys, ["evaluate", "--campaign", str(path)])
@@ -276,9 +274,7 @@ class TestClassifyAndSample:
     def test_sample_sets_exact_quota(self, capsys, tmp_path):
         rng = np.random.default_rng(4)
         records = fully_counted_campaign(rng, 60, p_s=0.8)
-        from dataclasses import replace
-
-        records = [replace(r, sampled=None) for r in records]
+        records = [r._replace(sampled=None) for r in records]
         path = tmp_path / "c.csv"
         aio.save_campaign(records, path)
         out_path = tmp_path / "sampled.csv"
@@ -392,6 +388,12 @@ class TestSimulateCostOptimize:
         code, out, err = run(capsys, ["simulate", "--n-grid", "100", "--bias-grid", ",", *audit])
         assert code == 1 and out == ""
         assert err == "error: bias_sweep must hold at least one value, or be None\n"
+
+    @pytest.mark.parametrize("audit", [[], ["--audit"]])
+    def test_simulate_refuses_an_empty_n_grid(self, capsys, audit):
+        code, out, err = run(capsys, ["simulate", "--n-grid", ",", *audit])
+        assert code == 1 and out == ""
+        assert err == "error: n_values must hold at least one sample size\n"
 
     @pytest.mark.parametrize("value", ["1.5", "abc", "nan"])
     def test_simulate_n_grid_must_be_integers(self, capsys, value):

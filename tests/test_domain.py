@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+import typing
 
 import pytest
 from hypothesis import given
@@ -31,13 +31,67 @@ def rec(**kwargs) -> DopRecord:
 class TestRelabel:
     def test_equals_replace_on_every_field(self):
         record = every_field_set()
-        for f in fields(DopRecord):
-            assert getattr(record, f.name) not in (f.default, None)
+        for name in DopRecord._fields:
+            assert getattr(record, name) not in (DopRecord._field_defaults.get(name), None)
         for label in (*LABELS, "other"):
             for sampled in (True, False, None):
-                assert relabel(record, label, sampled) == replace(
-                    record, label=label, sampled=sampled
-                )
+                result = relabel(record, label, sampled)
+                assert type(result) is DopRecord  # tuple equality ignores the type
+                assert result == record._replace(label=label, sampled=sampled)
+
+
+class TestRecordContract:
+    """The tuple layout that `io.load_campaign`, `io._checked_record`,
+    `relabel` and `io.save_campaign` build and unpack by position."""
+
+    def test_field_order_and_annotations(self):
+        assert typing.get_type_hints(DopRecord) == {
+            "dop_id": str,
+            "k_auto": int,
+            "duration_s": float,
+            "m1": int | None,
+            "m2": int | None,
+            "m_sup": int | None,
+            "m_final": int | None,
+            "alg_count": int | None,
+            "alg_confidence": float | None,
+            "label": str,
+            "sampled": bool | None,
+        }
+        assert DopRecord._fields == tuple(typing.get_type_hints(DopRecord))
+
+    def test_defaults(self):
+        assert DopRecord._field_defaults == {
+            "duration_s": 0.0, "m1": None, "m2": None, "m_sup": None, "m_final": None,
+            "alg_count": None, "alg_confidence": None, "label": UNLABELED, "sampled": None,
+        }
+        assert DopRecord("d1", 3) == DopRecord(
+            "d1", 3, 0.0, None, None, None, None, None, None, UNLABELED, None
+        )
+
+    def test_fields_cannot_be_assigned(self):
+        record = every_field_set()
+        for name in DopRecord._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = 1  # no per-instance dictionary either
+        assert record == every_field_set()
+
+    def test_repr_is_the_dataclass_repr(self):
+        # pinned from the frozen dataclass that `DopRecord` was before
+        assert repr(every_field_set()) == (
+            "DopRecord(dop_id='dop_id-0', k_auto=11, duration_s=0.53125, m1=13, m2=14, "
+            "m_sup=15, m_final=16, alg_count=17, alg_confidence=0.625, label='label-9', "
+            "sampled=True)"
+        )
+
+    def test_tuple_semantics(self):
+        record = every_field_set()
+        assert len(record) == len(DopRecord._fields)
+        assert record == tuple(record) and type(tuple(record)) is tuple
+        dop_id, k_auto, *_, label, sampled = record
+        assert (dop_id, k_auto, label, sampled) == (record.dop_id, 11, "label-9", True)
 
 
 class TestValidateRecord:

@@ -58,8 +58,7 @@ class TestMeanCountEstimate:
         none_counted = [make_record(0, 2, 2, SAFE, sampled=False), make_record(1, 3, 3, UNSAFE)]
         with pytest.raises(ValueError, match="no record was sampled"):
             evaluate_partitioned(none_counted, TestParams())
-        broken = [make_record(0, 2, 2, UNSAFE)]
-        object.__setattr__(broken[0], "m_final", None)
+        broken = [make_record(0, 2, 2, UNSAFE)._replace(m_final=None)]
         with pytest.raises(ValueError, match="ground truth"):
             evaluate_partitioned(broken, TestParams())
 

@@ -686,3 +686,69 @@ def test_load_campaign_matches_the_per_cell_reference(text, strict):
         path.write_text(text, encoding="utf-8")
         expected = _load_outcome(reference_load_campaign, path, strict)
         assert _load_outcome(aio.load_campaign, path, strict) == expected
+
+
+# --- tuple-unpacking writer against the attribute-based reference -----------
+
+
+def reference_save_campaign(records, path) -> None:
+    """The writer `aio.save_campaign` replaced: eleven attribute loads per record."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(aio.CAMPAIGN_COLUMNS)
+    labels = {SAFE: "s", UNSAFE: "u", UNLABELED: ""}
+    for r in records:
+        writer.writerow(
+            [
+                r.dop_id,
+                repr(r.duration_s),
+                "" if r.m1 is None else r.m1,
+                "" if r.m2 is None else r.m2,
+                "" if r.m_sup is None else r.m_sup,
+                "" if r.m_final is None else r.m_final,
+                r.k_auto,
+                "" if r.alg_count is None else r.alg_count,
+                "" if r.alg_confidence is None else repr(r.alg_confidence),
+                labels[r.label],
+                "" if r.sampled is None else ("true" if r.sampled else "false"),
+            ]
+        )
+    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+
+
+_OPT_COUNT = st.none() | st.integers(min_value=-3, max_value=10**20)
+_ANY_FLOAT = st.floats() | st.sampled_from([-0.0, 0.0, 0.1, 1e-310, 1e308, 42.15])
+_RECORDS = st.lists(st.builds(
+    DopRecord,
+    dop_id=st.text(min_size=1, max_size=6),
+    k_auto=st.integers(min_value=-3, max_value=50),
+    duration_s=_ANY_FLOAT,
+    m1=_OPT_COUNT,
+    m2=_OPT_COUNT,
+    m_sup=_OPT_COUNT,
+    m_final=_OPT_COUNT,
+    alg_count=_OPT_COUNT,
+    alg_confidence=st.none() | _ANY_FLOAT,
+    label=st.sampled_from([SAFE, UNSAFE, UNLABELED]),
+    sampled=st.sampled_from([True, False, None]),
+), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=campaign_texts(), extra=_RECORDS)
+@example(text=_rows("r0,-0.0,,,,,2,,-0.0,,"), extra=[])
+@example(text=_rows(), extra=[DopRecord("z", 0, duration_s=-0.0, alg_confidence=-0.0)])
+def test_save_campaign_matches_the_attribute_reference(text, extra):
+    """Byte-identical files for loaded campaigns, drawn records and the every-field record."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "campaign.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            records, _ = aio.load_campaign(path)
+        except aio.CampaignError:
+            records = []
+        records += [*extra, relabel(every_field_set(), UNSAFE, None)]
+        ours, reference = Path(tmp) / "ours.csv", Path(tmp) / "reference.csv"
+        aio.save_campaign(records, ours)
+        reference_save_campaign(records, reference)
+        assert ours.read_bytes() == reference.read_bytes()

@@ -112,6 +112,18 @@ class TestSimConfigValidation:
             entry(SimConfig(NormalErrors(nu_s=0.15, nu_u=0.15), PARAMS, SINGLE_STRATUM,
                             n_values=(50,), bias_sweep=sweep, trials=20))
 
+    @pytest.mark.parametrize("entry", [run_simulation, user_risk_audit])
+    def test_n_values_must_not_be_empty(self, entry):
+        with pytest.raises(ValueError, match="^n_values must hold at least one sample size$"):
+            entry(SimConfig(NormalErrors(nu_s=0.15, nu_u=0.15), PARAMS, SINGLE_STRATUM,
+                            n_values=(), trials=20))
+
+    @pytest.mark.parametrize("n_values", [(1,), (50, 1), (0,)])
+    def test_n_values_must_be_at_least_two(self, n_values):
+        with pytest.raises(ValueError, match="^every simulated sample size must be >= 2$"):
+            SimConfig(NormalErrors(nu_s=0.15, nu_u=0.15), PARAMS, SINGLE_STRATUM,
+                      n_values=n_values, trials=20)
+
 
 class TestRunSimulation:
     def test_single_trial_rate_is_binary(self):
