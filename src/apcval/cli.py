@@ -4,7 +4,10 @@ Subcommands: plan, optimize, classify, sample, evaluate, simulate, cost.
 Flag overrides (`--set key=value`) win over the configuration file. A
 failed equivalence test is a result, not a program error: the exit code is
 nonzero only for hard errors (and, with --strict, for validation
-violations).
+violations). Each command returns its warnings: the campaign's violations
+and its result's notes or warnings. `main` alone writes to stderr: one
+`error: ` line for a hard error, else, after the report, one `warning: `
+line per warning.
 """
 
 from __future__ import annotations
@@ -98,14 +101,6 @@ def _load(args) -> io_mod.Config:
     return io_mod.load_config_with_overrides(args.config, args.overrides + seed)
 
 
-def _load_campaign(args) -> list[DopRecord]:
-    records, violations = io_mod.load_campaign(args.campaign, strict=args.strict)
-    if violations:
-        for v in violations:
-            print(f"violation: {v}", file=sys.stderr)
-    return records
-
-
 def _classifier(config: io_mod.Config) -> ClassifierSpec:
     if config.classifier is None:
         raise io_mod.ConfigError("classifier.kind is not configured")
@@ -130,15 +125,16 @@ def _cost_params(records: list[DopRecord], config: io_mod.Config):
     return cost_mod.cost_breakdown(records, config.rates, config.scheme, reclass_flags)
 
 
-def cmd_plan(args) -> int:
+def cmd_plan(args) -> list[str]:
     config = _load(args)
-    _emit(args, planner.make_plan(config.params, config.partition), seed=config.seed)
-    return 0
+    plan = planner.make_plan(config.params, config.partition)
+    _emit(args, plan, seed=config.seed)
+    return list(plan.notes)
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> list[str]:
     config = _load(args)
-    records = _load_campaign(args)
+    records, violations = io_mod.load_campaign(args.campaign, strict=args.strict)
     breakdown = _cost_params(records, config)
     costs = breakdown.cost_params()
     plan = planner.make_plan(config.params, config.partition, costs=costs)
@@ -152,14 +148,14 @@ def cmd_optimize(args) -> int:
             plan.n_rec, plan.q_planned, config.partition, costs
         ),
     )
-    return 0
+    return [*violations, *breakdown.warnings, *plan.notes]
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> list[str]:
     if not args.out:
         raise io_mod.ConfigError("classify needs --out to write the labeled campaign")
     config = _load(args)
-    records = _load_campaign(args)
+    records, violations = io_mod.load_campaign(args.campaign, strict=args.strict)
     labeled, flags = classify(records, _classifier(config))
     io_mod.save_campaign(labeled, args.out)
     n = len(labeled)
@@ -176,14 +172,14 @@ def cmd_classify(args) -> int:
         "out": str(args.out),
     }
     sys.stdout.write(io_mod.emit_report(payload, args.format))
-    return 0
+    return violations
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> list[str]:
     if not args.out:
         raise io_mod.ConfigError("sample needs --out to write the updated campaign")
     config = _load(args)
-    records = _load_campaign(args)
+    records, violations = io_mod.load_campaign(args.campaign, strict=args.strict)
     safe_ids = [r.dop_id for r in records if r.label == SAFE]
     if not safe_ids:
         raise io_mod.CampaignError("campaign has no safe records to sample from")
@@ -207,7 +203,7 @@ def cmd_sample(args) -> int:
         "out": str(args.out),
     }
     sys.stdout.write(io_mod.emit_report(payload, args.format))
-    return 0
+    return violations
 
 
 def _details_csv(records: list[DopRecord], report) -> str:
@@ -233,9 +229,9 @@ def _details_csv(records: list[DopRecord], report) -> str:
     return buf.getvalue()
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> list[str]:
     config = _load(args)
-    records = _load_campaign(args)
+    records, violations = io_mod.load_campaign(args.campaign, strict=args.strict)
     labeled = [r for r in records if r.label != UNLABELED]
     if args.mode == "classic":
         mode = "classic"
@@ -262,7 +258,7 @@ def cmd_evaluate(args) -> int:
         details_path = str(Path(args.out)) + ".details.csv"
     if details_path:
         Path(details_path).write_text(_details_csv(records, report), encoding="utf-8")
-    return 0
+    return [*violations, *report.warnings]
 
 
 def _number_list(text: str, flag: str, integer: bool = False) -> tuple:
@@ -278,7 +274,7 @@ def _number_list(text: str, flag: str, integer: bool = False) -> tuple:
     return values
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> list[str]:
     config = _load(args)
     n_values = _number_list(args.n_grid, "--n-grid", integer=True)
     bias = _number_list(args.bias_grid, "--bias-grid") if args.bias_grid else None
@@ -304,21 +300,22 @@ def cmd_simulate(args) -> int:
                  "points": simulate.user_risk_audit(sim)}
         _emit(args, audit, seed=config.seed, trials=args.trials, test=args.test,
               bias_sweep=list(bias or ()))
-        return 0
+        return []
     curves = simulate.run_simulation(sim)
     if len(curves) == 1:
         _emit(args, curves[0])
     else:
         _emit(args, {"report": "success_curves", "version": io_mod.VERSION,
                      "curves": [io_mod.report_to_dict(c) for c in curves]})
-    return 0
+    return []
 
 
-def cmd_cost(args) -> int:
+def cmd_cost(args) -> list[str]:
     config = _load(args)
-    records = _load_campaign(args)
-    _emit(args, _cost_params(records, config))
-    return 0
+    records, violations = io_mod.load_campaign(args.campaign, strict=args.strict)
+    breakdown = _cost_params(records, config)
+    _emit(args, breakdown)
+    return [*violations, *breakdown.warnings]
 
 
 _COMMANDS = {
@@ -355,13 +352,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     try:
-        return _COMMANDS[args.command](args)
+        warnings = _COMMANDS[args.command](args)
     except (io_mod.CampaignError, io_mod.ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OverflowError as exc:
         print(f"error: a result is out of range for these settings ({exc})", file=sys.stderr)
         return 1
+    sys.stderr.writelines(f"warning: {message}\n" for message in warnings)
+    return 0
 
 
 if __name__ == "__main__":

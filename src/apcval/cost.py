@@ -10,7 +10,6 @@ is sunk into its basic cost.
 
 from __future__ import annotations
 
-import warnings as _warnings
 from dataclasses import dataclass
 
 from .domain import SAFE, UNSAFE, CostParams, CostRates, DopRecord
@@ -28,13 +27,14 @@ _SUNK_SHARE = {SCHEME_NO_FIRST_COUNT: 0, SCHEME_WITH_FIRST_COUNT: 1}
 
 @dataclass(frozen=True, slots=True)
 class CostBreakdown:
-    """Cost parameters plus the per-record counting costs they came from."""
+    """Cost parameters, the per-record counting costs they came from, and warnings."""
 
     scheme: str
     c_u: float
     c_s0: float
     c_sz: float
     per_record: tuple[tuple[str, float], ...]
+    warnings: tuple[str, ...] = ()
 
     def cost_params(self) -> CostParams:
         return CostParams(c_u=self.c_u, c_s0=self.c_s0, c_sz=self.c_sz)
@@ -66,7 +66,8 @@ def cost_breakdown(
     `classify` or, for a labeled campaign, from its first stage.
     Then c_s0 = mean(w * c) and c_sz = mean((1 - w + r_s) * c) over the
     safe stratum, so attribution moves cost between the two and never
-    creates it.
+    creates it. An empty stratum costs 0, and the breakdown's `warnings`
+    name it.
     """
     if scheme == SCHEME_COMBINED:
         if reclass_flags is None:
@@ -82,9 +83,6 @@ def cost_breakdown(
     per_record = tuple((r.dop_id, counting_cost(r.duration_s, rates)) for r in records)
     safe = [(c, sunk(r)) for r, (_, c) in zip(records, per_record) if r.label == SAFE]
     unsafe = [c for r, (_, c) in zip(records, per_record) if r.label == UNSAFE]
-    for label, stratum in ((SAFE, safe), (UNSAFE, unsafe)):
-        if not stratum:
-            _warnings.warn(f"no {label} records: stratum cost set to 0", stacklevel=2)
     n_s = len(safe) or 1  # an empty stratum costs 0
     mean_u = sum(unsafe) / len(unsafe) if unsafe else 0.0
     return CostBreakdown(
@@ -93,4 +91,6 @@ def cost_breakdown(
         c_s0=sum(c * w for c, w in safe) / n_s,
         c_sz=sum(c * (1.0 - w + rates.r_s) for c, w in safe) / n_s,
         per_record=per_record,
+        warnings=tuple(f"no {label} records: stratum cost set to 0"
+                       for label, group in ((SAFE, safe), (UNSAFE, unsafe)) if not group),
     )

@@ -396,9 +396,10 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
 def _curves_csv(curves: list[dict]) -> str:
     buf = _stringio.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["grid_var", "grid_value", "pass_rate", "mc_se", "analytic"])
+    writer.writerow(["grid_var", "grid_value", "pass_rate", "mc_se", "analytic", "n"])
     for curve in curves:
         for p in curve["points"]:
+            n = p.grid_value if curve["grid_var"] == "n" else curve["fixed"].get("n")
             writer.writerow(
                 [
                     curve["grid_var"],
@@ -406,6 +407,7 @@ def _curves_csv(curves: list[dict]) -> str:
                     f"{p.pass_rate:.12g}",
                     f"{p.mc_se:.12g}",
                     "" if p.analytic is None else f"{p.analytic:.12g}",
+                    "" if n is None else f"{n:.12g}",
                 ]
             )
     return buf.getvalue()
@@ -415,7 +417,7 @@ def emit_report(report, fmt: str = "json", timestamp: bool = True) -> str:
     """Serialize a result with stable field names.
 
     JSON carries floats at 12 significant digits. CSV emits the success
-    curve table (grid_var, grid_value, pass_rate, mc_se, analytic; one
+    curve table (grid_var, grid_value, pass_rate, mc_se, analytic, n; one
     header, then the rows of every curve of a `success_curves` report) and
     a flat key,value table for every other report type. The `created` field
     is informational and excluded from reproducibility comparisons. A

@@ -10,7 +10,6 @@ conservative for the user risk.
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 from dataclasses import dataclass
 
 from .domain import CostParams, PartitionParams, TestParams
@@ -75,19 +74,15 @@ def _planning_nu(params: TestParams) -> tuple[float, list[str]]:
         notes.append(
             f"planning nu={nu} below nu_min={params.nu_min}: substituted nu_min"
         )
-        _warnings.warn(notes[-1], stacklevel=3)
         nu = params.nu_min
+    if nu == 0.0:
+        notes.append("degenerate plan (nu is 0): sample size floored at 1")
     return nu, notes
 
 
 def _classic_size(params: TestParams, nu: float) -> int:
     """Classic sample size at the planning deviation `nu` (see `_planning_nu`)."""
-    raw = (_quantile_sum(params) * nu / params.delta) ** 2
-    n = _ceil_snapped(raw)
-    if n < 1:
-        _warnings.warn("degenerate plan (nu is 0): sample size floored at 1")
-        n = 1
-    return n
+    return max(1, _ceil_snapped((_quantile_sum(params) * nu / params.delta) ** 2))
 
 
 def recorded_size(n_e: int, partition: PartitionParams) -> int:

@@ -74,8 +74,21 @@ class TestPlan:
         assert code == 1
         assert "error:" in err
 
+    def test_substituted_nu_is_one_warning_line(self, capsys):
+        code, out, err = run(capsys, ["plan", "--set", "nu=0.01"])
+        note = "planning nu=0.01 below nu_min=0.03: substituted nu_min"
+        assert code == 0 and json.loads(out)["notes"] == [note]
+        assert err == f"warning: {note}\n"
+
 
 class TestEvaluate:
+    def test_report_warnings_are_warning_lines(self, capsys, golden_campaign):
+        code, out, err = run(capsys, ["evaluate", "--campaign", str(golden_campaign)])
+        warnings = json.loads(out)["warnings"]
+        assert code == 0 and len(warnings) == 2
+        assert all("standard deviation floored at nu_min" in w for w in warnings)
+        assert err == "".join(f"warning: {w}\n" for w in warnings)
+
     def test_partitioned_auto_mode(self, capsys, golden_campaign, tmp_path):
         out_path = tmp_path / "report.json"
         code, _, _ = run(
@@ -158,7 +171,7 @@ class TestEvaluate:
         argv = ["evaluate", "--campaign", str(path), "--mode", "classic"]
         code, out, err = run(capsys, argv)
         assert code == 0 and json.loads(out)["n"] == 5
-        assert err == "".join(f"violation: {m}\n" for m in messages)
+        assert err == "".join(f"warning: {m}\n" for m in messages)
         code, out, err = run(capsys, [*argv, "--strict"])
         assert code == 1 and out == ""
         assert err == "error: validation failed:\n" + "\n".join(messages) + "\n"
@@ -336,8 +349,8 @@ class TestSimulateCostOptimize:
         )
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == "grid_var,grid_value,pass_rate,mc_se,analytic"
-        assert len(lines) == 3
+        assert lines[0] == "grid_var,grid_value,pass_rate,mc_se,analytic,n"
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["100", "200"]
 
     def test_simulate_multi_curve_csv_is_one_table(self, capsys):
         argv = ["simulate", "--n-grid", "50,120", "--bias-grid", "0,0.02", "--trials", "20",
@@ -345,15 +358,18 @@ class TestSimulateCostOptimize:
         code, out, err = run(capsys, [*argv, "--format", "csv"])
         assert code == 0 and err == ""
         lines = out.splitlines()
-        assert lines[0] == "grid_var,grid_value,pass_rate,mc_se,analytic"
+        assert lines[0] == "grid_var,grid_value,pass_rate,mc_se,analytic,n"
         assert lines.count(lines[0]) == 1
         code, js, _ = run(capsys, argv)
         curves = json.loads(js)["curves"]
         expected = [
-            f"mu,{p['grid_value']:.12g},{p['pass_rate']:.12g},{p['mc_se']:.12g},{p['analytic']:.12g}"
+            f"mu,{p['grid_value']:.12g},{p['pass_rate']:.12g},{p['mc_se']:.12g},"
+            f"{p['analytic']:.12g},{c['fixed']['n']:.12g}"
             for c in curves for p in c["points"]
         ]
         assert lines[1:] == expected and len(expected) == 4
+        # each row names its curve's n, in --n-grid order
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["50", "50", "120", "120"]
 
     @pytest.mark.parametrize(
         "flag,value",
@@ -448,13 +464,24 @@ class TestSimulateCostOptimize:
         # all safe under no_first_count: c_u = c_s0 = 0, so no quota is optimal
         path = tmp_path / "c.csv"
         path.write_text("\n".join(GOLDEN.splitlines()[:3]) + "\n", encoding="utf-8")
-        with pytest.warns(UserWarning, match="no unsafe records"):
-            code, out, err = run(capsys, ["optimize", "--campaign", str(path)])
+        code, out, err = run(capsys, ["optimize", "--campaign", str(path)])
         assert code == 1 and out == ""
+        # a failed command writes only its error, not the warnings of its partial result
         assert err == (
             "error: optimal quota undefined: the mandatory cost p_u*c_u + p_s*c_s0 is 0, "
             "so every smaller quota is cheaper\n"
         )
+        code, _, err = run(capsys, ["cost", "--campaign", str(path)])
+        assert code == 0 and err == "warning: no unsafe records: stratum cost set to 0\n"
+
+    def test_repeated_cost_warns_every_time(self, capsys, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("\n".join(GOLDEN.splitlines()[:3]) + "\n", encoding="utf-8")
+        for _ in range(2):
+            code, out, err = run(capsys, ["cost", "--campaign", str(path)])
+            assert code == 0
+            assert err == "warning: no unsafe records: stratum cost set to 0\n"
+            assert json.loads(out)["warnings"] == ["no unsafe records: stratum cost set to 0"]
 
     def test_cost_classifies_unlabeled_campaign_when_configured(self, capsys, tmp_path):
         records = [make_record(i, 3, 3 + (i % 2), "unlabeled") for i in range(20)]

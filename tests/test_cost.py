@@ -59,20 +59,21 @@ class TestSchemes:
     def test_no_first_count_constant_durations(self):
         records = [make_record(i, 1, 1, SAFE, duration=50.0) for i in range(4)]
         c = counting_cost(50.0, RATES)
-        with pytest.warns(UserWarning, match="no unsafe records"):
-            params = cost_breakdown(records, RATES, NO_FIRST)
+        params = cost_breakdown(records, RATES, NO_FIRST)
+        assert params.warnings == ("no unsafe records: stratum cost set to 0",)
         assert params.c_sz == pytest.approx(2.2 * c, rel=1e-12)
         assert params.c_s0 == 0.0
 
     def test_no_first_count_empty_stratum_warns(self):
         records = [make_record(0, 1, 1, UNSAFE, duration=50.0)]
-        with pytest.warns(UserWarning, match="no safe records"):
-            params = cost_breakdown(records, RATES, NO_FIRST)
+        params = cost_breakdown(records, RATES, NO_FIRST)
+        assert params.warnings == ("no safe records: stratum cost set to 0",)
         assert params.c_s0 == 0.0 and params.c_sz == 0.0
         assert params.c_u == pytest.approx(2.2 * counting_cost(50.0, RATES))
 
     def test_no_first_count_mixed_durations(self):
         params = cost_breakdown(mixed_campaign(), RATES, NO_FIRST)
+        assert params.warnings == ()
         assert params.c_sz == pytest.approx(2.2 * MEAN_SAFE, rel=1e-12)
         assert params.c_u == pytest.approx(2.2 * MEAN_UNSAFE, rel=1e-12)
 

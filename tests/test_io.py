@@ -326,9 +326,17 @@ class TestEmitReport:
         )
         text = aio.emit_report(curve, "csv")
         lines = text.splitlines()
-        assert lines[0] == "grid_var,grid_value,pass_rate,mc_se,analytic"
-        assert lines[1] == "n,100,0.5,0.05,0.49"
-        assert lines[2] == "n,200,0.9,0.03,"
+        assert lines[0] == "grid_var,grid_value,pass_rate,mc_se,analytic,n"
+        assert lines[1] == "n,100,0.5,0.05,0.49,100"
+        assert lines[2] == "n,200,0.9,0.03,,200"
+
+    def test_success_curve_csv_n_on_a_curve_over_mu(self):
+        points = (CurvePoint(0.01, 0.5, 0.05, None),)
+        over_mu = SuccessCurve(grid_var="mu", points=points, test="classic", trials=10, seed=1,
+                               fixed={"n": 300.0})
+        assert aio.emit_report(over_mu, "csv").splitlines()[1] == "mu,0.01,0.5,0.05,,300"
+        no_n = SuccessCurve(grid_var="mu", points=points, test="classic", trials=10, seed=1)
+        assert aio.emit_report(no_n, "csv").splitlines()[1] == "mu,0.01,0.5,0.05,,"
 
     def test_top_level_key_order(self):
         # a report is its name and version, then the result's fields in
@@ -347,7 +355,7 @@ class TestEmitReport:
         ]
         records = [make_record(0, 2, 2, SAFE), make_record(1, 3, 3, UNSAFE)]
         assert keys(cost_breakdown(records, CostRates(), SCHEME_NO_FIRST_COUNT)) == head + [
-            "scheme", "c_u", "c_s0", "c_sz", "per_record",
+            "scheme", "c_u", "c_s0", "c_sz", "per_record", "warnings",
         ]
         curve = SuccessCurve(grid_var="n", points=(CurvePoint(100.0, 0.5, 0.05, None),),
                              test="classic", trials=10, seed=1, fixed={"mu": 0.0})

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -37,26 +36,23 @@ class TestSampleSize:
         assert classic_size(TestParams(nu=0.15)) == 3458
 
     def test_degenerate_nu_floors_at_one(self):
-        with pytest.warns(UserWarning, match="sample size floored at 1"):
-            assert classic_size(TestParams(nu=0.0, nu_min=0.0)) == 1
+        plan = make_plan(TestParams(nu=0.0, nu_min=0.0), PartitionParams())
+        assert plan.n_e == 1
+        assert plan.notes == ("degenerate plan (nu is 0): sample size floored at 1",)
 
-    def test_plan_warns_once_about_substituted_nu(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            plan = make_plan(TestParams(nu=0.01), PartitionParams())
-        assert [str(w.message) for w in caught] == list(plan.notes)
-        assert len(caught) == 1 and "nu_min" in plan.notes[0]
+    def test_plan_notes_the_substituted_nu_once(self):
+        note = "planning nu=0.01 below nu_min=0.03: substituted nu_min"
+        plan = make_plan(TestParams(nu=0.01), PartitionParams())
+        assert plan.notes == (note,)
         # the budget path solves its quota at the same substituted nu
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            plan = make_plan(TestParams(nu=0.01), PartitionParams(), n_rec_budget=500)
-        assert [str(w.message) for w in caught] == list(plan.notes[:1])
-        assert plan.q_source == "fixed" and "nu_min" in plan.notes[0]
+        plan = make_plan(TestParams(nu=0.01), PartitionParams(), n_rec_budget=500)
+        assert plan.notes.count(note) == 1 and plan.notes[0] == note
+        assert plan.q_source == "fixed"
 
     def test_nu_below_floor_is_substituted(self):
-        with pytest.warns(UserWarning, match="nu_min"):
-            n = classic_size(TestParams(nu=0.001, nu_min=0.03))
-        assert n == math.ceil(ZSUM2 * 0.03**2 / 0.01**2)
+        plan = make_plan(TestParams(nu=0.001, nu_min=0.03), PartitionParams())
+        assert plan.notes == ("planning nu=0.001 below nu_min=0.03: substituted nu_min",)
+        assert plan.n_e == math.ceil(ZSUM2 * 0.03**2 / 0.01**2)
 
 
 class TestRecordedSize:
