@@ -1,6 +1,8 @@
 """Toolkit for planning, running and stress-testing partitioned
 equivalence tests in automatic passenger counting validation."""
 
+from importlib import import_module as _import_module
+
 from ._version import VERSION as __version__
 from .classify import ClassifierSpec, classify, draw_sample
 from .cost import (
@@ -37,18 +39,21 @@ from .planner import (
     recorded_size,
     total_cost,
 )
-from .simulate import (
-    AuditPoint,
-    CurvePoint,
-    NormalErrors,
-    ResamplingErrors,
-    SimConfig,
-    SuccessCurve,
-    analytic_success,
-    bias_estimates,
-    planning_normal_model,
-    run_simulation,
-    user_risk_audit,
+
+# The simulation imports numpy, so it and its names load on first use (PEP 562).
+_SIMULATE_NAMES = (
+    "AuditPoint", "CurvePoint", "NormalErrors", "ResamplingErrors", "SimConfig", "SuccessCurve",
+    "analytic_success", "bias_estimates", "planning_normal_model", "run_simulation",
+    "user_risk_audit",
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name: str):
+    if name != "simulate" and name not in _SIMULATE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # not `from . import simulate`: that looks the name up here first and recurses
+    simulate = _import_module(".simulate", __name__)
+    return simulate if name == "simulate" else getattr(simulate, name)
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + ["simulate", *_SIMULATE_NAMES]

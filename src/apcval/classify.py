@@ -5,19 +5,20 @@ decision rule: either an inclusive threshold (safe iff score <= threshold)
 or a target share (the lowest-scoring share of records becomes safe, ties
 broken by ascending dop_id). The sampler draws the counted subset of the
 safe partition uniformly without replacement, reproducibly from a seed and
-independently of every measured value.
+independently of every measured value; only the sampler imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .domain import SAFE, UNSAFE, DopRecord, relabel
+from .domain import SAFE, UNSAFE, DopRecord, _id_list, relabel
 from .planner import counted_count
+
+if TYPE_CHECKING:
+    import numpy as np
 
 KIND_ALL_SAFE = "all_safe"
 KIND_ALL_UNSAFE = "all_unsafe"
@@ -125,7 +126,7 @@ def classify(
     missing = [r.dop_id for r, safe in zip(records, safe_flags) if not safe and r.m1 is None]
     if missing:
         raise ValueError(
-            f"provisionally unsafe records lack a first manual count: {', '.join(missing)}"
+            f"provisionally unsafe records lack a first manual count: {_id_list(missing)}"
         )
     labeled = []
     reclass_flags: dict[str, int] = {}
@@ -155,6 +156,7 @@ def _safe_flags(records: list[DopRecord], spec: ClassifierSpec) -> list[bool]:
 
 def _sample_mask(n: int, q0: float, rng: np.random.Generator) -> np.ndarray:
     """Uniform without-replacement mask with exactly ceil(q0*n) entries set."""
+    import numpy as np  # only the samplers need numpy, so labeling runs without it
     m = counted_count(q0, n)
     chosen = rng.choice(n, size=m, replace=False, shuffle=False)
     mask = np.zeros(n, dtype=bool)
@@ -171,6 +173,7 @@ def draw_sample(safe_ids: Sequence, q0: float, seed: int) -> np.ndarray:
     are ranked canonically, so input order does not matter); independent
     of all count fields by construction.
     """
+    import numpy as np
     n = len(safe_ids)
     if n == 0:
         raise ValueError("safe partition is empty")

@@ -21,9 +21,11 @@ from pathlib import Path
 
 from . import cost as cost_mod
 from . import io as io_mod
-from . import planner, simulate
+from . import planner
 from .classify import KIND_COMBINED, ClassifierSpec, _safe_flags, classify, draw_sample
-from .domain import SAFE, UNLABELED, UNSAFE, DopRecord, relabel
+from .domain import (
+    SAFE, TEST_CLASSIC, TEST_PARTITIONED, UNLABELED, UNSAFE, DopRecord, _id_list, relabel,
+)
 from .estimator import _differences, evaluate_classic, evaluate_partitioned
 
 
@@ -67,8 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo test success study")
     _add_common(p)
-    p.add_argument("--test", choices=(simulate.TEST_CLASSIC, simulate.TEST_PARTITIONED),
-                   default=simulate.TEST_CLASSIC)
+    p.add_argument("--test", choices=(TEST_CLASSIC, TEST_PARTITIONED), default=TEST_CLASSIC)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--n-grid", required=True,
                    help="comma-separated sample sizes, e.g. 500,1000,2000")
@@ -244,7 +245,7 @@ def cmd_evaluate(args) -> list[str]:
     else:
         unl = [r.dop_id for r in records if r.label == UNLABELED]
         raise io_mod.CampaignError(
-            f"campaign is partially labeled, records without label: {', '.join(unl)}"
+            f"campaign is partially labeled, records without label: {_id_list(unl)}"
         )
     if mode == "classic":
         report = evaluate_classic(records, config.params)
@@ -275,6 +276,8 @@ def _number_list(text: str, flag: str, integer: bool = False) -> tuple:
 
 
 def cmd_simulate(args) -> list[str]:
+    from . import simulate  # imports numpy, which only simulate and sample need
+
     config = _load(args)
     n_values = _number_list(args.n_grid, "--n-grid", integer=True)
     bias = _number_list(args.bias_grid, "--bias-grid") if args.bias_grid else None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domain import SAFE, UNSAFE, CostParams, CostRates, DopRecord
+from .domain import SAFE, UNSAFE, CostParams, CostRates, DopRecord, _id_list
 
 SCHEME_NO_FIRST_COUNT = "no_first_count"
 SCHEME_WITH_FIRST_COUNT = "with_first_count"
@@ -74,7 +74,7 @@ def cost_breakdown(
             raise ValueError("combined scheme requires reclassification flags")
         missing = [r.dop_id for r in records if r.label == SAFE and r.dop_id not in reclass_flags]
         if missing:
-            raise ValueError(f"safe records lack reclassification flags: {', '.join(missing)}")
+            raise ValueError(f"safe records lack reclassification flags: {_id_list(missing)}")
         sunk = lambda r: reclass_flags[r.dop_id]
     elif scheme in _SUNK_SHARE:
         sunk = lambda r: _SUNK_SHARE[scheme]

@@ -20,6 +20,15 @@ UNLABELED = "unlabeled"
 
 LABELS = (SAFE, UNSAFE, UNLABELED)
 
+TEST_CLASSIC = "classic"
+TEST_PARTITIONED = "partitioned"
+
+
+def _id_list(ids: list[str]) -> str:
+    """Record ids for an error message: the first ten, then how many more."""
+    head = ", ".join(ids[:10])
+    return head if len(ids) <= 10 else f"{head}, … and {len(ids) - 10} more"
+
 
 def _require_finite(params) -> None:
     """Reject NaN and infinite fields of a parameter container, naming the field."""

@@ -5,19 +5,21 @@ is comparison-counted, and the partitioned one, where the unsafe partition
 is counted in full and the safe partition only at a quota. Both reduce a
 campaign to stratum statistics and hand them to `verdict_chain`, the one
 implementation of mean, pooled variance, interval and verdict; the Monte
-Carlo engine runs the same chain over arrays of trials. All operations are
-pure functions.
+Carlo engine runs the same chain over arrays of trials. The chain takes
+its few elementwise operations from `math` for a live campaign's Python
+numbers and from numpy for arrays, so evaluating a campaign never imports
+numpy. All operations are pure functions.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import NamedTuple
 
-import numpy as np
-
-from .domain import SAFE, UNLABELED, UNSAFE, DopRecord, PartitionStats, TestParams
+from .domain import SAFE, UNLABELED, UNSAFE, DopRecord, PartitionStats, TestParams, _id_list
 from .normal import norm_ppf
 
 PASS = "pass"
@@ -89,14 +91,12 @@ def _split(records: list[DopRecord]) -> tuple[list[DopRecord], list[DopRecord], 
     """Split into (unsafe, sampled safe, all safe); rejects unlabeled input."""
     unlabeled = [r.dop_id for r in records if r.label == UNLABELED]
     if unlabeled:
-        raise ValueError(f"records are unlabeled: {', '.join(unlabeled)}")
+        raise ValueError(f"records are unlabeled: {_id_list(unlabeled)}")
     safe = [r for r in records if r.label == SAFE]
     unsafe = [r for r in records if r.label == UNSAFE]
     undecided = [r.dop_id for r in safe if r.sampled is None]
     if undecided:
-        raise ValueError(
-            f"safe records without sampling indicator: {', '.join(undecided)}"
-        )
+        raise ValueError(f"safe records without sampling indicator: {_id_list(undecided)}")
     sampled = [r for r in safe if r.sampled]
     return unsafe, sampled, safe
 
@@ -115,6 +115,19 @@ def _differences(records: list[DopRecord], m_hat: float) -> list[float]:
 # Carlo grid point arrays with one entry per trial. An empty stratum is
 # carried as size 0 with mean 0.0, an undefined deviation as NaN.
 
+# The numpy operations of the chain, on Python numbers: fmax floors NaN as
+# numpy's does, and sqrt is correctly rounded in both, so both give equal bits.
+_SCALAR_OPS = SimpleNamespace(fmax=lambda x, floor: x if x >= floor else floor,
+                              sqrt=math.sqrt, any=bool, less=lambda a, b: a < b, min=lambda x: x)
+
+
+def _namespace(*values):
+    """numpy for arrays (a Monte Carlo grid point; numpy is loaded), else `_SCALAR_OPS`."""
+    np = sys.modules.get("numpy")
+    if np is not None and any(isinstance(v, np.ndarray) for v in values):
+        return np
+    return _SCALAR_OPS
+
 
 def _inside(low, high, delta):
     return (-delta <= low) & (high <= delta)
@@ -131,13 +144,14 @@ def verdict_chain(
     deviation below nu_min, or undefined, is replaced by nu_min; the
     clamped flags record where that happened in a nonempty stratum.
     """
+    xp = _namespace(n_s, n_u, q_effective, d_bar_s, d_bar_u, nu_hat_s, nu_hat_u)
     n = n_s + n_u
     d_hat = (n_s / n) * d_bar_s + (n_u / n) * d_bar_u
     # fmax drops NaN, so an undefined deviation floors like a small one
-    eff_s = np.fmax(nu_hat_s, params.nu_min)
-    eff_u = np.fmax(nu_hat_u, params.nu_min)
+    eff_s = xp.fmax(nu_hat_s, params.nu_min)
+    eff_u = xp.fmax(nu_hat_u, params.nu_min)
     gap = d_bar_s - d_bar_u
-    nu_hat = np.sqrt(
+    nu_hat = xp.sqrt(
         (n_s / n) * (eff_s * eff_s) / q_effective
         + (n_u / n) * (eff_u * eff_u)
         + (n_s * n_u / n**2) * (gap * gap)
@@ -164,11 +178,12 @@ def _chain_inputs(stats: PartitionStats) -> tuple:
 
 def confidence_interval(d_hat, nu_hat, n, alpha: float) -> tuple:
     """Two-sided confidence interval for the bias estimate, elementwise."""
-    if np.any(np.less(n, 1)):
-        raise ValueError(f"n must be >= 1, got {np.min(n)}")
-    if np.any(np.less(nu_hat, 0.0)):
-        raise ValueError(f"nu_hat must be >= 0, got {np.min(nu_hat)}")
-    half = norm_ppf(1.0 - alpha / 2.0) * nu_hat / np.sqrt(n)
+    xp = _namespace(d_hat, nu_hat, n)
+    if xp.any(xp.less(n, 1)):
+        raise ValueError(f"n must be >= 1, got {xp.min(n)}")
+    if xp.any(xp.less(nu_hat, 0.0)):
+        raise ValueError(f"nu_hat must be >= 0, got {xp.min(nu_hat)}")
+    half = norm_ppf(1.0 - alpha / 2.0) * nu_hat / xp.sqrt(n)
     return d_hat - half, d_hat + half
 
 
@@ -216,7 +231,7 @@ def _evaluate(
     """
     missing = [r.dop_id for r in unsafe + counted if r.m_final is None]
     if missing:
-        raise ValueError(f"records lack ground truth: {', '.join(missing)}")
+        raise ValueError(f"records lack ground truth: {_id_list(missing)}")
     n = n_s + len(unsafe)
     q_effective = len(counted) / n_s if n_s else 1.0
     total = math.fsum(r.m_final for r in unsafe) + (

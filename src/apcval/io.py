@@ -20,7 +20,7 @@ from pathlib import Path
 
 from ._version import VERSION
 from .classify import ClassifierSpec
-from .cost import SCHEME_NO_FIRST_COUNT, SCHEMES, CostBreakdown
+from .cost import SCHEME_NO_FIRST_COUNT, SCHEMES
 from .domain import (
     SAFE,
     UNLABELED,
@@ -31,9 +31,6 @@ from .domain import (
     TestParams,
     validate_record,
 )
-from .estimator import EvaluationReport
-from .planner import Plan
-from .simulate import SuccessCurve
 
 CAMPAIGN_COLUMNS = (
     "dop_id",
@@ -340,14 +337,14 @@ def load_config_with_overrides(path: str | Path | None, overrides: list[str]) ->
 # --- report emission --------------------------------------------------------
 
 
-# Result type -> report name. A report is its name and the toolkit version
-# followed by the result's fields in declaration order; `_clean` turns nested
-# dataclasses into dictionaries of their fields the same way.
+# Result class name -> report name (by name: emitting imports no result's module).
+# A report is its name, the toolkit version and the result's fields in declaration
+# order; `_clean` turns nested dataclasses into dictionaries the same way.
 _REPORT_NAMES = {
-    EvaluationReport: "evaluation",
-    Plan: "plan",
-    SuccessCurve: "success_curve",
-    CostBreakdown: "cost",
+    "EvaluationReport": "evaluation",
+    "Plan": "plan",
+    "SuccessCurve": "success_curve",
+    "CostBreakdown": "cost",
 }
 
 
@@ -372,7 +369,7 @@ def report_to_dict(report) -> dict:
     """
     if isinstance(report, dict):
         return report
-    name = _REPORT_NAMES.get(type(report))
+    name = _REPORT_NAMES.get(type(report).__name__)
     if name is None:
         raise TypeError(f"cannot emit report for {type(report).__name__}")
     fields = {field: getattr(report, field) for field in report.__dataclass_fields__}

@@ -41,13 +41,10 @@ from typing import Callable
 import numpy as np
 
 from .classify import _sample_mask
-from .domain import PartitionParams, TestParams, _require_finite
+from .domain import TEST_CLASSIC, TEST_PARTITIONED, PartitionParams, TestParams, _require_finite
 from .estimator import verdict_chain
 from .normal import norm_cdf, norm_ppf
 from .planner import counted_count
-
-TEST_CLASSIC = "classic"
-TEST_PARTITIONED = "partitioned"
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import typing
+from pathlib import Path
 
 import numpy as np
 
@@ -76,3 +78,11 @@ def subsample_safe(
     for rank, i in enumerate(safe_idx):
         out[i] = records[i]._replace(sampled=rank in chosen)
     return out
+
+
+def source_env() -> dict[str, str]:
+    """This process's environment with the tested source first on PYTHONPATH, for a child."""
+    import apcval
+
+    paths = [str(Path(apcval.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}

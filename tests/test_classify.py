@@ -34,8 +34,10 @@ def reference_combined_classify(
         r.dop_id for r in provisional if r.label == UNSAFE and r.m1 is None
     ]
     if missing:
+        more = f", … and {len(missing) - 10} more" if len(missing) > 10 else ""
         raise ValueError(
-            f"provisionally unsafe records lack a first manual count: {', '.join(missing)}"
+            f"provisionally unsafe records lack a first manual count: "
+            f"{', '.join(missing[:10])}{more}"
         )
     final: list[DopRecord] = []
     flags: dict[str, int] = {}

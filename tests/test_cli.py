@@ -1,6 +1,8 @@
 import io
 import json
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fully_counted_campaign, make_record, subsample_safe
+from conftest import fully_counted_campaign, make_record, source_env, subsample_safe
 import apcval.io as aio
 from apcval.cli import main
 from apcval.domain import SAFE, UNSAFE, TestParams
@@ -142,6 +144,20 @@ class TestEvaluate:
         code, _, err = run(capsys, ["evaluate", "--campaign", str(path)])
         assert code == 1
         assert "d00001" in err
+
+    def test_error_line_names_ten_records_of_many(self, capsys, tmp_path):
+        records = [make_record(0, 3, 3, SAFE, sampled=True)] + [
+            make_record(i, 3, 3, "unlabeled") for i in range(1, 5257)
+        ]
+        path = tmp_path / "c.csv"
+        aio.save_campaign(records, path)
+        code, _, err = run(capsys, ["evaluate", "--campaign", str(path)])
+        shown = ", ".join(f"d{i:05d}" for i in range(1, 11))
+        assert code == 1
+        assert err == (
+            f"error: campaign is partially labeled, records without label: {shown}, "
+            "… and 5246 more\n"
+        )
 
     def test_failed_verdict_is_still_exit_zero(self, capsys, tmp_path):
         records = [make_record(i, 2, 2 + (i % 2), UNSAFE) for i in range(10)]
@@ -670,3 +686,32 @@ def write_golden() -> None:
 def test_output_matches_the_golden_bytes(tmp_path, case):
     expected = json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))[case]
     assert golden_output(case, tmp_path) == expected
+
+
+# --- cold start ---------------------------------------------------------------
+
+_CHILD = """import json, sys
+from apcval.cli import main
+code = main(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+_COLD_CASES = {
+    "plan": (["plan"], False),
+    "classify": (["classify", "--campaign", "{campaign}", "--out", "{out}", *_COMBINED], False),
+    "cost": (["cost", "--campaign", "{campaign}", "--set", "costs.scheme=combined",
+              *_COMBINED], False),
+    "optimize": (["optimize", "--campaign", "{campaign}"], False),
+    "evaluate": (["evaluate", "--campaign", "{campaign}", "--details", "{out}"], False),
+    "sample": (["sample", "--campaign", "{campaign}", "--out", "{out}"], True),
+    "simulate": (["simulate", "--n-grid", "50", "--trials", "20"], True),
+}
+
+
+@pytest.mark.parametrize("case", _COLD_CASES)
+def test_only_the_random_draws_import_numpy(golden_campaign, tmp_path, case):
+    # a command runs as its own process, and numpy is most of its start-up
+    argv, loads_numpy = _COLD_CASES[case]
+    argv = [a.format(campaign=golden_campaign, out=tmp_path / "out.csv") for a in argv]
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argv)], env=source_env(),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "numpy": loads_numpy}

@@ -16,6 +16,7 @@ from apcval.domain import (
     PartitionParams,
     PartitionStats,
     TestParams,
+    _id_list,
     ground_truth,
     relabel,
     validate_record,
@@ -245,3 +246,15 @@ class TestParamContainers:
         r = rec()
         with pytest.raises(AttributeError):
             r.k_auto = 5
+
+
+class TestIdList:
+    @pytest.mark.parametrize("n", [0, 1, 10])
+    def test_up_to_ten_ids_are_joined_in_full(self, n):
+        ids = [f"d{i}" for i in range(n)]
+        assert _id_list(ids) == ", ".join(ids)
+
+    @pytest.mark.parametrize("n", [11, 5256])
+    def test_more_than_ten_ids_show_ten_and_count_the_rest(self, n):
+        ids = [f"d{i}" for i in range(n)]
+        assert _id_list(ids) == ", ".join(ids[:10]) + f", … and {n - 10} more"

@@ -301,6 +301,15 @@ class TestVerdictChain:
         assert arrays.passed[7] and not arrays.passed[0]
         assert 0 < np.count_nonzero(arrays.passed[8:]) < 200
 
+    def test_scalars_give_python_numbers(self):
+        # a live campaign's chain runs on math, so no numpy scalar reaches its report
+        nan = math.nan
+        for row in ((0, 50, 1.0, 0.0, 0.002, nan, 0.1), (40, 0, 0.5, 0.001, 0.0, 0.05, nan),
+                    (5000, 500, 0.2, 0.001, -0.002, 0.02, 0.1)):
+            verdicts = verdict_chain(*row, TestParams())
+            assert [type(v) for v in verdicts] == [float] * 4 + [bool] * 3, row
+        assert [type(v) for v in confidence_interval(0.0, 0.15, 3458, 0.05)] == [float, float]
+
 
 class TestEvaluateClassic:
     def test_all_zero_errors(self):
@@ -376,6 +385,15 @@ class TestEvaluatePartitioned:
         ]
         with pytest.raises(ValueError, match="no record was sampled"):
             evaluate_partitioned(none_sampled, TestParams())
+
+    def test_error_names_ten_records_and_counts_the_rest(self):
+        unsampled = [make_record(i, 2, 2, SAFE, sampled=None) for i in range(5256)]
+        with pytest.raises(ValueError) as error:
+            evaluate_partitioned(unsampled, TestParams())
+        shown = ", ".join(f"d{i:05d}" for i in range(10))
+        assert str(error.value) == (
+            f"safe records without sampling indicator: {shown}, … and 5246 more"
+        )
 
     def test_clamped_pass_case(self):
         # zero errors everywhere: both strata floor at nu_min; pooled equals

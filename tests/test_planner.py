@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from apcval.domain import CostParams, PartitionParams, TestParams
 from apcval.planner import (
+    _ceil_snapped,
     apply_buffer,
     counted_count,
     make_plan,
@@ -242,6 +243,21 @@ class TestBufferAndQuotaRounding:
         # 0.07 * 100 is 7.000000000000001 in binary floating point
         assert counted_count(0.07, 100) == 7
         assert counted_count(0.175, 1000) == 175
+
+    @pytest.mark.parametrize("n", [1.0, 100.0, 3458.0])
+    def test_ceil_snaps_only_within_a_relative_1e9(self, n):
+        # noise up to 1e-9 of the value snaps to the integer; more rounds up
+        assert _ceil_snapped(n * (1 + 0.9e-9)) == n
+        assert _ceil_snapped(n * (1 + 1.1e-9)) == n + 1
+        assert _ceil_snapped(n * (1 - 0.9e-9)) == n
+
+    @pytest.mark.parametrize("n_s", [1, 2, 5])
+    def test_counted_count_floors_at_one_below_the_snapping_noise(self, n_s):
+        # a recording budget far beyond the classic size drives q to about
+        # 6.8e-10, so q * n_s snaps to 0 at n_s = 1 and the floor gives 1
+        q = make_plan(TestParams(), PartitionParams(), n_rec_budget=10**12).q_planned
+        assert 0.0 < q < 1e-9
+        assert counted_count(q, n_s) == 1
 
     @given(q=st.floats(min_value=1e-6, max_value=1.0), n=st.integers(min_value=1, max_value=100000))
     def test_counted_count_covers_the_quota(self, q, n):

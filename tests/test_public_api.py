@@ -1,3 +1,9 @@
+import subprocess
+import sys
+
+import pytest
+
+from conftest import source_env
 import apcval
 
 # Every public name of the package. A name added or removed shows up here as
@@ -19,3 +25,22 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert sorted(apcval.__all__) == PUBLIC_NAMES
     assert len(PUBLIC_NAMES) == 47
+
+
+def test_simulate_names_load_on_first_use():
+    # in a fresh process: numpy stays out until a simulate name is asked for
+    code = (
+        "import sys, apcval; assert 'numpy' not in sys.modules; "
+        "apcval.simulate; apcval.run_simulation; assert 'numpy' in sys.modules; "
+        "from apcval import simulate, SuccessCurve; "
+        "assert SuccessCurve is simulate.SuccessCurve is apcval.SuccessCurve; "
+        "print(sorted(apcval.__all__))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout == f"{PUBLIC_NAMES}\n"
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        apcval.no_such_name
