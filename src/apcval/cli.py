@@ -13,8 +13,6 @@ line per warning.
 from __future__ import annotations
 
 import argparse
-import csv
-import io as _stringio
 import math
 import sys
 from pathlib import Path
@@ -26,7 +24,7 @@ from .classify import KIND_COMBINED, ClassifierSpec, _safe_flags, classify, draw
 from .domain import (
     SAFE, TEST_CLASSIC, TEST_PARTITIONED, UNLABELED, UNSAFE, DopRecord, _id_list, relabel,
 )
-from .estimator import _differences, evaluate_classic, evaluate_partitioned
+from .estimator import evaluate_classic, evaluate_partitioned, record_rows
 
 
 def _add_common(p: argparse.ArgumentParser, campaign: bool = False) -> None:
@@ -207,46 +205,17 @@ def cmd_sample(args) -> list[str]:
     return violations
 
 
-def _details_csv(records: list[DopRecord], report) -> str:
-    """Per-record CSV so the aggregation can be redone in a spreadsheet.
-
-    A record is evaluable when its weight is not "0": every record of the
-    classic test, else the unsafe and the counted safe records.
-    """
-    stats = report.stats
-    classic = stats.n_s == 0  # every record counted, as in the classic test
-    weight_s = f"{1.0 / stats.q_effective:.12g}"
-    weights = [
-        "1" if classic or r.label == UNSAFE else weight_s if r.sampled else "0"
-        for r in records
-    ]
-    d_i = iter(_differences([r for r, w in zip(records, weights) if w != "0"], stats.m_hat_q))
-    buf = _stringio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["dop_id", "d_i", "stratum", "weight"])
-    for r, weight in zip(records, weights):
-        d = "" if weight == "0" else f"{next(d_i):.12g}"
-        writer.writerow([r.dop_id, d, io_mod._LABEL_TO_CSV[r.label], weight])
-    return buf.getvalue()
-
-
 def cmd_evaluate(args) -> list[str]:
     config = _load(args)
     records, violations = io_mod.load_campaign(args.campaign, strict=args.strict)
-    labeled = [r for r in records if r.label != UNLABELED]
-    if args.mode == "classic":
-        mode = "classic"
-    elif args.mode == "partitioned":
-        mode = "partitioned"
-    elif not labeled:
-        mode = "classic"
-    elif len(labeled) == len(records):
-        mode = "partitioned"
-    else:
-        unl = [r.dop_id for r in records if r.label == UNLABELED]
-        raise io_mod.CampaignError(
-            f"campaign is partially labeled, records without label: {_id_list(unl)}"
-        )
+    mode = args.mode
+    if mode == "auto":
+        unlabeled = [r.dop_id for r in records if r.label == UNLABELED]
+        if unlabeled and len(unlabeled) < len(records):
+            raise io_mod.CampaignError(
+                f"campaign is partially labeled, records without label: {_id_list(unlabeled)}"
+            )
+        mode = "classic" if len(unlabeled) == len(records) else "partitioned"
     if mode == "classic":
         report = evaluate_classic(records, config.params)
     else:
@@ -258,7 +227,7 @@ def cmd_evaluate(args) -> list[str]:
     if details_path is None and args.out:
         details_path = str(Path(args.out)) + ".details.csv"
     if details_path:
-        Path(details_path).write_text(_details_csv(records, report), encoding="utf-8")
+        io_mod.save_details(record_rows(records, report), details_path)
     return [*violations, *report.warnings]
 
 

@@ -8,13 +8,15 @@ implementation of mean, pooled variance, interval and verdict; the Monte
 Carlo engine runs the same chain over arrays of trials. The chain takes
 its few elementwise operations from `math` for a live campaign's Python
 numbers and from numpy for arrays, so evaluating a campaign never imports
-numpy. All operations are pure functions.
+numpy. `record_rows` is an evaluation's per-record table (each record's
+weight and d_i). All operations are pure functions.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -106,6 +108,27 @@ def _differences(records: list[DopRecord], m_hat: float) -> list[float]:
     if m_hat <= 0.0:
         raise ValueError(f"mean count estimate must be > 0, got {m_hat}")
     return [(r.k_auto - r.m_final) / m_hat for r in records]
+
+
+def record_rows(records: list[DopRecord], report: EvaluationReport) -> Iterator[tuple]:
+    """The per-record table of `report`, the evaluation of `records`.
+
+    A one-pass iterator (no list of rows is kept) over a `(dop_id, label,
+    weight, d_i)` row per record, in campaign order. The mean count weighs an unsafe
+    record 1, a counted safe record 1/q_effective and an uncounted safe
+    record 0; the classic test (n_s = 0) weighs every record 1. d_i is the
+    relative error at the report's m_hat_q, and None where the weight is 0.
+    """
+    stats = report.stats
+    if len(records) != stats.n:
+        raise ValueError(f"the report covers {stats.n} records, got {len(records)}")
+    weight_s = 1.0 / stats.q_effective
+    weights = [
+        1.0 if stats.n_s == 0 or r.label == UNSAFE else weight_s if r.sampled else 0.0
+        for r in records
+    ]
+    d_i = iter(_differences([r for r, w in zip(records, weights) if w], stats.m_hat_q))
+    return ((r.dop_id, r.label, w, next(d_i) if w else None) for r, w in zip(records, weights))
 
 
 # --- the verdict chain ------------------------------------------------------
@@ -226,8 +249,8 @@ def _evaluate(
     """The report from the unsafe records, the counted safe records and the safe count.
 
     The classic test passes every record as unsafe and an empty safe stratum.
-    Unsafe records enter the mean count with weight 1 and counted safe
-    records with weight 1/q_effective, so it estimates the full campaign's.
+    The mean count weighs each record as `record_rows` states, so it
+    estimates the full campaign's.
     """
     missing = [r.dop_id for r in unsafe + counted if r.m_final is None]
     if missing:

@@ -55,50 +55,23 @@ class CampaignError(ValueError):
     """Raised for unreadable, malformed or inconsistent campaign files."""
 
 
-def _opt_int(cell: str, row: int, column: str) -> int | None:
-    if cell == "":
-        return None
-    try:
-        return int(cell)
-    except ValueError:
-        raise CampaignError(f"row {row}: {column} is not an integer: {cell!r}") from None
+def _bad_cell(cells: tuple[str, ...], row_no: int) -> str:
+    """The error of a row whose fast parse failed, naming its first bad number.
 
-
-def _opt_float(cell: str, row: int, column: str) -> float | None:
-    if cell == "":
-        return None
-    try:
-        value = float(cell)
-    except ValueError:
-        raise CampaignError(f"row {row}: {column} is not a number: {cell!r}") from None
-    if not math.isfinite(value):
-        raise CampaignError(f"row {row}: {column} must be finite, got {cell!r}")
-    return value
-
-
-def _checked_record(cells: tuple[str, ...], row_no: int) -> DopRecord:
-    """The record of stripped `cells` (in `DopRecord` field order), cell by cell.
-
-    Raises the CampaignError of the first bad number, in the order k_auto,
-    duration_s, m1, m2, m_sup, m_final, alg_count, alg_confidence.
+    `cells` are stripped, in `DopRecord` field order; the numbers are checked
+    from k_auto (which must be given) to alg_confidence.
     """
-    dop_id, k_cell, duration, m1, m2, m_sup, m_final, alg_count, conf, label, sampled = cells
-    k_auto = _opt_int(k_cell, row_no, "k_auto")
-    if k_auto is None:
-        raise CampaignError(f"row {row_no}: k_auto is mandatory")
-    return tuple.__new__(DopRecord, (
-        dop_id,
-        k_auto,
-        _opt_float(duration, row_no, "duration_s") or 0.0,
-        _opt_int(m1, row_no, "m1"),
-        _opt_int(m2, row_no, "m2"),
-        _opt_int(m_sup, row_no, "m_sup"),
-        _opt_int(m_final, row_no, "m_final"),
-        _opt_int(alg_count, row_no, "alg_count"),
-        _opt_float(conf, row_no, "alg_confidence"),
-        _CSV_TO_LABEL[label],
-        _CSV_TO_SAMPLED[sampled],
-    ))
+    if not cells[1]:
+        return f"row {row_no}: k_auto is mandatory"
+    for column, cell in zip(DopRecord._fields[1:9], cells[1:9]):
+        number = column in ("duration_s", "alg_confidence")
+        try:
+            value = (float if number else int)(cell) if cell else 0
+        except ValueError:
+            kind = "a number" if number else "an integer"
+            return f"row {row_no}: {column} is not {kind}: {cell!r}"
+        if number and not math.isfinite(value):
+            return f"row {row_no}: {column} must be finite, got {cell!r}"
 
 
 def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecord], list[str]]:
@@ -111,8 +84,8 @@ def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecor
     Each row is read in one pass: one getter takes its cells in
     `DopRecord` field order, the numbers are parsed inline and the record
     is built from one tuple, without a constructor call. Only a row whose
-    numbers do not parse or are not finite goes through the per-cell
-    checks of `_checked_record`, which name the bad cell.
+    numbers do not parse or are not finite goes through `_bad_cell`, which
+    names the bad cell.
     """
     path = Path(path)
     try:
@@ -162,7 +135,7 @@ def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecor
             duration_s = float(duration) if duration else 0.0
             confidence = float(conf) if conf else None
             if not isfinite(duration_s) or not (confidence is None or isfinite(confidence)):
-                raise ValueError  # _checked_record names the cell
+                raise ValueError  # _bad_cell names the cell
             record = new(DopRecord, (
                 dop_id,
                 int(k_auto),
@@ -177,7 +150,7 @@ def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecor
                 _CSV_TO_SAMPLED[sampled],
             ))
         except ValueError:
-            record = _checked_record(cells, row_no)
+            raise CampaignError(_bad_cell(cells, row_no)) from None
         records.append(record)
         violations.extend(validate_record(record))
 
@@ -309,8 +282,12 @@ def config_from_raw(raw: dict[str, str]) -> Config:
 
 
 def merge_overrides(raw: dict[str, str], overrides: list[str]) -> dict[str, str]:
-    """Apply `key=value` override strings on top of raw config pairs."""
-    merged = dict(raw)
+    """Apply `key=value` override strings on top of raw config pairs.
+
+    The classifier's threshold and target share exclude each other, so an
+    override of either one drops both from `raw`.
+    """
+    given: dict[str, str] = {}
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must be key=value, got {item!r}")
@@ -318,8 +295,11 @@ def merge_overrides(raw: dict[str, str], overrides: list[str]) -> dict[str, str]
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown override key {key!r}")
-        merged[key] = value.strip()
-    return merged
+        given[key] = value.strip()
+    rules = ("classifier.threshold", "classifier.target_share")
+    if not given.keys().isdisjoint(rules):
+        raw = {key: value for key, value in raw.items() if key not in rules}
+    return {**raw, **given}
 
 
 def load_config_with_overrides(path: str | Path | None, overrides: list[str]) -> Config:
@@ -408,6 +388,23 @@ def _curves_csv(curves: list[dict]) -> str:
                 ]
             )
     return buf.getvalue()
+
+
+def save_details(rows, path: str | Path) -> None:
+    """Write `estimator.record_rows` as the details CSV (dop_id, d_i, stratum, weight).
+
+    Numbers carry 12 significant digits, and an absent d_i is an empty cell.
+    """
+    weights: dict[float, str] = {}  # the text of each distinct weight (at most three)
+    buf = _stringio.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["dop_id", "d_i", "stratum", "weight"])
+    writer.writerows(
+        (dop_id, "" if d_i is None else f"{d_i:.12g}", _LABEL_TO_CSV[label],
+         weights.get(weight) or weights.setdefault(weight, f"{weight:.12g}"))
+        for dop_id, label, weight, d_i in rows
+    )
+    Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
 def emit_report(report, fmt: str = "json", timestamp: bool = True) -> str:

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import re
@@ -81,6 +82,50 @@ class TestPlan:
         note = "planning nu=0.01 below nu_min=0.03: substituted nu_min"
         assert code == 0 and json.loads(out)["notes"] == [note]
         assert err == f"warning: {note}\n"
+
+
+class TestClassifierRuleOverride:
+    """`--set` of one classifier rule replaces the config file's other rule."""
+
+    @pytest.fixture
+    def share_config(self, tmp_path):
+        path = tmp_path / "rule.cfg"
+        path.write_text("classifier.kind = rule_of_thumb\nclassifier.target_share = 0.9\n",
+                        encoding="utf-8")
+        return path
+
+    def test_plan_takes_the_overriding_threshold(self, capsys, share_config):
+        code, out, err = run(capsys, ["plan", "--config", str(share_config),
+                                      "--set", "classifier.threshold=5"])
+        assert (code, err) == (0, "")
+        assert without_created(out) == without_created(run(capsys, ["plan"])[1])
+
+    @pytest.mark.parametrize("file_rule, override", [
+        ("classifier.target_share = 0.9", "classifier.threshold=5"),
+        ("classifier.threshold = 99", "classifier.target_share=0.5"),
+    ])
+    def test_classify_labels_as_the_overriding_rule_alone(self, capsys, tmp_path,
+                                                           golden_campaign, file_rule, override):
+        config = tmp_path / "rule.cfg"
+        config.write_text(f"classifier.kind = rule_of_thumb\n{file_rule}\n", encoding="utf-8")
+        by_file, alone = tmp_path / "by_file.csv", tmp_path / "alone.csv"
+        code, _, err = run(capsys, ["classify", "--config", str(config), "--campaign",
+                                    str(golden_campaign), "--out", str(by_file), "--set", override])
+        assert (code, err) == (0, "")
+        run(capsys, ["classify", "--campaign", str(golden_campaign), "--out", str(alone),
+                     "--set", "classifier.kind=rule_of_thumb", "--set", override])
+        assert by_file.read_text() == alone.read_text()
+
+    @pytest.mark.parametrize("command", ["plan", "classify"])
+    def test_both_rules_overridden_is_an_error(self, capsys, tmp_path, share_config,
+                                               golden_campaign, command):
+        argv = [command, "--config", str(share_config), "--set", "classifier.threshold=5",
+                "--set", "classifier.target_share=0.5"]
+        if command == "classify":
+            argv += ["--campaign", str(golden_campaign), "--out", str(tmp_path / "l.csv")]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "error: rule_of_thumb needs exactly one of threshold/target_share\n"
 
 
 class TestEvaluate:
@@ -715,3 +760,33 @@ def test_only_the_random_draws_import_numpy(golden_campaign, tmp_path, case):
     proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argv)], env=source_env(),
                           capture_output=True, text=True, timeout=60, check=True)
     assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "numpy": loads_numpy}
+
+
+# --- module boundaries --------------------------------------------------------
+
+
+def test_cli_reads_no_private_name_of_estimator_or_io():
+    # the per-record weights live in `estimator.record_rows` and the label
+    # letters in `io`, so the CLI cannot work either out again by itself
+    import apcval.cli
+
+    tree = ast.parse(Path(apcval.cli.__file__).read_text(encoding="utf-8"))
+    owners = {"estimator", "io"}
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module is None
+        for alias in node.names if alias.name in owners
+    }
+    imported = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module in owners
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    read = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in aliases and node.attr.startswith("_")
+    ]
+    assert aliases == {"io_mod"}
+    assert imported == [] and read == []

@@ -42,8 +42,8 @@ class TestRelabel:
 
 
 class TestRecordContract:
-    """The tuple layout that `io.load_campaign`, `io._checked_record`,
-    `relabel` and `io.save_campaign` build and unpack by position."""
+    """The tuple layout that `io.load_campaign` and `relabel` build and
+    `io.save_campaign` unpacks, by position."""
 
     def test_field_order_and_annotations(self):
         assert typing.get_type_hints(DopRecord) == {

@@ -15,6 +15,7 @@ from apcval.estimator import (
     equivalence_verdict,
     evaluate_classic,
     evaluate_partitioned,
+    record_rows,
     verdict_chain,
 )
 
@@ -456,3 +457,62 @@ class TestEvaluatePartitioned:
         assert report.ci_low <= report.d_hat <= report.ci_high
         assert report.n == 50
         assert report.stats.n == report.stats.n_s + report.stats.n_u
+
+
+class TestRecordRows:
+    # safe d00000 counted (M 2, K 1), safe d00001 not counted, unsafe d00002
+    # (M 3, K 4): partitioned m_hat = (3 + 2 / 0.5) / 3 = 7/3, classic 9/3
+    RECORDS = [
+        make_record(0, 2, 1, SAFE, sampled=True),
+        make_record(1, 4, 4, SAFE, sampled=False),
+        make_record(2, 3, 4, UNSAFE),
+    ]
+
+    @staticmethod
+    def random_campaign():
+        rng = np.random.default_rng(5)
+        return subsample_safe(fully_counted_campaign(rng, 300, p_s=0.85), rng, 0.2)
+
+    def test_partitioned_hand_example(self):
+        rows = list(record_rows(self.RECORDS, evaluate_partitioned(self.RECORDS, TestParams())))
+        assert rows == [
+            ("d00000", SAFE, 2.0, pytest.approx(-3 / 7, rel=1e-15)),
+            ("d00001", SAFE, 0.0, None),
+            ("d00002", UNSAFE, 1.0, pytest.approx(3 / 7, rel=1e-15)),
+        ]
+
+    def test_classic_weighs_every_record_1(self):
+        rows = record_rows(self.RECORDS, evaluate_classic(self.RECORDS, TestParams()))
+        assert [(w, d) for _, _, w, d in rows] == [(1.0, -1 / 3), (1.0, 0.0), (1.0, 1 / 3)]
+
+    @pytest.mark.parametrize("evaluate", [evaluate_partitioned, evaluate_classic])
+    @pytest.mark.parametrize("campaign", ["hand", "random"])
+    def test_weighted_differences_average_to_d_hat(self, evaluate, campaign):
+        records = self.RECORDS if campaign == "hand" else self.random_campaign()
+        report = evaluate(records, TestParams())
+        rows = record_rows(records, report)
+        total = math.fsum(w * d for _, _, w, d in rows if d is not None)
+        assert total / report.n == pytest.approx(report.d_hat, rel=1e-12)
+
+    def test_d_i_is_the_error_at_the_reports_mean_count(self):
+        records = self.random_campaign()
+        report = evaluate_partitioned(records, TestParams())
+        m_hat = report.stats.m_hat_q
+        for r, (dop_id, label, weight, d_i) in zip(records, record_rows(records, report)):
+            assert (dop_id, label) == (r.dop_id, r.label)
+            assert d_i == (None if weight == 0.0 else (r.k_auto - r.m_final) / m_hat)
+
+    def test_a_full_quota_weighs_each_sampled_safe_record_1(self):
+        records = [r._replace(sampled=True) if r.label == SAFE else r for r in self.RECORDS]
+        report = evaluate_partitioned(records, TestParams())
+        assert report.stats.q_effective == 1.0
+        assert [w for _, _, w, _ in record_rows(records, report)] == [1.0, 1.0, 1.0]
+
+    def test_an_uncounted_safe_record_has_no_d_i(self):
+        rows = list(record_rows(self.RECORDS, evaluate_partitioned(self.RECORDS, TestParams())))
+        assert rows[1][2] == 0.0 and rows[1][3] is None
+
+    def test_records_of_another_size_are_refused(self):
+        report = evaluate_partitioned(self.RECORDS, TestParams())
+        with pytest.raises(ValueError, match="the report covers 3 records, got 2"):
+            record_rows(self.RECORDS[:2], report)

@@ -211,6 +211,26 @@ class TestConfig:
         assert config.params.nu == 0.15
         assert config.seed == 7
 
+    @pytest.mark.parametrize("override, kept", [
+        ("classifier.threshold=5", "classifier.threshold"),
+        ("classifier.target_share=0.5", "classifier.target_share"),
+    ])
+    def test_an_overridden_rule_drops_the_files_rules(self, override, kept):
+        raw = {"classifier.kind": "rule_of_thumb", "classifier.target_share": "0.9", "nu": "0.2"}
+        assert aio.merge_overrides(raw, [override]) == {
+            "classifier.kind": "rule_of_thumb", "nu": "0.2", kept: override.split("=")[1],
+        }
+        assert raw["classifier.target_share"] == "0.9"  # the file's pairs are not changed
+        assert aio.merge_overrides(raw, ["nu=0.15"])["classifier.target_share"] == "0.9"
+
+    def test_both_rules_overridden_stay_an_error(self):
+        merged = aio.merge_overrides(
+            {"classifier.kind": "first_count", "classifier.threshold": "0"},
+            ["classifier.threshold=1", "classifier.target_share=0.5"],
+        )
+        with pytest.raises(aio.ConfigError, match="exactly one of threshold/target_share"):
+            aio.config_from_raw(merged)
+
     def test_override_unknown_key(self):
         with pytest.raises(aio.ConfigError, match="unknown override"):
             aio.merge_overrides({}, ["volume=11"])
