@@ -101,41 +101,38 @@ def _unsafety_score(record: DopRecord, spec: ClassifierSpec) -> tuple[float, flo
     return (float(abs(r.k_auto - r.alg_count)), 1.0 - r.alg_confidence)
 
 
-def classify(
-    records: list[DopRecord], spec: ClassifierSpec
-) -> tuple[list[DopRecord], dict[str, int] | None]:
-    """Assign safe/unsafe labels; returns the new records and the reclassification flags.
+def classify(records: list[DopRecord], spec: ClassifierSpec) -> list[DopRecord]:
+    """Assign safe/unsafe labels; returns the relabeled records.
 
     Deterministic and independent of input order up to the dop_id
-    tie-break in target-share mode. The flags are None except for
-    `combined`, which classifies in two stages: records its first stage
-    (the rule of thumb) marks safe are safe with flag 0; provisionally
-    unsafe records become safe with flag 1 when their first manual count
-    equals the automatic count, else stay unsafe without a flag. The flags
-    feed the combined cost attribution. Every provisionally unsafe record
-    must carry a first manual count.
+    tie-break in target-share mode. `combined` classifies in two stages:
+    records its first stage (the rule of thumb) marks safe are safe; the
+    ones it marks unsafe (`first_stage_unsafe`) are reclassified safe when
+    their first manual count equals the automatic count, else stay unsafe.
+    Every provisionally unsafe record must carry a first manual count.
     """
     safe_flags = _safe_flags(records, spec)
-    if spec.kind != KIND_COMBINED:
-        labeled = [
-            relabel(r, SAFE if flag else UNSAFE, r.sampled)
-            for r, flag in zip(records, safe_flags)
-        ]
-        return labeled, None
+    if spec.kind == KIND_COMBINED:
+        missing = [r.dop_id for r, safe in zip(records, safe_flags) if not safe and r.m1 is None]
+        if missing:
+            raise ValueError(
+                f"provisionally unsafe records lack a first manual count: {_id_list(missing)}"
+            )
+        safe_flags = [safe or r.m1 == r.k_auto for r, safe in zip(records, safe_flags)]
+    return [relabel(r, SAFE if safe else UNSAFE, r.sampled)
+            for r, safe in zip(records, safe_flags)]
 
-    missing = [r.dop_id for r, safe in zip(records, safe_flags) if not safe and r.m1 is None]
-    if missing:
-        raise ValueError(
-            f"provisionally unsafe records lack a first manual count: {_id_list(missing)}"
-        )
-    labeled = []
-    reclass_flags: dict[str, int] = {}
-    for r, safe in zip(records, safe_flags):
-        final_safe = safe or r.m1 == r.k_auto
-        if final_safe:
-            reclass_flags[r.dop_id] = int(not safe)
-        labeled.append(relabel(r, SAFE if final_safe else UNSAFE, r.sampled))
-    return labeled, reclass_flags
+
+def first_stage_unsafe(records: list[DopRecord], spec: ClassifierSpec) -> list[bool]:
+    """Whether the first stage of a `combined` classifier marks each record unsafe.
+
+    A safe record marked so was reclassified: its first manual count was
+    paid before classification, which the combined cost scheme sinks. All
+    False for every other kind, which has no first stage.
+    """
+    if spec.kind != KIND_COMBINED:
+        return [False] * len(records)
+    return [not safe for safe in _safe_flags(records, spec)]
 
 
 def _safe_flags(records: list[DopRecord], spec: ClassifierSpec) -> list[bool]:

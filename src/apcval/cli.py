@@ -20,10 +20,8 @@ from pathlib import Path
 from . import cost as cost_mod
 from . import io as io_mod
 from . import planner
-from .classify import KIND_COMBINED, ClassifierSpec, _safe_flags, classify, draw_sample
-from .domain import (
-    SAFE, TEST_CLASSIC, TEST_PARTITIONED, UNLABELED, UNSAFE, DopRecord, _id_list, relabel,
-)
+from .classify import KIND_COMBINED, ClassifierSpec, classify, draw_sample, first_stage_unsafe
+from .domain import SAFE, TEST_CLASSIC, TEST_PARTITIONED, UNLABELED, UNSAFE, DopRecord, relabel
 from .estimator import evaluate_classic, evaluate_partitioned, record_rows
 
 
@@ -108,20 +106,15 @@ def _classifier(config: io_mod.Config) -> ClassifierSpec:
 
 def _cost_params(records: list[DopRecord], config: io_mod.Config):
     """Cost breakdown of the campaign's labels; an unlabeled campaign is classified first."""
-    combined = config.scheme == cost_mod.SCHEME_COMBINED
-    if combined and _classifier(config).kind != KIND_COMBINED:
+    if config.scheme == cost_mod.SCHEME_COMBINED and _classifier(config).kind != KIND_COMBINED:
         raise io_mod.ConfigError("costs.scheme=combined needs classifier.kind=combined")
-    reclass_flags = None
     if any(r.label == UNLABELED for r in records):
         if config.classifier is None:
             raise io_mod.CampaignError(
                 "campaign has unlabeled records and no classifier is configured"
             )
-        records, reclass_flags = classify(records, config.classifier)
-    elif combined:
-        first = _safe_flags(records, config.classifier)
-        reclass_flags = {r.dop_id: int(not safe) for r, safe in zip(records, first)}
-    return cost_mod.cost_breakdown(records, config.rates, config.scheme, reclass_flags)
+        records = classify(records, config.classifier)
+    return cost_mod.cost_breakdown(records, config.rates, config.scheme, config.classifier)
 
 
 def cmd_plan(args) -> list[str]:
@@ -155,19 +148,22 @@ def cmd_classify(args) -> list[str]:
         raise io_mod.ConfigError("classify needs --out to write the labeled campaign")
     config = _load(args)
     records, violations = io_mod.load_campaign(args.campaign, strict=args.strict)
-    labeled, flags = classify(records, _classifier(config))
+    spec = _classifier(config)
+    labeled = classify(records, spec)
     io_mod.save_campaign(labeled, args.out)
+    reclassified = sum(r.label == SAFE and unsafe
+                       for r, unsafe in zip(labeled, first_stage_unsafe(records, spec)))
     n = len(labeled)
     n_s = sum(1 for r in labeled if r.label == SAFE)
     payload = {
         "report": "classification",
         "version": io_mod.VERSION,
-        "kind": _classifier(config).kind,
+        "kind": spec.kind,
         "n": n,
         "n_s": n_s,
         "n_u": sum(1 for r in labeled if r.label == UNSAFE),
         "p_hat_s": n_s / n if n else 0.0,
-        "reclassified": None if flags is None else int(sum(flags.values())),
+        "reclassified": reclassified if spec.kind == KIND_COMBINED else None,
         "out": str(args.out),
     }
     sys.stdout.write(io_mod.emit_report(payload, args.format))
@@ -210,12 +206,8 @@ def cmd_evaluate(args) -> list[str]:
     records, violations = io_mod.load_campaign(args.campaign, strict=args.strict)
     mode = args.mode
     if mode == "auto":
-        unlabeled = [r.dop_id for r in records if r.label == UNLABELED]
-        if unlabeled and len(unlabeled) < len(records):
-            raise io_mod.CampaignError(
-                f"campaign is partially labeled, records without label: {_id_list(unlabeled)}"
-            )
-        mode = "classic" if len(unlabeled) == len(records) else "partitioned"
+        # a partially labeled campaign goes to the partitioned test, which names its records
+        mode = "classic" if all(r.label == UNLABELED for r in records) else "partitioned"
     if mode == "classic":
         report = evaluate_classic(records, config.params)
     else:

@@ -3,16 +3,17 @@
 Per-record counting cost is video duration times the review acceleration
 factor times the hourly labor rate. Three attribution schemes build the
 per-stratum cost parameters from it, depending on whether a first manual
-count already happened before classification and on reclassification;
-they differ only in the share of a safe record's first review pass that
-is sunk into its basic cost.
+count already happened before classification and on the first stage of
+the combined classifier; they differ only in the share of a safe record's
+first review pass that is sunk into its basic cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domain import SAFE, UNSAFE, CostParams, CostRates, DopRecord, _id_list
+from .classify import KIND_COMBINED, ClassifierSpec, first_stage_unsafe
+from .domain import SAFE, UNSAFE, CostParams, CostRates, DopRecord
 
 SCHEME_NO_FIRST_COUNT = "no_first_count"
 SCHEME_WITH_FIRST_COUNT = "with_first_count"
@@ -21,7 +22,7 @@ SCHEME_COMBINED = "combined"
 SCHEMES = (SCHEME_NO_FIRST_COUNT, SCHEME_WITH_FIRST_COUNT, SCHEME_COMBINED)
 
 # Sunk share of a safe record's first review pass where the scheme fixes it;
-# under `combined` it is the record's reclassification flag.
+# under `combined` it is 1 where the classifier's first stage marked it unsafe.
 _SUNK_SHARE = {SCHEME_NO_FIRST_COUNT: 0, SCHEME_WITH_FIRST_COUNT: 1}
 
 
@@ -51,7 +52,7 @@ def cost_breakdown(
     records: list[DopRecord],
     rates: CostRates,
     scheme: str,
-    reclass_flags: dict[str, int] | None = None,
+    classifier: ClassifierSpec | None = None,
 ) -> CostBreakdown:
     """Build cost parameters under `scheme` with the per-record trail.
 
@@ -59,29 +60,25 @@ def cost_breakdown(
     full counting cost: c_u is (1 + r_s) times their mean review cost c.
     Each safe record has a sunk share w of its first review pass, already
     paid before classification: 0 for `no_first_count`, 1 for
-    `with_first_count`, and under `combined` its reclassification flag
-    from `reclass_flags`: 1 when the first stage of the combined classifier
-    marked it unsafe, so that a first manual count was paid and reclassified
-    it safe. The records' own labels are priced; the flags come from
-    `classify` or, for a labeled campaign, from its first stage.
+    `with_first_count`, and under `combined`, which needs a combined
+    `classifier`, 1 exactly when that classifier's first stage marks the
+    record unsafe (`classify.first_stage_unsafe`): a first manual count
+    was paid and reclassified it safe. The records' own labels are priced.
     Then c_s0 = mean(w * c) and c_sz = mean((1 - w + r_s) * c) over the
     safe stratum, so attribution moves cost between the two and never
     creates it. An empty stratum costs 0, and the breakdown's `warnings`
     name it.
     """
     if scheme == SCHEME_COMBINED:
-        if reclass_flags is None:
-            raise ValueError("combined scheme requires reclassification flags")
-        missing = [r.dop_id for r in records if r.label == SAFE and r.dop_id not in reclass_flags]
-        if missing:
-            raise ValueError(f"safe records lack reclassification flags: {_id_list(missing)}")
-        sunk = lambda r: reclass_flags[r.dop_id]
+        if classifier is None or classifier.kind != KIND_COMBINED:
+            raise ValueError("combined scheme needs a combined classifier")
+        sunk = first_stage_unsafe(records, classifier)
     elif scheme in _SUNK_SHARE:
-        sunk = lambda r: _SUNK_SHARE[scheme]
+        sunk = [_SUNK_SHARE[scheme]] * len(records)
     else:
         raise ValueError(f"unknown cost scheme {scheme!r}")
     per_record = tuple((r.dop_id, counting_cost(r.duration_s, rates)) for r in records)
-    safe = [(c, sunk(r)) for r, (_, c) in zip(records, per_record) if r.label == SAFE]
+    safe = [(c, w) for r, (_, c), w in zip(records, per_record, sunk) if r.label == SAFE]
     unsafe = [c for r, (_, c) in zip(records, per_record) if r.label == UNSAFE]
     n_s = len(safe) or 1  # an empty stratum costs 0
     mean_u = sum(unsafe) / len(unsafe) if unsafe else 0.0

@@ -17,6 +17,7 @@ from apcval.classify import (
     ClassifierSpec,
     classify,
     draw_sample,
+    first_stage_unsafe,
 )
 from apcval.domain import SAFE, UNSAFE, DopRecord, relabel
 
@@ -27,9 +28,13 @@ def safe_share(labeled: list[DopRecord]) -> float:
 
 def reference_combined_classify(
     records: list[DopRecord], first: ClassifierSpec
-) -> tuple[list[DopRecord], dict[str, int]]:
-    """The combined classifier as two calls: the first stage, then reclassification."""
-    provisional, _ = classify(records, first)
+) -> tuple[list[DopRecord], list[int | None]]:
+    """The combined classifier as two calls: the first stage, then reclassification.
+
+    Returns the final records and a flag per record: 0 for safe at the first
+    stage, 1 for reclassified safe, None for unsafe.
+    """
+    provisional = classify(records, first)
     missing = [
         r.dop_id for r in provisional if r.label == UNSAFE and r.m1 is None
     ]
@@ -40,16 +45,17 @@ def reference_combined_classify(
             f"{', '.join(missing[:10])}{more}"
         )
     final: list[DopRecord] = []
-    flags: dict[str, int] = {}
+    flags: list[int | None] = []
     for r in provisional:
         if r.label == SAFE:
             final.append(r)
-            flags[r.dop_id] = 0
+            flags.append(0)
         elif r.m1 == r.k_auto:
             final.append(relabel(r, SAFE, r.sampled))
-            flags[r.dop_id] = 1
+            flags.append(1)
         else:
             final.append(r)
+            flags.append(None)
     return final, flags
 
 
@@ -78,14 +84,16 @@ class TestClassifierSpec:
 class TestClassify:
     def test_all_safe(self):
         records = [make_record(i, 2, 2, UNSAFE) for i in range(5)]
-        labeled, flags = classify(records, ClassifierSpec(kind=KIND_ALL_SAFE))
-        assert flags is None
+        spec = ClassifierSpec(kind=KIND_ALL_SAFE)
+        labeled = classify(records, spec)
+        assert first_stage_unsafe(records, spec) == [False] * 5
         assert safe_share(labeled) == 1.0
 
     def test_all_unsafe(self):
         records = [make_record(i, 2, 2, SAFE) for i in range(5)]
-        labeled, flags = classify(records, ClassifierSpec(kind=KIND_ALL_UNSAFE))
-        assert flags is None
+        spec = ClassifierSpec(kind=KIND_ALL_UNSAFE)
+        labeled = classify(records, spec)
+        assert first_stage_unsafe(records, spec) == [False] * 5  # no first stage
         assert safe_share(labeled) == 0.0
 
     def test_first_count_exact_match_rule(self):
@@ -94,7 +102,7 @@ class TestClassify:
             make_record(1, 4, 4, UNSAFE),
             make_record(2, 3, 5, UNSAFE),
         ]
-        labeled, _ = classify(records, ClassifierSpec(kind=KIND_FIRST_COUNT, threshold=0.0))
+        labeled = classify(records, ClassifierSpec(kind=KIND_FIRST_COUNT, threshold=0.0))
         assert [r.label for r in labeled] == [SAFE, SAFE, UNSAFE]
         assert safe_share(labeled) == pytest.approx(2 / 3)
 
@@ -105,7 +113,7 @@ class TestClassify:
             DopRecord(dop_id="c", k_auto=5, alg_count=6, alg_confidence=0.99),
         ]
         spec = ClassifierSpec(kind=KIND_CONFIDENCE_WITH_COUNT, target_share=2 / 3)
-        labeled, _ = classify(records, spec)
+        labeled = classify(records, spec)
         assert [r.label for r in labeled] == [SAFE, SAFE, UNSAFE]
         assert safe_share(labeled) == pytest.approx(2 / 3)
 
@@ -115,7 +123,7 @@ class TestClassify:
             DopRecord(dop_id="b", k_auto=1, alg_confidence=0.50),
         ]
         spec = ClassifierSpec(kind=KIND_CONFIDENCE_ONLY, threshold=0.1)
-        labeled, _ = classify(records, spec)
+        labeled = classify(records, spec)
         assert [r.label for r in labeled] == [SAFE, UNSAFE]
 
     def test_rule_of_thumb_rate_and_zero_duration(self):
@@ -125,7 +133,7 @@ class TestClassify:
             DopRecord(dop_id="c", k_auto=0, m1=0, duration_s=0.0),    # unscorable
         ]
         spec = ClassifierSpec(kind=KIND_RULE_OF_THUMB, threshold=10.0)
-        labeled, _ = classify(records, spec)
+        labeled = classify(records, spec)
         assert [r.label for r in labeled] == [SAFE, UNSAFE, UNSAFE]
 
     def test_rule_of_thumb_count_source_switch(self):
@@ -133,16 +141,18 @@ class TestClassify:
         spec = ClassifierSpec(kind=KIND_RULE_OF_THUMB, threshold=10.0)
         with_m1 = DopRecord(dop_id="a", k_auto=30, m1=2, duration_s=60.0)
         without_m1 = DopRecord(dop_id="a", k_auto=30, duration_s=60.0)
-        assert classify([with_m1], spec)[0][0].label == SAFE
-        assert classify([without_m1], spec)[0][0].label == UNSAFE
+        assert classify([with_m1], spec)[0].label == SAFE
+        assert classify([without_m1], spec)[0].label == UNSAFE
 
     def test_missing_required_field(self):
         with pytest.raises(ValueError, match="alg_confidence"):
             classify([DopRecord(dop_id="a", k_auto=1)], ClassifierSpec(kind=KIND_CONFIDENCE_ONLY, threshold=0.5))
 
     def test_empty_campaign(self):
-        assert classify([], ClassifierSpec(kind=KIND_ALL_SAFE)) == ([], None)
-        assert classify([], ClassifierSpec(kind=KIND_COMBINED, threshold=1.0)) == ([], {})
+        for spec in (ClassifierSpec(kind=KIND_ALL_SAFE),
+                     ClassifierSpec(kind=KIND_COMBINED, threshold=1.0)):
+            assert classify([], spec) == []
+            assert first_stage_unsafe([], spec) == []
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
@@ -154,11 +164,11 @@ class TestClassify:
         ]
         share = data.draw(st.floats(min_value=0, max_value=1))
         spec = ClassifierSpec(kind=KIND_FIRST_COUNT, target_share=share)
-        labeled, _ = classify(records, spec)
+        labeled = classify(records, spec)
         by_id = {r.dop_id: r.label for r in labeled}
 
         perm = data.draw(st.permutations(records))
-        labeled_perm, _ = classify(list(perm), spec)
+        labeled_perm = classify(list(perm), spec)
         assert {r.dop_id: r.label for r in labeled_perm} == by_id
         assert abs(safe_share(labeled) - share) <= 1.0 / n + 1e-12
 
@@ -169,15 +179,13 @@ class TestCombinedClassify:
 
     def test_first_marks_all_safe(self):
         records = [DopRecord(dop_id=f"r{i}", k_auto=1, m1=1, duration_s=600.0) for i in range(3)]
-        labeled, flags = classify(records, self.combined())
-        assert all(r.label == SAFE for r in labeled)
-        assert set(flags.values()) == {0}
+        assert all(r.label == SAFE for r in classify(records, self.combined()))
+        assert first_stage_unsafe(records, self.combined()) == [False] * 3
 
     def test_reclassification_on_count_agreement(self):
         r = DopRecord(dop_id="x", k_auto=25, m1=25, duration_s=60.0)  # 25/min: unsafe
-        labeled, flags = classify([r], self.combined())
-        assert labeled[0].label == SAFE
-        assert flags == {"x": 1}
+        assert classify([r], self.combined())[0].label == SAFE
+        assert first_stage_unsafe([r], self.combined()) == [True]
 
     def test_four_record_hand_case(self):
         records = [
@@ -186,9 +194,9 @@ class TestCombinedClassify:
             DopRecord(dop_id="c", k_auto=30, m1=28, duration_s=60.0),  # unsafe, disagree
             DopRecord(dop_id="d", k_auto=1, m1=1, duration_s=600.0),   # 0.1/min safe
         ]
-        labeled, flags = classify(records, self.combined())
+        labeled = classify(records, self.combined())
         assert [r.label for r in labeled] == [SAFE, SAFE, UNSAFE, SAFE]
-        assert flags == {"a": 0, "b": 1, "d": 0}
+        assert first_stage_unsafe(records, self.combined()) == [False, True, True, False]
         assert safe_share(labeled) == 0.75
 
     def test_missing_first_count_on_provisional_unsafe(self):
@@ -217,16 +225,19 @@ class TestCombinedClassify:
             rule = {"threshold": data.draw(st.floats(-1.0, 200.0))}
         else:
             rule = {"target_share": data.draw(st.floats(0.0, 1.0))}
+        spec = ClassifierSpec(kind=KIND_COMBINED, **rule)
         try:
-            expected = reference_combined_classify(
+            expected, flags = reference_combined_classify(
                 records, ClassifierSpec(kind=KIND_RULE_OF_THUMB, **rule)
             )
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
-                classify(records, ClassifierSpec(kind=KIND_COMBINED, **rule))
+                classify(records, spec)
             assert str(got.value) == str(exc)
             return
-        assert classify(records, ClassifierSpec(kind=KIND_COMBINED, **rule)) == expected
+        assert classify(records, spec) == expected
+        # the first stage marks unsafe exactly the reclassified and the still unsafe records
+        assert first_stage_unsafe(records, spec) == [flag != 0 for flag in flags]
 
 
 class TestDrawSample:

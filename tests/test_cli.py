@@ -22,6 +22,9 @@ a1,42.15,4,4,,4,4,4,0.97,s,true
 a2,30.0,2,3,3,3,4,3,0.5,s,false
 a3,55.5,7,7,,7,6,,,u,
 """
+# The golden campaign with `label` and `sampled` blanked.
+GOLDEN_UNLABELED = "\n".join(line.rsplit(",", 2)[0] + ",," if i else line
+                             for i, line in enumerate(GOLDEN.splitlines())) + "\n"
 # At threshold 5 the combined classifier gives the golden campaign's labels:
 # a2 is safe at the first stage, a1 is reclassified safe, a3 stays unsafe.
 _COMBINED = ["--set", "classifier.kind=combined", "--set", "classifier.threshold=5"]
@@ -199,10 +202,7 @@ class TestEvaluate:
         code, _, err = run(capsys, ["evaluate", "--campaign", str(path)])
         shown = ", ".join(f"d{i:05d}" for i in range(1, 11))
         assert code == 1
-        assert err == (
-            f"error: campaign is partially labeled, records without label: {shown}, "
-            "… and 5246 more\n"
-        )
+        assert err == f"error: records are unlabeled: {shown}, … and 5246 more\n"
 
     def test_failed_verdict_is_still_exit_zero(self, capsys, tmp_path):
         records = [make_record(i, 2, 2 + (i % 2), UNSAFE) for i in range(10)]
@@ -572,6 +572,26 @@ class TestSimulateCostOptimize:
         assert payload["c_s0"] == pytest.approx(c["a1"], rel=1e-11)
         assert payload["c_sz"] == pytest.approx(1.2 * c["a1"], rel=1e-11)
 
+    @pytest.mark.parametrize("scheme", ["no_first_count", "with_first_count", "combined"])
+    @pytest.mark.parametrize("rule", ["classifier.threshold=4", "classifier.target_share=0.6"])
+    def test_raw_campaign_costs_as_its_classified_file(self, capsys, tmp_path, scheme, rule):
+        rng = np.random.default_rng(5)
+        records = [
+            make_record(i, int(m), max(0, int(m + e)), "unlabeled", duration=float(d))
+            for i, (m, e, d) in enumerate(zip(rng.integers(0, 8, 40), rng.integers(-1, 2, 40),
+                                              rng.integers(10, 120, 40)))
+        ]
+        raw, labeled = tmp_path / "raw.csv", tmp_path / "labeled.csv"
+        aio.save_campaign(records, raw)
+        settings = ["--set", "classifier.kind=combined", "--set", rule,
+                    "--set", f"costs.scheme={scheme}"]
+        assert run(capsys, ["classify", "--campaign", str(raw), "--out", str(labeled),
+                            *settings])[0] == 0
+        (code, by_raw, err), (_, by_file, _) = (
+            run(capsys, ["cost", "--campaign", str(path), *settings]) for path in (raw, labeled))
+        assert (code, err) == (0, "")
+        assert without_created(by_raw) == without_created(by_file)
+
     @pytest.mark.parametrize("command", ["cost", "optimize"])
     def test_combined_scheme_needs_combined_classifier(self, capsys, golden_campaign, command):
         code, out, err = run(
@@ -641,7 +661,8 @@ def test_unwritable_output_is_an_error(capsys, golden_campaign, tmp_path, argv):
 # --- golden bytes -------------------------------------------------------------
 #
 # Each case runs one command on the golden campaign; `{campaign}`, `{details}`
-# and `{out}` stand for the campaign file, a details CSV path and an --out path.
+# and `{out}` stand for the campaign file, a details CSV path and an --out path,
+# and `{unlabeled}` for the golden campaign without labels.
 # The expected exit code, stdout (without the `created` line and with the --out
 # path written `{out}`), stderr and details CSV of every case, and the --out
 # file of every case that names one, are in cli_golden.json. Regenerate that
@@ -664,6 +685,10 @@ GOLDEN_CASES = {
                                   "--set", "costs.scheme=with_first_count"],
     "optimize_combined": ["optimize", "--campaign", "{campaign}",
                           "--set", "costs.scheme=combined", *_COMBINED],
+    "cost_combined_unlabeled": ["cost", "--campaign", "{unlabeled}",
+                                "--set", "costs.scheme=combined", *_COMBINED],
+    "optimize_combined_unlabeled": ["optimize", "--campaign", "{unlabeled}",
+                                    "--set", "costs.scheme=combined", *_COMBINED],
 }
 # classify runs every kind in both formats. The confidence kinds end in an
 # error at a3, which carries no algorithm output.
@@ -703,9 +728,11 @@ def golden_output(case: str, workdir: Path) -> dict:
     """Exit code, stdout without `created`, stderr, details CSV and --out file of one case."""
     campaign = workdir / "campaign.csv"
     campaign.write_text(GOLDEN, encoding="utf-8")
+    unlabeled = workdir / "unlabeled.csv"
+    unlabeled.write_text(GOLDEN_UNLABELED, encoding="utf-8")
     details = workdir / f"{case}.details.csv"
     out_file = workdir / f"{case}.out.csv"
-    argv = [a.format(campaign=campaign, details=details, out=out_file)
+    argv = [a.format(campaign=campaign, unlabeled=unlabeled, details=details, out=out_file)
             for a in GOLDEN_CASES[case]]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -765,28 +792,24 @@ def test_only_the_random_draws_import_numpy(golden_campaign, tmp_path, case):
 # --- module boundaries --------------------------------------------------------
 
 
-def test_cli_reads_no_private_name_of_estimator_or_io():
-    # the per-record weights live in `estimator.record_rows` and the label
-    # letters in `io`, so the CLI cannot work either out again by itself
+def test_cli_reads_no_private_name_of_an_apcval_module():
+    # each rule has one owner: the weights in `estimator.record_rows`, the label
+    # letters in `io`, the first stage in `classify.first_stage_unsafe`, so the
+    # CLI cannot work any of them out again by itself
     import apcval.cli
 
     tree = ast.parse(Path(apcval.cli.__file__).read_text(encoding="utf-8"))
-    owners = {"estimator", "io"}
-    aliases = {
-        alias.asname or alias.name
-        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module is None
-        for alias in node.names if alias.name in owners
-    }
-    imported = [
-        f"{node.module}.{alias.name}"
-        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module in owners
-        for alias in node.names if alias.name.startswith("_")
-    ]
+    own = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+           and (node.level > 0 or (node.module or "").split(".")[0] == "apcval")]
+    aliases = {alias.asname or alias.name for node in own if node.module is None
+               for alias in node.names}
+    imported = [f"{node.module}.{alias.name}" for node in own
+                for alias in node.names if alias.name.startswith("_")]
     read = [
         f"{node.value.id}.{node.attr}"
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
         and node.value.id in aliases and node.attr.startswith("_")
     ]
-    assert aliases == {"io_mod"}
+    assert {"cost_mod", "io_mod"} <= aliases
     assert imported == [] and read == []
