@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import chain, starmap
 from typing import NamedTuple
 
 SAFE = "safe"
@@ -116,6 +117,45 @@ def validate_record(record: DopRecord) -> list[str]:
     if r.label == SAFE and r.sampled is True and r.m_final is None:
         violations.append(f"{r.dop_id}: sampled safe record lacks ground truth")
     return violations
+
+
+def screen_records(records: list[DopRecord]) -> bool:
+    """True only if `validate_record` finds nothing in any of `records`.
+
+    One pass over all records at once: a check per column (durations,
+    `k_auto` and `alg_count`, confidences) and one per distinct combination
+    of the manual counts, label and sampling indicator. It is never laxer
+    than `validate_record`, which stays the statement of the invariants;
+    False means some record may violate one, and `validate_record` says
+    which.
+    """
+    if not records:
+        return True
+    _, k_auto, duration, m1, m2, m_sup, m_final, alg_count, confidence, label, sampled = zip(
+        *records
+    )
+    confidences = [c for c in confidence if c is not None]
+    if not (
+        all(map(math.isfinite, duration))
+        and min(duration) >= 0
+        and min(filter(None, chain(k_auto, alg_count)), default=0) >= 0
+        and all(map(math.isfinite, confidences))
+        and 0.0 <= min(confidences, default=0.0)
+        and max(confidences, default=0.0) <= 1.0
+    ):
+        return False
+    # far fewer distinct combinations of these six fields than records
+    return all(starmap(_clear_counts_and_label, set(zip(m1, m2, m_sup, m_final, label, sampled))))
+
+
+def _clear_counts_and_label(m1, m2, m_sup, m_final, label, sampled) -> bool:
+    """Whether `validate_record` surely finds nothing wrong with these fields of a record."""
+    if label not in LABELS or min(filter(None, (m1, m2, m_sup, m_final)), default=0) < 0:
+        return False
+    truth = ground_truth(m1, m2, m_sup)
+    if m_final is None:
+        return truth is None and label != UNSAFE and not (label == SAFE and sampled is True)
+    return m1 is not None and (m2 is None or m_final == truth)
 
 
 def ground_truth(m1: int | None, m2: int | None, m_sup: int | None) -> int | None:

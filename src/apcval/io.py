@@ -4,7 +4,8 @@ Campaign files are UTF-8 comma-delimited text with a mandatory header and
 one row per door opening phase; empty cells mean absent. Labels use the
 one-letter values 's' and 'u'. Configuration files are flat `key = value`
 text with a closed key set; unknown keys are rejected and every value is
-validated against the domain invariants on load.
+validated against the domain invariants on load. Both kinds of file may
+start with a UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes them.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import json
 import math
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
+from typing import NoReturn
 
 from ._version import VERSION
 from .classify import ClassifierSpec
@@ -29,6 +32,7 @@ from .domain import (
     DopRecord,
     PartitionParams,
     TestParams,
+    screen_records,
     validate_record,
 )
 
@@ -55,8 +59,8 @@ class CampaignError(ValueError):
     """Raised for unreadable, malformed or inconsistent campaign files."""
 
 
-def _bad_cell(cells: tuple[str, ...], row_no: int) -> str:
-    """The error of a row whose fast parse failed, naming its first bad number.
+def _bad_cell(cells: tuple[str, ...], row_no: int) -> str | None:
+    """The error naming a row's first bad number, or None if its numbers parse.
 
     `cells` are stripped, in `DopRecord` field order; the numbers are checked
     from k_auto (which must be given) to alg_confidence.
@@ -72,6 +76,90 @@ def _bad_cell(cells: tuple[str, ...], row_no: int) -> str:
             return f"row {row_no}: {column} is not {kind}: {cell!r}"
         if number and not math.isfinite(value):
             return f"row {row_no}: {column} must be finite, got {cell!r}"
+    return None
+
+
+def _raise_first_error(text: str, pick: itemgetter, width: int) -> NoReturn:
+    """Raise the CampaignError of the first bad row of a campaign's text.
+
+    The rows are read one by one and checked in order: blank rows are
+    skipped, then width, dop_id (empty, duplicate), label, sampled and the
+    numbers (`_bad_cell`). A csv.Error raised while reading propagates
+    from the row where the reader meets it, after the rows before it.
+    """
+    reader = csv.reader(_stringio.StringIO(text))
+    next(reader)  # the header, already checked
+    seen: set[str] = set()
+    for row_no, row in enumerate(reader, start=2):
+        if not any(row):
+            continue
+        if len(row) != width:
+            raise CampaignError(f"row {row_no}: expected {width} cells, got {len(row)}")
+        cells = tuple(map(str.strip, pick(row)))
+        dop_id, label, sampled = cells[0], cells[9], cells[10]
+        if not dop_id:
+            raise CampaignError(f"row {row_no}: empty dop_id")
+        if dop_id in seen:
+            raise CampaignError(f"duplicate dop_id {dop_id!r}")
+        seen.add(dop_id)
+        if label not in _CSV_TO_LABEL:
+            raise CampaignError(f"row {row_no}: unknown label {label!r} (use s/u or empty)")
+        if sampled not in _CSV_TO_SAMPLED:
+            raise CampaignError(
+                f"row {row_no}: sampled must be true/false or empty, got {sampled!r}"
+            )
+        message = _bad_cell(cells, row_no)
+        if message:
+            raise CampaignError(message)
+    raise AssertionError("the column checks refused a campaign whose rows all pass")
+
+
+def _count(cell: str) -> int | None:
+    return int(cell) if cell else None
+
+
+def _number(cell: str) -> float | None:
+    """The finite float of a cell, None for an empty one; ValueError otherwise."""
+    if not cell:
+        return None
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(cell)
+    return value
+
+
+def _duration(cell: str) -> float:
+    return _number(cell) or 0.0  # an empty cell and -0.0 read as 0.0
+
+
+def _convert(convert, cells: tuple[str, ...]) -> list:
+    """`convert` of each stripped cell, through a table of the column's distinct cells."""
+    table = {cell: convert(cell.strip()) for cell in set(cells)}
+    return list(map(table.__getitem__, cells))
+
+
+def _parse_columns(columns: list[tuple[str, ...]], pick: itemgetter) -> list[list] | None:
+    """The values of a campaign's columns, in `DopRecord` field order.
+
+    Each column is stripped and converted in one pass. None means that some
+    cell is bad, and `_raise_first_error` names it.
+    """
+    ids, k_auto, duration, *counts, confidence, label, sampled = pick(columns)
+    ids = list(map(str.strip, ids))
+    if not all(ids) or len(set(ids)) < len(ids):
+        return None
+    try:
+        return [
+            ids,
+            _convert(int, k_auto),
+            _convert(_duration, duration),
+            *(_convert(_count, column) for column in counts),
+            _convert(_number, confidence),
+            _convert(_CSV_TO_LABEL.__getitem__, label),
+            _convert(_CSV_TO_SAMPLED.__getitem__, sampled),
+        ]
+    except (KeyError, ValueError):
+        return None
 
 
 def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecord], list[str]]:
@@ -81,15 +169,16 @@ def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecor
     errors. Domain invariant violations are returned as a list; with
     strict=True any violation is promoted to a CampaignError.
 
-    Each row is read in one pass: one getter takes its cells in
-    `DopRecord` field order, the numbers are parsed inline and the record
-    is built from one tuple, without a constructor call. Only a row whose
-    numbers do not parse or are not finite goes through `_bad_cell`, which
-    names the bad cell.
+    The rows are parsed by columns: each column is stripped and converted
+    in one pass, and the records are built from the columns without a
+    constructor call. A campaign with a bad cell is read again row by row
+    (`_raise_first_error`) to name its first bad row. The records are
+    validated by one `screen_records` pass; only when it fails does
+    `validate_record` build the messages, record by record.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise CampaignError(f"cannot read campaign file {path}: {exc}") from exc
 
@@ -104,56 +193,19 @@ def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecor
         )
     width = len(header)
     pick = itemgetter(*map(header.index, DopRecord._fields))
-    strip = str.strip
-    isfinite = math.isfinite
-    new = tuple.__new__
-
-    records: list[DopRecord] = []
-    violations: list[str] = []
-    seen: set[str] = set()
-    for row_no, row in enumerate(reader, start=2):
-        if len(row) != width:
-            if not any(row):
-                continue
-            raise CampaignError(f"row {row_no}: expected {width} cells, got {len(row)}")
-        cells = tuple(map(strip, pick(row)))
-        dop_id, k_auto, duration, m1, m2, m_sup, m_final, alg_count, conf, label, sampled = cells
-        if not dop_id:
-            if not any(row):
-                continue
-            raise CampaignError(f"row {row_no}: empty dop_id")
-        if dop_id in seen:
-            raise CampaignError(f"duplicate dop_id {dop_id!r}")
-        seen.add(dop_id)
-        if label not in _CSV_TO_LABEL:
-            raise CampaignError(f"row {row_no}: unknown label {label!r} (use s/u or empty)")
-        if sampled not in _CSV_TO_SAMPLED:
-            raise CampaignError(
-                f"row {row_no}: sampled must be true/false or empty, got {sampled!r}"
-            )
-        try:
-            duration_s = float(duration) if duration else 0.0
-            confidence = float(conf) if conf else None
-            if not isfinite(duration_s) or not (confidence is None or isfinite(confidence)):
-                raise ValueError  # _bad_cell names the cell
-            record = new(DopRecord, (
-                dop_id,
-                int(k_auto),
-                duration_s or 0.0,
-                int(m1) if m1 else None,
-                int(m2) if m2 else None,
-                int(m_sup) if m_sup else None,
-                int(m_final) if m_final else None,
-                int(alg_count) if alg_count else None,
-                confidence,
-                _CSV_TO_LABEL[label],
-                _CSV_TO_SAMPLED[sampled],
-            ))
-        except ValueError:
-            raise CampaignError(_bad_cell(cells, row_no)) from None
-        records.append(record)
-        violations.extend(validate_record(record))
-
+    try:
+        columns = list(zip(*filter(any, reader), strict=True))  # of the non-blank rows
+    except (csv.Error, ValueError):  # an unreadable row, or rows of different lengths
+        _raise_first_error(text, pick, width)
+    if not columns:
+        return [], []
+    values = _parse_columns(columns, pick) if len(columns) == width else None
+    if values is None:
+        _raise_first_error(text, pick, width)
+    records = list(map(tuple.__new__, repeat(DopRecord), zip(*values)))
+    violations = [] if screen_records(records) else [
+        violation for record in records for violation in validate_record(record)
+    ]
     if strict and violations:
         raise CampaignError("validation failed:\n" + "\n".join(violations))
     return records, violations
@@ -307,7 +359,7 @@ def load_config_with_overrides(path: str | Path | None, overrides: list[str]) ->
     if path is not None:
         p = Path(path)
         try:
-            text = p.read_text(encoding="utf-8")
+            text = p.read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise ConfigError(f"cannot read config file {p}: {exc}") from exc
         raw = _parse_config_text(text, str(p))

@@ -7,8 +7,9 @@ import typing
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
-from apcval.domain import SAFE, UNSAFE, DopRecord
+from apcval.domain import LABELS, SAFE, UNSAFE, DopRecord, ground_truth
 
 
 def make_record(i: int, m: int, k: int, label: str, sampled=None, duration: float = 30.0) -> DopRecord:
@@ -37,6 +38,45 @@ def every_field_set() -> DopRecord:
         values[name] = {str: f"{name}-{i}", int: 10 + i, float: 0.5 + i / 64,
                         bool: True}[kind]
     return DopRecord(**values)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SMALL = st.integers(min_value=0, max_value=4)
+# mostly what a consistent record holds, so that whole campaigns pass the screen too
+_COUNT = st.one_of(st.none(), _SMALL, _SMALL, st.none(), st.integers())
+
+
+@st.composite
+def loadable_records(draw) -> DopRecord:
+    """A record as `io.load_campaign` can return it, its dop_id "r0".
+
+    Numbers are finite (a duration never -0.0) and counts any integers or
+    absent. `m2` often agrees with `m1`, and `m_final` is often the count
+    that resolves `m1`, `m2` and `m_sup`, or one of them.
+    """
+    m1, m_sup = draw(_COUNT), draw(_COUNT)
+    m2 = draw(_COUNT | st.just(m1))
+    resolved = ground_truth(m1, m2, m_sup) if m2 is not None else m1
+    return DopRecord(
+        dop_id="r0",
+        k_auto=draw(st.one_of(_SMALL, _SMALL, st.integers())),
+        duration_s=draw(st.floats(min_value=0.0, max_value=120.0) | _FINITE) or 0.0,
+        m1=m1,
+        m2=m2,
+        m_sup=m_sup,
+        m_final=draw(st.sampled_from((resolved, m1, m2, m_sup)) | _COUNT),
+        alg_count=draw(_COUNT),
+        alg_confidence=draw(st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0), _FINITE)),
+        label=draw(st.sampled_from(LABELS)),
+        sampled=draw(st.sampled_from((True, False, None))),
+    )
+
+
+def loadable_campaigns(max_size: int = 6):
+    """Lists of `loadable_records` with the distinct dop_ids r0, r1, …"""
+    return st.lists(loadable_records(), max_size=max_size).map(
+        lambda records: [r._replace(dop_id=f"r{i}") for i, r in enumerate(records)]
+    )
 
 
 def fully_counted_campaign(

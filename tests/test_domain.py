@@ -1,10 +1,11 @@
 import typing
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import every_field_set
+from conftest import every_field_set, fully_counted_campaign, loadable_campaigns, loadable_records
 from apcval.domain import (
     LABELS,
     SAFE,
@@ -19,6 +20,7 @@ from apcval.domain import (
     _id_list,
     ground_truth,
     relabel,
+    screen_records,
     validate_record,
 )
 
@@ -167,6 +169,45 @@ class TestValidateRecord:
     def test_total_never_raises(self, m1, m_final, label, sampled, conf):
         r = rec(m1=m1, m_final=m_final, label=label, sampled=sampled, alg_confidence=conf)
         assert isinstance(validate_record(r), list)
+
+
+class TestScreenRecords:
+    """`screen_records` passes a campaign only where `validate_record` finds nothing."""
+
+    def test_a_consistent_campaign_passes(self):
+        records = fully_counted_campaign(np.random.default_rng(3), 200)
+        records += [rec(), rec(m1=2, m_final=5), rec(m1=2, m2=3), rec(m1=4, m2=5, m_sup=5, m_final=5)]
+        assert all(validate_record(r) == [] for r in records)
+        assert screen_records(records) and screen_records([])
+
+    @pytest.mark.parametrize("fields", [
+        dict(duration_s=-0.5), dict(duration_s=float("nan")), dict(duration_s=float("inf")),
+        dict(k_auto=-1), dict(m1=-1), dict(m1=2, m2=-1), dict(m_sup=-1), dict(m1=0, m_final=-1),
+        dict(alg_count=-1), dict(alg_confidence=1.5), dict(alg_confidence=-0.1),
+        dict(alg_confidence=float("nan")), dict(label="junk"), dict(m_final=3),
+        dict(m1=4, m2=4, m_final=9), dict(m1=4, m2=4), dict(m1=4, m2=5, m_sup=4, m_final=5),
+        dict(m1=2, m2=3, m_final=2), dict(label=UNSAFE), dict(label=SAFE, sampled=True),
+    ])
+    def test_each_violation_fails_it_among_clean_records(self, fields):
+        bad = rec(dop_id="bad", **fields)
+        assert validate_record(bad) != []
+        records = [r._replace(alg_confidence=0.5, alg_count=r.k_auto)
+                   for r in fully_counted_campaign(np.random.default_rng(4), 50)]
+        assert not screen_records([*records, bad])
+        assert not screen_records([bad, *records])
+
+    @settings(max_examples=500, deadline=None)
+    @given(records=loadable_campaigns(8), extra=loadable_records())
+    @example(records=[], extra=rec(m1=0, m_final=-1))
+    @example(records=[], extra=rec(m1=-1, m2=-1, m_final=-1))
+    @example(records=[rec(alg_confidence=0.0)], extra=rec(alg_confidence=1.0))
+    def test_never_laxer_than_validate_record(self, records, extra):
+        # the drawn campaign, each of its records alone, and its consistent
+        # records with one more drawn record
+        clean = [r for r in records if validate_record(r) == []]
+        for campaign in (records, *([r] for r in records), [*clean, extra._replace(dop_id="x")]):
+            if screen_records(campaign):
+                assert [validate_record(r) for r in campaign] == [[]] * len(campaign)
 
 
 class TestGroundTruth:

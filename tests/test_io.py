@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import every_field_set, fully_counted_campaign, make_record
+from conftest import every_field_set, fully_counted_campaign, loadable_campaigns, make_record
 import apcval.io as aio
 from apcval.classify import KIND_FIRST_COUNT, KINDS
 from apcval.cost import SCHEME_NO_FIRST_COUNT, SCHEMES, cost_breakdown
@@ -123,6 +123,46 @@ class TestLoadCampaign:
         loaded, _ = aio.load_campaign(path)
         assert loaded == records
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(GOLDEN, encoding="utf-8")
+        marked.write_text(GOLDEN, encoding="utf-8-sig")  # what Excel's "CSV UTF-8" writes
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert aio.load_campaign(marked) == aio.load_campaign(plain)
+
+    def test_a_clean_campaign_is_not_validated_record_by_record(self, tmp_path, monkeypatch):
+        import apcval.domain
+
+        calls = []
+
+        def counted(record):
+            calls.append(record.dop_id)
+            return validate_record(record)
+
+        monkeypatch.setattr(aio, "validate_record", counted)
+        monkeypatch.setattr(apcval.domain, "validate_record", counted)
+        records = fully_counted_campaign(np.random.default_rng(5), 5256)
+        path = tmp_path / "clean.csv"
+        aio.save_campaign(records, path)
+        assert aio.load_campaign(path) == (records, []) and calls == []
+
+        bad = records[-1]._replace(m_final=records[-1].m1 + 1)
+        assert validate_record(bad) != []
+        aio.save_campaign([*records[:-1], bad], path)
+        loaded, violations = aio.load_campaign(path)
+        assert loaded[-1] == bad and violations == validate_record(bad)
+        assert len(calls) == len(records)  # the screen failed, so every record is checked
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=loadable_campaigns(8))
+    def test_violations_are_those_of_validate_record(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "campaign.csv"
+            aio.save_campaign(records, path)
+            loaded, violations = aio.load_campaign(path)
+        assert loaded == records
+        assert violations == [v for r in loaded for v in validate_record(r)]
+
 
 class TestConfig:
     def test_defaults_without_file(self):
@@ -183,6 +223,12 @@ class TestConfig:
         with pytest.raises(aio.ConfigError) as exc:
             aio.config_from_raw({"classifier.kind": "rule_of_thumb", key: "abc"})
         assert str(exc.value) == f"{key} is not a number: 'abc'"
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "marked.cfg"
+        path.write_text("nu = 0.15\nseed = 7\n", encoding="utf-8-sig")
+        cfg = aio.load_config_with_overrides(path, [])
+        assert cfg.params.nu == 0.15 and cfg.seed == 7
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -613,7 +659,7 @@ def reference_load_campaign(path, strict: bool = False):
     """The per-cell loader `aio.load_campaign` replaced: one lookup, strip and check per cell."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise aio.CampaignError(f"cannot read campaign file {path}: {exc}") from exc
 
@@ -708,6 +754,22 @@ def _rows(*rows: str) -> str:
 @example(text="k_auto,sampled,dop_id,label,m_final,duration_s,m1,alg_confidence,m2,m_sup,"
               "alg_count\n5,,x1,u,5,10.0,5,,5,,\n6,true,x2,s,,,1,0.4,y,,\n", strict=False)
 @example(text=_rows("r0,10.0,-1,2,,2,2,,,u,"), strict=True)
+# the edges of the column-wise parse: row numbers past blank rows, a bad last row,
+# padding in every column, durations that read as 0.0, an empty column, a BOM
+@example(text=_rows("r0,10.0,2,2,,2,2,,,u,", "", ",,,,,,,,,,", "r1,abc,2,2,,2,2,,,u,"), strict=False)
+@example(text=_rows("r0,10.0,2,2,,2,2,,,u,", "r1,9.0,1,1,,1,1,,,u,", "r2,10.0,2"), strict=False)
+@example(text=_rows("r0,10.0,2,2,,2,2,,,u,", "r1,9.0,1,1,,1,1,,,u,,"), strict=False)
+@example(text=_rows("r0,10.0,2,2,,2,2,,,u,", "r1,9.0,1,1,,1,1,,,u,", "r0,8.0,3,3,,3,3,,,u,"),
+         strict=False)
+@example(text=_rows("r0,10.0,2,2,,2,2,,,u,", "r1,9.0,1,1,,1,1,1.5,,u,"), strict=False)
+@example(text=_rows(" r0 , 10.0 , 2 , 3 , 3 , 3 , 2 , 1 , 0.5 , s , true ",
+                    "\tr1\t,\t9.5\t,\t1\t,\t1\t,\t\t,\t1\t,\t1\t,\t1\t,\t0.9\t,\tu\t,\t\t"),
+         strict=False)
+@example(text=_rows("r0,5.0,2,2,,2,2,,,u,", "r1,-0.0,2,2,,2,2,,,u,", "r2,0.0,2,2,,2,2,,,u,",
+                    "r3,,2,2,,2,2,,,u,", "r4,-0,2,2,,2,2,,,u,"), strict=False)
+@example(text=_rows("r0,10.0,2,2,,2,2,1,,u,", "r1,9.0,1,1,,1,1,1,,u,"), strict=True)
+@example(text="\ufeff" + _rows("r0,10.0,2,2,,2,2,,,u,"), strict=False)
+@example(text=_rows("r0,10.0,2,2,,2,2,,,u,", " ,9.0,1,1,,1,1,,,u,"), strict=False)  # empty dop_id
 def test_load_campaign_matches_the_per_cell_reference(text, strict):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "campaign.csv"
