@@ -14,6 +14,7 @@ import csv
 import io as _stringio
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from itertools import repeat
@@ -79,18 +80,32 @@ def _bad_cell(cells: tuple[str, ...], row_no: int) -> str | None:
     return None
 
 
-def _raise_first_error(text: str, pick: itemgetter, width: int) -> NoReturn:
+def _numbered_rows(path: Path, reader) -> Iterator[tuple[int, list[str]]]:
+    """The rows after the header with their row numbers, from 2.
+
+    A row the csv reader cannot read, such as one with a field over
+    `csv.field_size_limit()`, is a CampaignError naming the file and the row.
+    """
+    row_no = 1
+    try:
+        for row_no, row in enumerate(reader, start=2):
+            yield row_no, row
+    except csv.Error as exc:
+        raise CampaignError(f"{path}: row {row_no + 1}: {exc}") from None
+
+
+def _raise_first_error(path: Path, text: str, pick: itemgetter, width: int) -> NoReturn:
     """Raise the CampaignError of the first bad row of a campaign's text.
 
     The rows are read one by one and checked in order: blank rows are
     skipped, then width, dop_id (empty, duplicate), label, sampled and the
-    numbers (`_bad_cell`). A csv.Error raised while reading propagates
-    from the row where the reader meets it, after the rows before it.
+    numbers (`_bad_cell`). A row the reader cannot read is an error of that
+    row (`_numbered_rows`), after the rows before it.
     """
     reader = csv.reader(_stringio.StringIO(text))
     next(reader)  # the header, already checked
     seen: set[str] = set()
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in _numbered_rows(path, reader):
         if not any(row):
             continue
         if len(row) != width:
@@ -179,7 +194,7 @@ def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecor
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CampaignError(f"cannot read campaign file {path}: {exc}") from exc
 
     reader = csv.reader(_stringio.StringIO(text))
@@ -187,6 +202,8 @@ def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecor
         header = next(reader)
     except StopIteration:
         raise CampaignError(f"{path}: empty file, header row is mandatory") from None
+    except csv.Error as exc:
+        raise CampaignError(f"{path}: row 1: {exc}") from None
     if sorted(header) != sorted(CAMPAIGN_COLUMNS):
         raise CampaignError(
             f"{path}: malformed header {header!r}, expected columns {list(CAMPAIGN_COLUMNS)}"
@@ -196,12 +213,12 @@ def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecor
     try:
         columns = list(zip(*filter(any, reader), strict=True))  # of the non-blank rows
     except (csv.Error, ValueError):  # an unreadable row, or rows of different lengths
-        _raise_first_error(text, pick, width)
+        _raise_first_error(path, text, pick, width)
     if not columns:
         return [], []
     values = _parse_columns(columns, pick) if len(columns) == width else None
     if values is None:
-        _raise_first_error(text, pick, width)
+        _raise_first_error(path, text, pick, width)
     records = list(map(tuple.__new__, repeat(DopRecord), zip(*values)))
     violations = [] if screen_records(records) else [
         violation for record in records for violation in validate_record(record)
@@ -360,7 +377,7 @@ def load_config_with_overrides(path: str | Path | None, overrides: list[str]) ->
         p = Path(path)
         try:
             text = p.read_text(encoding="utf-8-sig")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {p}: {exc}") from exc
         raw = _parse_config_text(text, str(p))
     return config_from_raw(merge_overrides(raw, overrides))

@@ -17,12 +17,13 @@ audit reads its rows back from the curves' points, in order; every grid
 point reports its own trials, also where a sample size or a bias
 repeats.
 
-`bias_estimates` runs the record-level trial: stratum values are drawn
+`bias_estimates` keeps the record-level trial: stratum values are drawn
 per record and the counted subset of the safe stratum comes from the
-real sampler. That path is also the small-n oracle the
-sufficient-statistic engine is tested against.
+real sampler. The tests hold the full record-level oracle, with the
+classic pooling and the stratum deviations, and use it as the small-n
+reference of the sufficient-statistic engine.
 
-Both engines draw each trial from its own stream of a counter-based
+Both paths draw each trial from its own stream of a counter-based
 Philox generator (Salmon et al., "Parallel random numbers: as easy as
 1, 2, 3", SC 2011): the key is derived once per (seed, grid point) and
 trial t starts at counter (0, 0, 0, t). A trial therefore reproduces in
@@ -84,6 +85,15 @@ class ResamplingErrors:
         return p_s * mean_s + (1.0 - p_s) * mean_u
 
 
+def _require_pools(model: NormalErrors | ResamplingErrors, p_s: float) -> None:
+    """Refuse a resampling model without a pool for a stratum p_s can draw."""
+    if isinstance(model, ResamplingErrors):
+        if p_s > 0.0 and not model.pool_s:
+            raise ValueError("resampling model needs a nonempty safe pool")
+        if p_s < 1.0 and not model.pool_u:
+            raise ValueError("resampling model needs a nonempty unsafe pool")
+
+
 @dataclass(frozen=True, slots=True)
 class SimConfig:
     """One simulation study: grid, error model, test and reproducibility."""
@@ -111,12 +121,7 @@ class SimConfig:
         for mu in self.bias_sweep or ():
             if not math.isfinite(mu):
                 raise ValueError(f"bias_sweep values must be finite, got {mu}")
-        model = self.error_model
-        if isinstance(model, ResamplingErrors):
-            if self.partition.p_s > 0.0 and not model.pool_s:
-                raise ValueError("resampling model needs a nonempty safe pool")
-            if self.partition.p_s < 1.0 and not model.pool_u:
-                raise ValueError("resampling model needs a nonempty unsafe pool")
+        _require_pools(self.error_model, self.partition.p_s)
 
 
 @dataclass(frozen=True, slots=True)
@@ -362,7 +367,6 @@ def _draw_strata(
     n: int,
     p_s: float,
     model: NormalErrors | ResamplingErrors,
-    shift: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one trial's safe and unsafe relative differences.
 
@@ -373,67 +377,14 @@ def _draw_strata(
     n_s = _safe_count(rng, n, p_s)
     n_u = n - n_s
     if isinstance(model, NormalErrors):
-        d_s = rng.normal(model.mu_s + shift, model.nu_s, n_s)
-        d_u = rng.normal(model.mu_u + shift, model.nu_u, n_u)
+        d_s = rng.normal(model.mu_s, model.nu_s, n_s)
+        d_u = rng.normal(model.mu_u, model.nu_u, n_u)
     else:
         pool_s = np.asarray(model.pool_s, dtype=float)
         pool_u = np.asarray(model.pool_u, dtype=float)
-        d_s = (rng.choice(pool_s, n_s, replace=True) + shift) if n_s else np.empty(0)
-        d_u = (rng.choice(pool_u, n_u, replace=True) + shift) if n_u else np.empty(0)
+        d_s = rng.choice(pool_s, n_s, replace=True) if n_s else np.empty(0)
+        d_u = rng.choice(pool_u, n_u, replace=True) if n_u else np.empty(0)
     return d_s, d_u
-
-
-def _stratum_moments(d: np.ndarray, spread: bool) -> tuple[float, float]:
-    """Mean (0.0 when empty) and n-1 deviation (NaN when undefined or skipped)."""
-    mean = float(d.mean()) if d.size else 0.0
-    std = float(d.std(ddof=1)) if spread and d.size >= 2 else math.nan
-    return mean, std
-
-
-def _partitioned_stats(
-    d_s: np.ndarray, d_u: np.ndarray, q0: float, rng: np.random.Generator, spread: bool = True
-) -> tuple[float, ...]:
-    """Reduce one trial to (n_s, n_u, q_effective, d_bar_s, d_bar_u, nu_hat_s, nu_hat_u).
-
-    The counted subset of the safe stratum comes from the real sampler;
-    `spread=False` skips the deviations, which the point estimate does
-    not need.
-    """
-    n_s = d_s.size
-    if n_s:
-        d_s = d_s[_sample_mask(n_s, q0, rng)]
-    q_eff = d_s.size / n_s if n_s else 1.0
-    mean_s, std_s = _stratum_moments(d_s, spread)
-    mean_u, std_u = _stratum_moments(d_u, spread)
-    return n_s, d_u.size, q_eff, mean_s, mean_u, std_s, std_u
-
-
-def _trial_stats(
-    model: NormalErrors | ResamplingErrors,
-    partition: PartitionParams,
-    n: int,
-    shift: float,
-    seed: int,
-    point_index: int,
-    trials: int,
-    classic: bool = False,
-    spread: bool = True,
-) -> np.ndarray:
-    """`_sufficient_stats` computed record by record, one stream per trial.
-
-    Draws every record and takes the counted subset from the real sampler:
-    the engine of `bias_estimates` and the reference the sufficient-statistic
-    engine is tested against.
-    """
-    point = _point_rng(seed, point_index)
-    rows = []
-    for trial in range(trials):
-        rng = _trial_rng(point, trial)
-        d_s, d_u = _draw_strata(rng, n, partition.p_s, model, shift)
-        if classic:
-            d_s, d_u = d_s[:0], np.concatenate([d_s, d_u])
-        rows.append(_partitioned_stats(d_s, d_u, partition.q, rng, spread))
-    return np.array(rows, dtype=float).reshape(trials, 7).T
 
 
 def _analytic_for(config: SimConfig, n: int, mu: float) -> float | None:
@@ -557,10 +508,29 @@ def bias_estimates(
 ) -> np.ndarray:
     """Per-trial partitioned bias estimates, for moment studies.
 
-    Runs record-level trials through the real sampler and takes the point
-    estimate of the verdict chain, evaluated once over all trials. The
-    per-stratum standard deviations are skipped: the estimate only needs
-    counts and means, and the chain's floor stands in for them.
+    Each trial draws every record (`_draw_strata`), takes the counted
+    subset of the safe stratum from the real sampler and reduces each
+    stratum to its size and mean. The verdict chain is evaluated once over
+    all trials for its point estimate; the per-stratum deviations are left
+    NaN, since the estimate only needs counts and means.
     """
-    stats = _trial_stats(model, partition, n, 0.0, seed, 0, trials, spread=False)
-    return verdict_chain(*stats, TestParams()).d_hat
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    _require_pools(model, partition.p_s)
+    point = _point_rng(seed, 0)
+    rows = array("d")
+    for trial in range(trials):
+        rng = _trial_rng(point, trial)
+        d_s, d_u = _draw_strata(rng, n, partition.p_s, model)
+        n_s = d_s.size
+        if n_s:
+            d_s = d_s[_sample_mask(n_s, partition.q, rng)]
+        rows.extend((n_s, d_u.size, d_s.size / n_s if n_s else 1.0,
+                     float(d_s.mean()) if d_s.size else 0.0,
+                     float(d_u.mean()) if d_u.size else 0.0))
+    n_s, n_u, q_eff, mean_s, mean_u = np.frombuffer(rows).reshape(trials, 5).T
+    undefined = np.full(trials, np.nan)
+    return verdict_chain(n_s, n_u, q_eff, mean_s, mean_u, undefined, undefined,
+                         TestParams()).d_hat

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from dataclasses import fields, replace
@@ -130,6 +131,51 @@ class TestLoadCampaign:
         assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
         assert aio.load_campaign(marked) == aio.load_campaign(plain)
 
+    @pytest.mark.parametrize("where,row_no", [("header", 1), ("first", 2), ("last", 5)])
+    def test_a_field_over_the_csv_limit_names_the_file_and_row(self, tmp_path, capsys,
+                                                               where, row_no):
+        from apcval.cli import main
+
+        long = '"' + "x" * (csv.field_size_limit() + 10) + '"'
+        header, *rows = GOLDEN.splitlines()
+        if where == "header":
+            header = f"{long},{header}"
+        elif where == "first":
+            rows.insert(0, f"{long},1.0,1,1,,1,1,,,u,")
+        else:
+            rows.append(f"{long},1.0,1,1,,1,1,,,u,")
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join([header, "", *rows]) + "\n", encoding="utf-8")
+        if where != "header":
+            row_no += 1  # the blank row counts
+        message = f"{path}: row {row_no}: field larger than field limit"
+        with pytest.raises(aio.CampaignError, match=f"^{re.escape(message)}"):
+            aio.load_campaign(path)
+        assert main(["evaluate", "--campaign", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_a_bad_row_before_a_field_over_the_csv_limit_is_named_first(self, tmp_path):
+        path = tmp_path / "long.csv"
+        long = '"' + "x" * (csv.field_size_limit() + 10) + '"'
+        path.write_text(GOLDEN.replace("a2,30.0", "a2,abc") + f"{long},1.0,1,1,,1,1,,,u,\n",
+                        encoding="utf-8")
+        with pytest.raises(aio.CampaignError, match="^row 3: duration_s is not a number: 'abc'$"):
+            aio.load_campaign(path)
+
+    def test_a_file_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        from apcval.cli import main
+
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(GOLDEN.replace("a3", "a\u00e9").encode("latin-1"))
+        position = path.read_bytes().index(b"\xe9")
+        message = (f"cannot read campaign file {path}: 'utf-8' codec can't decode "
+                   f"byte 0xe9 in position {position}: invalid continuation byte")
+        with pytest.raises(aio.CampaignError, match=f"^{re.escape(message)}$"):
+            aio.load_campaign(path)
+        assert main(["evaluate", "--campaign", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_a_clean_campaign_is_not_validated_record_by_record(self, tmp_path, monkeypatch):
         import apcval.domain
 
@@ -229,6 +275,18 @@ class TestConfig:
         path.write_text("nu = 0.15\nseed = 7\n", encoding="utf-8-sig")
         cfg = aio.load_config_with_overrides(path, [])
         assert cfg.params.nu == 0.15 and cfg.seed == 7
+
+    def test_a_file_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        from apcval.cli import main
+
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("# r\u00e9glage\nnu = 0.15\n".encode("latin-1"))
+        message = (f"cannot read config file {path}: 'utf-8' codec can't decode "
+                   "byte 0xe9 in position 3: invalid continuation byte")
+        with pytest.raises(aio.ConfigError, match=f"^{re.escape(message)}$"):
+            aio.load_config_with_overrides(path, [])
+        assert main(["plan", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"

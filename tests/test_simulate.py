@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import warnings
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from apcval import simulate
+from apcval.classify import _sample_mask
 from apcval.cli import main
 from apcval.domain import PartitionParams, TestParams
 from apcval.estimator import verdict_chain
@@ -18,11 +20,9 @@ from apcval.simulate import (
     TEST_CLASSIC,
     TEST_PARTITIONED,
     _group_samplers,
-    _partitioned_stats,
     _point_rng,
     _sufficient_stats,
     _trial_rng,
-    _trial_stats,
     analytic_success,
     bias_estimates,
     planning_normal_model,
@@ -36,8 +36,55 @@ CRITERION_8_POOL = (-0.009,) * 511 + (9.719,)
 
 
 def _sufficient(model, partition, *args, **kwargs):
-    """`_sufficient_stats` with the study's samplers: the record-level engine's signature."""
+    """`_sufficient_stats` with the study's samplers: the record-level oracle's signature."""
     return _sufficient_stats(_group_samplers(model, partition.p_s), partition, *args, **kwargs)
+
+
+# --- record-level oracle ------------------------------------------------------
+# The sufficient-statistic engine computed record by record. It reaches the
+# streams and the draw through the `simulate` module, so a test that
+# monkeypatches `simulate._trial_rng` reorders the oracle's trials too.
+
+
+def _stratum_moments(d: np.ndarray) -> tuple[float, float]:
+    """Mean (0.0 when empty) and n-1 deviation (NaN under two values)."""
+    mean = float(d.mean()) if d.size else 0.0
+    std = float(d.std(ddof=1)) if d.size >= 2 else math.nan
+    return mean, std
+
+
+def _partitioned_stats(d_s: np.ndarray, d_u: np.ndarray, q0: float,
+                       rng: np.random.Generator) -> tuple[float, ...]:
+    """Reduce one trial to (n_s, n_u, q_effective, d_bar_s, d_bar_u, nu_hat_s, nu_hat_u).
+
+    The counted subset of the safe stratum comes from the real sampler.
+    """
+    n_s = d_s.size
+    if n_s:
+        d_s = d_s[_sample_mask(n_s, q0, rng)]
+    q_eff = d_s.size / n_s if n_s else 1.0
+    mean_s, std_s = _stratum_moments(d_s)
+    mean_u, std_u = _stratum_moments(d_u)
+    return n_s, d_u.size, q_eff, mean_s, mean_u, std_s, std_u
+
+
+def _trial_stats(model, partition, n, shift, seed, point_index, trials, classic=False):
+    """`_sufficient_stats` computed record by record, one stream per trial.
+
+    Each trial draws every record with `simulate._draw_strata`, adds the
+    bias shift to every value and takes the counted subset from the real
+    sampler; the classic test carries the whole trial in its unsafe stratum.
+    """
+    point = simulate._point_rng(seed, point_index)
+    rows = []
+    for trial in range(trials):
+        rng = simulate._trial_rng(point, trial)
+        d_s, d_u = simulate._draw_strata(rng, n, partition.p_s, model)
+        d_s, d_u = d_s + shift, d_u + shift
+        if classic:
+            d_s, d_u = d_s[:0], np.concatenate([d_s, d_u])
+        rows.append(_partitioned_stats(d_s, d_u, partition.q, rng))
+    return np.array(rows, dtype=float).reshape(trials, 7).T
 
 
 class TestAnalyticSuccess:
@@ -640,7 +687,80 @@ class TestUserRiskAudit:
                                                        for row in planted]
 
 
+# (model, p_s, q, n, trials, seed) -> SHA-256 of the estimates' bytes. The
+# digests were taken on the record-level engine that `bias_estimates` ran
+# before it got its own trial loop, so they pin its stream and draw order.
+BIAS_STREAM_DIGESTS = [
+    ("normal", 0.9, 0.175, 10000, 12, 3,
+     "97f7f02cee11d3a022588871723d7eafeaead2ced44df24f0e7d2331381003fe"),
+    ("normal", 0.0, 0.05, 1, 50, 4,
+     "3c44f43055ca88cbcd5e8839222bb302bff49fc9b3b94b1f103366c934221a41"),
+    ("normal", 1.0, 0.05, 2, 50, 5,
+     "3fca7ac9a0b7ded30b6011aa1014e8c82415cbed26039227e0614a8303a9fc31"),
+    ("one_value_pools", 0.5, 1.0, 2, 50, 6,
+     "6fa79fdc683b44ed736df5fa0053a97e564f222537a9cfd9dc379d890c7a34b7"),
+    ("two_value_pools", 0.5, 0.05, 40, 60, 7,
+     "987a3d1f5f0fb6466a73e7263433e93814b7aa9202cf0a598a892a7f37e66bb4"),
+    ("two_value_pools", 0.0, 1.0, 10000, 6, 8,
+     "7eba38eb96c6d934360ae4f846f42a3f1815a789c08c00a362cfe2518a047edd"),
+    ("criterion_8_pool", 0.9, 0.175, 40, 60, 9,
+     "a5a87249317f36c4a4b176a3d5315c64379643fa1cac5f6a83c0066bf207a6f9"),
+    ("safe_pool_only", 1.0, 0.175, 40, 60, 10,
+     "335c1871960012643e1a1dd09fbe6f2b5c338a375511a045bd3474bb670d6ba7"),
+    ("evenly_spaced_pools", 0.5, 0.05, 1, 60, 11,
+     "36f639ad399a952b4874fc40d160a2f26494b05ccdc4ff9aea6f45f1e5cbfcd3"),
+]
+BIAS_MODELS = {
+    **ENGINE_MODELS,
+    # the unsafe pool may be empty where p_s = 1 leaves the unsafe stratum empty
+    "safe_pool_only": ResamplingErrors(pool_s=ENGINE_MODELS["many_value_pools"].pool_s),
+    "evenly_spaced_pools": ResamplingErrors(pool_s=tuple(np.linspace(-0.06, 0.08, 60)),
+                                            pool_u=tuple(np.linspace(-0.1, 0.2, 120))),
+}
+
+
 class TestBiasEstimates:
+    @pytest.mark.parametrize("model_name,p_s,q,n,trials,seed,digest", BIAS_STREAM_DIGESTS)
+    def test_estimates_are_pinned(self, model_name, p_s, q, n, trials, seed, digest):
+        part = PartitionParams(p_s=p_s, nu_s_ratio=0.5, q=q)
+        estimates = bias_estimates(BIAS_MODELS[model_name], part, n=n, trials=trials, seed=seed)
+        assert estimates.shape == (trials,)
+        assert hashlib.sha256(estimates.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("model_name,p_s,q,n,trials,seed",
+                             [case[:-1] for case in BIAS_STREAM_DIGESTS])
+    def test_estimates_are_the_oracles_point_estimates(self, model_name, p_s, q, n, trials, seed):
+        # the oracle's deviations do not enter the point estimate
+        model, part = BIAS_MODELS[model_name], PartitionParams(p_s=p_s, nu_s_ratio=0.5, q=q)
+        oracle = _trial_stats(model, part, n, 0.0, seed, 0, trials)
+        assert (verdict_chain(*oracle, TestParams()).d_hat.tobytes()
+                == bias_estimates(model, part, n, trials, seed).tobytes())
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_refuses_a_sample_size_below_one(self, n):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            bias_estimates(NormalErrors(), PartitionParams(), n=n, trials=10)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_refuses_fewer_than_one_trial(self, trials):
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            bias_estimates(NormalErrors(), PartitionParams(), n=10, trials=trials)
+
+    @pytest.mark.parametrize("pools,p_s,stratum", [
+        ({"pool_u": (0.01,)}, 1.0, "safe"),
+        ({"pool_u": (0.01,)}, 0.5, "safe"),
+        ({"pool_s": (0.01,)}, 0.5, "unsafe"),
+        ({"pool_s": (0.01,)}, 0.0, "unsafe"),
+        ({}, 0.5, "safe"),
+    ])
+    def test_refuses_a_missing_pool_as_sim_config_does(self, pools, p_s, stratum):
+        model, part = ResamplingErrors(**pools), PartitionParams(p_s=p_s, nu_s_ratio=0.5, q=0.5)
+        message = f"^resampling model needs a nonempty {stratum} pool$"
+        with pytest.raises(ValueError, match=message):
+            SimConfig(model, PARAMS, part, n_values=(10,))
+        with pytest.raises(ValueError, match=message):
+            bias_estimates(model, part, n=10, trials=5)
+
     def test_unbiased_smoke(self):
         part = PartitionParams(p_s=0.8, nu_s_ratio=0.4, q=0.3)
         model = NormalErrors(mu_s=0.004, nu_s=0.05, mu_u=0.02, nu_u=0.2)
