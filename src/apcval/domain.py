@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import chain, starmap
+from operator import itemgetter
 from typing import NamedTuple
 
 SAFE = "safe"
@@ -78,6 +78,71 @@ def relabel(r: DopRecord, label: str, sampled: bool | None) -> DopRecord:
     return tuple.__new__(DopRecord, (*r[:9], label, sampled))
 
 
+def _nonnegative(name: str):
+    return lambda v: [] if v is None or v >= 0 else [f"{name} must be >= 0, got {v}"]
+
+
+def _workflow_state(values) -> list[str]:
+    """The label, and the manual counts that the label and sampling indicator need."""
+    label, sampled, m1, m2, m_sup, m_final = values
+    violations = [] if label in LABELS else [f"unknown label {label!r}"]
+    if m_final is not None and m1 is None:
+        violations.append("m_final present without a first manual count")
+    if m2 is not None and m1 is not None:
+        truth = ground_truth(m1, m2, m_sup)
+        if m_final != truth:
+            violations.append(
+                f"m_final must be absent while m1={m1} and m2={m2} disagree without m_sup, "
+                f"got {m_final}" if truth is None else
+                f"m_final must equal the ground truth {truth} of m1={m1}, m2={m2}, "
+                f"m_sup={m_sup}, got {m_final}"
+            )
+    if label == UNSAFE and m_final is None:
+        violations.append("unsafe record lacks ground truth")
+    if label == SAFE and sampled is True and m_final is None:
+        violations.append("sampled safe record lacks ground truth")
+    return violations
+
+
+# The invariants of a record, in the order of their messages: the field (or tuple of
+# fields) a check reads, and the check, which takes its value (or tuple of values) and
+# returns the texts of its violations. The workflow state's six fields take few
+# combinations, so its checks share one entry.
+_INVARIANTS = (
+    ("duration_s", lambda d: [f"duration_s must be finite, got {d}"] if not math.isfinite(d)
+        else [f"duration_s must be >= 0, got {d}"] if d < 0 else []),
+    *((name, _nonnegative(name))
+      for name in ("m1", "m2", "m_sup", "m_final", "k_auto", "alg_count")),
+    ("alg_confidence", lambda conf: [] if conf is None or 0.0 <= conf <= 1.0
+        else [f"alg_confidence must be in [0, 1], got {conf}"]),
+    (("label", "sampled", "m1", "m2", "m_sup", "m_final"), _workflow_state),
+)
+
+
+def _keys(columns: dict, names):
+    """A check's keys, record by record, made anew each time: live tuples cost the collector."""
+    return columns[names] if isinstance(names, str) else zip(*map(columns.get, names))
+
+
+def campaign_violations(records: list[DopRecord]) -> list[str]:
+    """The invariant violations of `records`, by record and then in check order.
+
+    Each check of `_INVARIANTS` runs once per distinct value of what it reads,
+    so values that compare equal (1 and 1.0) share the text of their check.
+    """
+    if not records:
+        return []
+    columns = dict(zip(DopRecord._fields, zip(*records)))
+    found = []  # (record index, text), check by check
+    for names, check in _INVARIANTS:
+        table = {key: check(key) for key in set(_keys(columns, names))}
+        if any(table.values()):
+            keys = _keys(columns, names)
+            found += [(i, text) for i, key in enumerate(keys) for text in table[key]]
+    found.sort(key=itemgetter(0))  # a stable sort: each record's texts stay in check order
+    return [f"{records[i].dop_id}: {text}" for i, text in found]
+
+
 def validate_record(record: DopRecord) -> list[str]:
     """Return human-readable invariant violations for `record`.
 
@@ -85,77 +150,7 @@ def validate_record(record: DopRecord) -> list[str]:
     Where both counters counted, `m_final` must be their `ground_truth`;
     a record without a second count keeps its `m_final` as given.
     """
-    violations: list[str] = []
-    r = record
-    if not math.isfinite(r.duration_s):
-        violations.append(f"{r.dop_id}: duration_s must be finite, got {r.duration_s}")
-    elif r.duration_s < 0:
-        violations.append(f"{r.dop_id}: duration_s must be >= 0, got {r.duration_s}")
-    for name in ("m1", "m2", "m_sup", "m_final", "k_auto", "alg_count"):
-        value = getattr(r, name)
-        if value is not None and value < 0:
-            violations.append(f"{r.dop_id}: {name} must be >= 0, got {value}")
-    if r.alg_confidence is not None and not 0.0 <= r.alg_confidence <= 1.0:
-        violations.append(
-            f"{r.dop_id}: alg_confidence must be in [0, 1], got {r.alg_confidence}"
-        )
-    if r.label not in LABELS:
-        violations.append(f"{r.dop_id}: unknown label {r.label!r}")
-    if r.m_final is not None and r.m1 is None:
-        violations.append(f"{r.dop_id}: m_final present without a first manual count")
-    if r.m2 is not None and r.m1 is not None and not r.m_final == r.m1 == r.m2:
-        truth = ground_truth(r.m1, r.m2, r.m_sup)
-        if r.m_final != truth:
-            violations.append(
-                f"{r.dop_id}: m_final must be absent while m1={r.m1} and m2={r.m2} "
-                f"disagree without m_sup, got {r.m_final}" if truth is None else
-                f"{r.dop_id}: m_final must equal the ground truth {truth} of m1={r.m1}, "
-                f"m2={r.m2}, m_sup={r.m_sup}, got {r.m_final}"
-            )
-    if r.label == UNSAFE and r.m_final is None:
-        violations.append(f"{r.dop_id}: unsafe record lacks ground truth")
-    if r.label == SAFE and r.sampled is True and r.m_final is None:
-        violations.append(f"{r.dop_id}: sampled safe record lacks ground truth")
-    return violations
-
-
-def screen_records(records: list[DopRecord]) -> bool:
-    """True only if `validate_record` finds nothing in any of `records`.
-
-    One pass over all records at once: a check per column (durations,
-    `k_auto` and `alg_count`, confidences) and one per distinct combination
-    of the manual counts, label and sampling indicator. It is never laxer
-    than `validate_record`, which stays the statement of the invariants;
-    False means some record may violate one, and `validate_record` says
-    which.
-    """
-    if not records:
-        return True
-    _, k_auto, duration, m1, m2, m_sup, m_final, alg_count, confidence, label, sampled = zip(
-        *records
-    )
-    confidences = [c for c in confidence if c is not None]
-    if not (
-        all(map(math.isfinite, duration))
-        and min(duration) >= 0
-        and min(filter(None, chain(k_auto, alg_count)), default=0) >= 0
-        and all(map(math.isfinite, confidences))
-        and 0.0 <= min(confidences, default=0.0)
-        and max(confidences, default=0.0) <= 1.0
-    ):
-        return False
-    # far fewer distinct combinations of these six fields than records
-    return all(starmap(_clear_counts_and_label, set(zip(m1, m2, m_sup, m_final, label, sampled))))
-
-
-def _clear_counts_and_label(m1, m2, m_sup, m_final, label, sampled) -> bool:
-    """Whether `validate_record` surely finds nothing wrong with these fields of a record."""
-    if label not in LABELS or min(filter(None, (m1, m2, m_sup, m_final)), default=0) < 0:
-        return False
-    truth = ground_truth(m1, m2, m_sup)
-    if m_final is None:
-        return truth is None and label != UNSAFE and not (label == SAFE and sampled is True)
-    return m1 is not None and (m2 is None or m_final == truth)
+    return campaign_violations([record])
 
 
 def ground_truth(m1: int | None, m2: int | None, m_sup: int | None) -> int | None:

@@ -14,13 +14,11 @@ import csv
 import io as _stringio
 import json
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from functools import partial
 from itertools import repeat
-from operator import itemgetter
 from pathlib import Path
-from typing import NoReturn
 
 from ._version import VERSION
 from .classify import ClassifierSpec
@@ -33,8 +31,7 @@ from .domain import (
     DopRecord,
     PartitionParams,
     TestParams,
-    screen_records,
-    validate_record,
+    campaign_violations,
 )
 
 CAMPAIGN_COLUMNS = (
@@ -60,121 +57,84 @@ class CampaignError(ValueError):
     """Raised for unreadable, malformed or inconsistent campaign files."""
 
 
-def _bad_cell(cells: tuple[str, ...], row_no: int) -> str | None:
-    """The error naming a row's first bad number, or None if its numbers parse.
+def _check_cells(convert):
+    """The column check that calls `convert(field, cell)` once per distinct stripped cell."""
+    def check(field: str, cells: tuple[str, ...], row_nos: list[int]) -> list:
+        table, bad = {}, {}
+        for cell in set(cells):
+            try:
+                table[cell] = convert(field, cell.strip())
+            except ValueError as exc:
+                bad[cell] = exc
+        if bad:
+            index = next(i for i, cell in enumerate(cells) if cell in bad)
+            raise ValueError(index, f"row {row_nos[index]}: {bad[cells[index]]}")
+        return list(map(table.__getitem__, cells))
 
-    `cells` are stripped, in `DopRecord` field order; the numbers are checked
-    from k_auto (which must be given) to alg_confidence.
-    """
-    if not cells[1]:
-        return f"row {row_no}: k_auto is mandatory"
-    for column, cell in zip(DopRecord._fields[1:9], cells[1:9]):
-        number = column in ("duration_s", "alg_confidence")
-        try:
-            value = (float if number else int)(cell) if cell else 0
-        except ValueError:
-            kind = "a number" if number else "an integer"
-            return f"row {row_no}: {column} is not {kind}: {cell!r}"
-        if number and not math.isfinite(value):
-            return f"row {row_no}: {column} must be finite, got {cell!r}"
-    return None
+    return check
 
 
-def _numbered_rows(path: Path, reader) -> Iterator[tuple[int, list[str]]]:
-    """The rows after the header with their row numbers, from 2.
-
-    A row the csv reader cannot read, such as one with a field over
-    `csv.field_size_limit()`, is a CampaignError naming the file and the row.
-    """
-    row_no = 1
-    try:
-        for row_no, row in enumerate(reader, start=2):
-            yield row_no, row
-    except csv.Error as exc:
-        raise CampaignError(f"{path}: row {row_no + 1}: {exc}") from None
-
-
-def _raise_first_error(path: Path, text: str, pick: itemgetter, width: int) -> NoReturn:
-    """Raise the CampaignError of the first bad row of a campaign's text.
-
-    The rows are read one by one and checked in order: blank rows are
-    skipped, then width, dop_id (empty, duplicate), label, sampled and the
-    numbers (`_bad_cell`). A row the reader cannot read is an error of that
-    row (`_numbered_rows`), after the rows before it.
-    """
-    reader = csv.reader(_stringio.StringIO(text))
-    next(reader)  # the header, already checked
-    seen: set[str] = set()
-    for row_no, row in _numbered_rows(path, reader):
-        if not any(row):
-            continue
-        if len(row) != width:
-            raise CampaignError(f"row {row_no}: expected {width} cells, got {len(row)}")
-        cells = tuple(map(str.strip, pick(row)))
-        dop_id, label, sampled = cells[0], cells[9], cells[10]
-        if not dop_id:
-            raise CampaignError(f"row {row_no}: empty dop_id")
-        if dop_id in seen:
-            raise CampaignError(f"duplicate dop_id {dop_id!r}")
-        seen.add(dop_id)
-        if label not in _CSV_TO_LABEL:
-            raise CampaignError(f"row {row_no}: unknown label {label!r} (use s/u or empty)")
-        if sampled not in _CSV_TO_SAMPLED:
-            raise CampaignError(
-                f"row {row_no}: sampled must be true/false or empty, got {sampled!r}"
-            )
-        message = _bad_cell(cells, row_no)
-        if message:
-            raise CampaignError(message)
-    raise AssertionError("the column checks refused a campaign whose rows all pass")
-
-
-def _count(cell: str) -> int | None:
-    return int(cell) if cell else None
-
-
-def _number(cell: str) -> float | None:
-    """The finite float of a cell, None for an empty one; ValueError otherwise."""
-    if not cell:
-        return None
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(cell)
-    return value
-
-
-def _duration(cell: str) -> float:
-    return _number(cell) or 0.0  # an empty cell and -0.0 read as 0.0
-
-
-def _convert(convert, cells: tuple[str, ...]) -> list:
-    """`convert` of each stripped cell, through a table of the column's distinct cells."""
-    table = {cell: convert(cell.strip()) for cell in set(cells)}
-    return list(map(table.__getitem__, cells))
-
-
-def _parse_columns(columns: list[tuple[str, ...]], pick: itemgetter) -> list[list] | None:
-    """The values of a campaign's columns, in `DopRecord` field order.
-
-    Each column is stripped and converted in one pass. None means that some
-    cell is bad, and `_raise_first_error` names it.
-    """
-    ids, k_auto, duration, *counts, confidence, label, sampled = pick(columns)
-    ids = list(map(str.strip, ids))
+def _ids(field: str, cells: tuple[str, ...], row_nos: list[int]) -> list[str]:
+    """The stripped ids; a row's id is an error if it is empty, else if an earlier row has it."""
+    ids = list(map(str.strip, cells))
     if not all(ids) or len(set(ids)) < len(ids):
-        return None
+        seen = set()
+        for index, dop_id in enumerate(ids):
+            if not dop_id:
+                raise ValueError(index, f"row {row_nos[index]}: empty {field}")
+            if dop_id in seen:
+                raise ValueError(index, f"duplicate {field} {dop_id!r}")
+            seen.add(dop_id)
+    return ids
+
+
+def _label(field: str, cell: str) -> str:
+    if cell not in _CSV_TO_LABEL:
+        raise ValueError(f"unknown label {cell!r} (use s/u or empty)")
+    return _CSV_TO_LABEL[cell]
+
+
+def _sampled(field: str, cell: str) -> bool | None:
+    if cell not in _CSV_TO_SAMPLED:
+        raise ValueError(f"sampled must be true/false or empty, got {cell!r}")
+    return _CSV_TO_SAMPLED[cell]
+
+
+def _integer(field: str, cell: str, mandatory: bool = False) -> int | None:
+    if mandatory and not cell:
+        raise ValueError(f"{field} is mandatory")
     try:
-        return [
-            ids,
-            _convert(int, k_auto),
-            _convert(_duration, duration),
-            *(_convert(_count, column) for column in counts),
-            _convert(_number, confidence),
-            _convert(_CSV_TO_LABEL.__getitem__, label),
-            _convert(_CSV_TO_SAMPLED.__getitem__, sampled),
-        ]
-    except (KeyError, ValueError):
-        return None
+        return int(cell) if cell else None
+    except ValueError:
+        raise ValueError(f"{field} is not an integer: {cell!r}") from None
+
+
+def _number(field: str, cell: str) -> float | None:
+    try:
+        value = float(cell) if cell else None
+    except ValueError:
+        raise ValueError(f"{field} is not a number: {cell!r}") from None
+    if value is None or math.isfinite(value):
+        return value
+    raise ValueError(f"{field} must be finite, got {cell!r}")
+
+
+def _duration(field: str, cell: str) -> float:
+    return _number(field, cell) or 0.0  # an empty cell and -0.0 read as 0.0
+
+
+# The checks of a campaign row, in the order a row is checked. Each takes a field, its
+# column's cells and their row numbers, and returns the field's values or raises
+# ValueError(index, message) for the first bad cell.
+_CELL_CHECKS = (
+    ("dop_id", _ids),
+    ("label", _check_cells(_label)),
+    ("sampled", _check_cells(_sampled)),
+    ("k_auto", _check_cells(partial(_integer, mandatory=True))),
+    ("duration_s", _check_cells(_duration)),
+    *((field, _check_cells(_integer)) for field in ("m1", "m2", "m_sup", "m_final", "alg_count")),
+    ("alg_confidence", _check_cells(_number)),
+)
 
 
 def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecord], list[str]]:
@@ -184,12 +144,9 @@ def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecor
     errors. Domain invariant violations are returned as a list; with
     strict=True any violation is promoted to a CampaignError.
 
-    The rows are parsed by columns: each column is stripped and converted
-    in one pass, and the records are built from the columns without a
-    constructor call. A campaign with a bad cell is read again row by row
-    (`_raise_first_error`) to name its first bad row. The records are
-    validated by one `screen_records` pass; only when it fails does
-    `validate_record` build the messages, record by record.
+    The rows are read once and checked by columns (`_CELL_CHECKS`): the
+    error is the first bad row's, and within the row the first check's. A
+    row of another width, or one the csv reader cannot read, ends the rows.
     """
     path = Path(path)
     try:
@@ -197,32 +154,40 @@ def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecor
     except (OSError, UnicodeDecodeError) as exc:
         raise CampaignError(f"cannot read campaign file {path}: {exc}") from exc
 
-    reader = csv.reader(_stringio.StringIO(text))
+    rows: list[list[str]] = []
+    last = None  # the error of the row that ends the rows
     try:
-        header = next(reader)
-    except StopIteration:
-        raise CampaignError(f"{path}: empty file, header row is mandatory") from None
-    except csv.Error as exc:
-        raise CampaignError(f"{path}: row 1: {exc}") from None
+        rows.extend(csv.reader(_stringio.StringIO(text)))
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        last = f"{path}: row {len(rows) + 1}: {exc}"
+    if not rows:
+        raise CampaignError(last or f"{path}: empty file, header row is mandatory")
+    header, *rows = rows
     if sorted(header) != sorted(CAMPAIGN_COLUMNS):
         raise CampaignError(
             f"{path}: malformed header {header!r}, expected columns {list(CAMPAIGN_COLUMNS)}"
         )
-    width = len(header)
-    pick = itemgetter(*map(header.index, DopRecord._fields))
-    try:
-        columns = list(zip(*filter(any, reader), strict=True))  # of the non-blank rows
-    except (csv.Error, ValueError):  # an unreadable row, or rows of different lengths
-        _raise_first_error(path, text, pick, width)
-    if not columns:
-        return [], []
-    values = _parse_columns(columns, pick) if len(columns) == width else None
-    if values is None:
-        _raise_first_error(path, text, pick, width)
-    records = list(map(tuple.__new__, repeat(DopRecord), zip(*values)))
-    violations = [] if screen_records(records) else [
-        violation for record in records for violation in validate_record(record)
-    ]
+    row_nos = range(2, len(rows) + 2)
+    if not all(map(any, rows)):  # blank rows are skipped but counted
+        row_nos = [row_no for row_no, row in zip(row_nos, rows) if any(row)]
+        rows = list(filter(any, rows))
+    if set(map(len, rows)) - {len(header)}:
+        cut = next(i for i, row in enumerate(rows) if len(row) != len(header))
+        last = f"row {row_nos[cut]}: expected {len(header)} cells, got {len(rows[cut])}"
+        del rows[cut:]
+    columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    del rows
+    values, errors = {}, []
+    for check, (field, convert) in enumerate(_CELL_CHECKS):
+        try:
+            values[field] = convert(field, columns[field], row_nos)
+        except ValueError as exc:
+            index, message = exc.args
+            errors.append((index, check, message))
+    if errors or last:
+        raise CampaignError(min(errors)[2] if errors else last)
+    records = list(map(tuple.__new__, repeat(DopRecord), zip(*map(values.get, DopRecord._fields))))
+    violations = campaign_violations(records)
     if strict and violations:
         raise CampaignError("validation failed:\n" + "\n".join(violations))
     return records, violations

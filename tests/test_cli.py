@@ -637,10 +637,36 @@ class TestSimulateCostOptimize:
         code, out, _ = run(capsys, ["plan", "--set", "seed=-1", "--seed", "4"])
         assert code == 0 and json.loads(out)["seed"] == 4
 
-    def test_missing_required_campaign_flag(self, capsys):
+    @pytest.mark.parametrize("overrides,message", [
+        (["costs.c_labor=-1"], "c_labor must be >= 0, got -1.0"),
+        (["costs.r_s=-0.5"], "r_s must be >= 0, got -0.5"),
+        (["classifier.kind=rule_of_thumb", "classifier.target_share=1.5"],
+         "target_share must be in [0, 1], got 1.5"),
+    ], ids=["c_labor", "r_s", "target_share"])
+    def test_an_out_of_range_config_value_is_one_error_line(self, capsys, overrides, message):
+        code, out, err = run(capsys, ["plan", *(arg for o in overrides for arg in ("--set", o))])
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_an_audit_without_a_bias_sweep_is_an_error(self, capsys):
+        code, out, err = run(capsys, ["simulate", "--audit", "--n-grid", "100", "--trials", "10"])
+        assert code == 1 and out == ""
+        assert err == "error: user risk audit needs an explicit bias sweep\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["cost"],
+        ["simulate", "--trials", "abc", "--n-grid", "100"],
+        ["plan", "--format", "xml"],
+        ["evaluate"],
+        ["simulate"],
+    ], ids=["cost", "trials-abc", "format-xml", "evaluate", "simulate"])
+    def test_missing_required_campaign_flag(self, capsys, argv):
+        # an argparse usage error: exit code 2 and a usage text, nothing on stdout
         with pytest.raises(SystemExit) as exc:
-            main(["cost"])
+            main(argv)
         assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"usage: apcval {argv[0]} ")
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import math
 import typing
 
 import numpy as np
@@ -18,9 +19,9 @@ from apcval.domain import (
     PartitionStats,
     TestParams,
     _id_list,
+    campaign_violations,
     ground_truth,
     relabel,
-    screen_records,
     validate_record,
 )
 
@@ -168,46 +169,103 @@ class TestValidateRecord:
     )
     def test_total_never_raises(self, m1, m_final, label, sampled, conf):
         r = rec(m1=m1, m_final=m_final, label=label, sampled=sampled, alg_confidence=conf)
-        assert isinstance(validate_record(r), list)
+        assert validate_record(r) == reference_validate_record(r)
 
 
-class TestScreenRecords:
-    """`screen_records` passes a campaign only where `validate_record` finds nothing."""
+def reference_validate_record(record: DopRecord) -> list[str]:
+    """The record-by-record `validate_record` that `campaign_violations` replaced."""
+    violations: list[str] = []
+    r = record
+    if not math.isfinite(r.duration_s):
+        violations.append(f"{r.dop_id}: duration_s must be finite, got {r.duration_s}")
+    elif r.duration_s < 0:
+        violations.append(f"{r.dop_id}: duration_s must be >= 0, got {r.duration_s}")
+    for name in ("m1", "m2", "m_sup", "m_final", "k_auto", "alg_count"):
+        value = getattr(r, name)
+        if value is not None and value < 0:
+            violations.append(f"{r.dop_id}: {name} must be >= 0, got {value}")
+    if r.alg_confidence is not None and not 0.0 <= r.alg_confidence <= 1.0:
+        violations.append(
+            f"{r.dop_id}: alg_confidence must be in [0, 1], got {r.alg_confidence}"
+        )
+    if r.label not in LABELS:
+        violations.append(f"{r.dop_id}: unknown label {r.label!r}")
+    if r.m_final is not None and r.m1 is None:
+        violations.append(f"{r.dop_id}: m_final present without a first manual count")
+    if r.m2 is not None and r.m1 is not None and not r.m_final == r.m1 == r.m2:
+        truth = ground_truth(r.m1, r.m2, r.m_sup)
+        if r.m_final != truth:
+            violations.append(
+                f"{r.dop_id}: m_final must be absent while m1={r.m1} and m2={r.m2} "
+                f"disagree without m_sup, got {r.m_final}" if truth is None else
+                f"{r.dop_id}: m_final must equal the ground truth {truth} of m1={r.m1}, "
+                f"m2={r.m2}, m_sup={r.m_sup}, got {r.m_final}"
+            )
+    if r.label == UNSAFE and r.m_final is None:
+        violations.append(f"{r.dop_id}: unsafe record lacks ground truth")
+    if r.label == SAFE and r.sampled is True and r.m_final is None:
+        violations.append(f"{r.dop_id}: sampled safe record lacks ground truth")
+    return violations
 
-    def test_a_consistent_campaign_passes(self):
+
+def _reference_violations(records: list[DopRecord]) -> list[str]:
+    return [v for r in records for v in reference_validate_record(r)]
+
+
+# One record per kind of violation, each refused by `reference_validate_record`.
+VIOLATION_KINDS = [
+    dict(duration_s=-0.5), dict(duration_s=float("nan")), dict(duration_s=float("inf")),
+    dict(k_auto=-1), dict(m1=-1), dict(m1=2, m2=-1), dict(m_sup=-1), dict(m1=0, m_final=-1),
+    dict(alg_count=-1), dict(alg_confidence=1.5), dict(alg_confidence=-0.1),
+    dict(alg_confidence=float("nan")), dict(label="junk"), dict(m_final=3),
+    dict(m1=4, m2=4, m_final=9), dict(m1=4, m2=4), dict(m1=4, m2=5, m_sup=4, m_final=5),
+    dict(m1=2, m2=3, m_final=2), dict(label=UNSAFE), dict(label=SAFE, sampled=True),
+]
+
+
+class TestCampaignViolations:
+    """`campaign_violations` gives the reference's messages, record by record."""
+
+    def test_an_empty_campaign_has_none(self):
+        assert campaign_violations([]) == []
+
+    def test_a_consistent_campaign_has_none(self):
         records = fully_counted_campaign(np.random.default_rng(3), 200)
         records += [rec(), rec(m1=2, m_final=5), rec(m1=2, m2=3), rec(m1=4, m2=5, m_sup=5, m_final=5)]
-        assert all(validate_record(r) == [] for r in records)
-        assert screen_records(records) and screen_records([])
+        assert _reference_violations(records) == []
+        assert campaign_violations(records) == []
 
-    @pytest.mark.parametrize("fields", [
-        dict(duration_s=-0.5), dict(duration_s=float("nan")), dict(duration_s=float("inf")),
-        dict(k_auto=-1), dict(m1=-1), dict(m1=2, m2=-1), dict(m_sup=-1), dict(m1=0, m_final=-1),
-        dict(alg_count=-1), dict(alg_confidence=1.5), dict(alg_confidence=-0.1),
-        dict(alg_confidence=float("nan")), dict(label="junk"), dict(m_final=3),
-        dict(m1=4, m2=4, m_final=9), dict(m1=4, m2=4), dict(m1=4, m2=5, m_sup=4, m_final=5),
-        dict(m1=2, m2=3, m_final=2), dict(label=UNSAFE), dict(label=SAFE, sampled=True),
-    ])
-    def test_each_violation_fails_it_among_clean_records(self, fields):
-        bad = rec(dop_id="bad", **fields)
-        assert validate_record(bad) != []
-        records = [r._replace(alg_confidence=0.5, alg_count=r.k_auto)
-                   for r in fully_counted_campaign(np.random.default_rng(4), 50)]
-        assert not screen_records([*records, bad])
-        assert not screen_records([bad, *records])
+    @pytest.mark.parametrize("fields", VIOLATION_KINDS)
+    def test_each_violation_first_and_last_among_clean_records(self, fields):
+        first, last = rec(dop_id="first", **fields), rec(dop_id="last", **fields)
+        assert reference_validate_record(first) != []
+        clean = [r._replace(alg_confidence=0.5, alg_count=r.k_auto)
+                 for r in fully_counted_campaign(np.random.default_rng(4), 50)]
+        campaign = [first, *clean, last]
+        assert campaign_violations(campaign) == _reference_violations(campaign)
+        assert validate_record(first) == reference_validate_record(first)
+
+    def test_messages_go_by_record_then_by_check(self):
+        records = [rec(dop_id="a", m1=-1, label=UNSAFE), rec(dop_id="b", duration_s=-1.0),
+                   rec(dop_id="c", k_auto=-2, m1=4, m2=4, label="junk")]
+        assert campaign_violations(records) == [
+            "a: m1 must be >= 0, got -1",
+            "a: unsafe record lacks ground truth",
+            "b: duration_s must be >= 0, got -1.0",
+            "c: k_auto must be >= 0, got -2",
+            "c: unknown label 'junk'",
+            "c: m_final must equal the ground truth 4 of m1=4, m2=4, m_sup=None, got None",
+        ]
 
     @settings(max_examples=500, deadline=None)
-    @given(records=loadable_campaigns(8), extra=loadable_records())
-    @example(records=[], extra=rec(m1=0, m_final=-1))
-    @example(records=[], extra=rec(m1=-1, m2=-1, m_final=-1))
-    @example(records=[rec(alg_confidence=0.0)], extra=rec(alg_confidence=1.0))
-    def test_never_laxer_than_validate_record(self, records, extra):
-        # the drawn campaign, each of its records alone, and its consistent
-        # records with one more drawn record
-        clean = [r for r in records if validate_record(r) == []]
-        for campaign in (records, *([r] for r in records), [*clean, extra._replace(dop_id="x")]):
-            if screen_records(campaign):
-                assert [validate_record(r) for r in campaign] == [[]] * len(campaign)
+    @given(records=loadable_campaigns(8))
+    @example(records=[rec(m1=0, m_final=-1)])
+    @example(records=[rec(m1=-1, m2=-1, m_final=-1)])
+    @example(records=[rec(alg_confidence=0.0), rec(dop_id="d2", alg_confidence=1.0)])
+    @example(records=[rec(dop_id=f"d{i}", **fields) for i, fields in enumerate(VIOLATION_KINDS)])
+    def test_equals_the_reference_in_record_order(self, records):
+        assert campaign_violations(records) == _reference_violations(records)
+        assert [validate_record(r) for r in records] == list(map(reference_validate_record, records))
 
 
 class TestGroundTruth:

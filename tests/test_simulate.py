@@ -610,6 +610,13 @@ class TestTrialEngineMatchesRecordPipeline:
 
 
 class TestUserRiskAudit:
+    def test_rejects_a_config_without_a_sweep(self):
+        config = SimConfig(NormalErrors(nu_s=0.15, nu_u=0.15), PARAMS, SINGLE_STRATUM,
+                           n_values=(100,), trials=10)
+        assert config.bias_sweep is None
+        with pytest.raises(ValueError, match="^user risk audit needs an explicit bias sweep$"):
+            user_risk_audit(config)
+
     def test_rejects_sweep_inside_margin(self):
         config = SimConfig(
             NormalErrors(nu_s=0.15, nu_u=0.15),
