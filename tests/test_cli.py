@@ -1,4 +1,5 @@
 import ast
+import gc
 import io
 import json
 import re
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 from conftest import fully_counted_campaign, make_record, source_env, subsample_safe
+import apcval.cli
 import apcval.io as aio
-from apcval.cli import main
+from apcval.cli import build_parser, main
 from apcval.domain import SAFE, UNSAFE, TestParams
 from apcval.estimator import evaluate_partitioned
 
@@ -249,11 +251,18 @@ class TestEvaluate:
         assert part["verdict"] == classic["verdict"]
         assert part["d_hat"] == pytest.approx(classic["d_hat"], abs=1e-12)
 
-    def test_reproducible_output(self, capsys, golden_campaign):
-        code1, out1, _ = run(capsys, ["evaluate", "--campaign", str(golden_campaign)])
-        code2, out2, _ = run(capsys, ["evaluate", "--campaign", str(golden_campaign)])
-        assert code1 == code2 == 0
-        assert without_created(out1) == without_created(out2)
+    def test_reproducible_output(self, capsys, golden_campaign, tmp_path):
+        # the same bytes, written files too, from one process's shared parser
+        report, details = tmp_path / "report.json", tmp_path / "details.csv"
+        argv = ["evaluate", "--campaign", str(golden_campaign), "--out", str(report),
+                "--details", str(details)]
+        outputs = []
+        for _ in range(2):
+            code, out, err = run(capsys, argv)
+            outputs.append((code, out, err, without_created(report.read_text(encoding="utf-8")),
+                            details.read_text(encoding="utf-8")))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][:2] == (0, "") and outputs[0][2].startswith("warning: ")
 
 
 class TestDetailsCsv:
@@ -682,6 +691,107 @@ def test_unwritable_output_is_an_error(capsys, golden_campaign, tmp_path, argv):
     assert code == 1
     assert err.startswith("error: ") and "no_such_dir" in err
     assert err.count("\n") == 1  # one line, no traceback
+
+
+# --- the paused collector and the shared parser -----------------------------
+
+
+@pytest.fixture
+def collector_enabled():
+    """Leave the cyclic collector enabled after the test, whatever it set."""
+    yield
+    gc.enable()
+
+
+def _stub_command(seen: list[bool], raises: bool):
+    def command(args) -> list[str]:
+        seen.append(gc.isenabled())
+        if raises:
+            raise RuntimeError("an unexpected failure")
+        return []
+    return command
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("path", ["exit-0", "exit-1", "exit-2", "raises"])
+def test_main_leaves_the_collector_as_it_found_it(monkeypatch, tmp_path, collector_enabled,
+                                                  enabled, path):
+    seen: list[bool] = []
+    if path in ("exit-0", "raises"):
+        monkeypatch.setitem(apcval.cli._COMMANDS, "plan", _stub_command(seen, path == "raises"))
+    argv = {"exit-0": ["plan"],
+            "exit-1": ["evaluate", "--campaign", str(tmp_path / "missing.csv")],
+            "exit-2": ["plan", "--format", "xml"],
+            "raises": ["plan"]}[path]
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        if path == "exit-2":
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        elif path == "raises":
+            with pytest.raises(RuntimeError, match="an unexpected failure"):
+                main(argv)
+        else:
+            assert main(argv) == int(path[-1])
+    assert gc.isenabled() is enabled
+    assert seen == ([False] if path in ("exit-0", "raises") else [])  # paused in the command
+    if path == "exit-1":
+        assert err.getvalue().startswith("error: cannot read campaign file ")
+
+
+_GARBAGE_COMMANDS = {
+    "classify": ["classify", "--out", "{out}", "--set", "classifier.kind=first_count",
+                 "--set", "classifier.threshold=0"],
+    "cost": ["cost"],
+    "evaluate": ["evaluate", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", _GARBAGE_COMMANDS)
+def test_a_commands_cyclic_garbage_does_not_grow_with_the_campaign(tmp_path, collector_enabled,
+                                                                   command):
+    # what makes the pause safe for memory: records, columns and reports are
+    # freed by reference counting, so a command leaves the collector the same
+    # few objects whatever the size of its campaign
+    left = {}
+    for size in (100, 2000):
+        rng = np.random.default_rng(size)
+        campaign = tmp_path / f"campaign_{size}.csv"
+        aio.save_campaign(subsample_safe(fully_counted_campaign(rng, size), rng, 0.5), campaign)
+        argv = [a.format(out=tmp_path / "out") for a in _GARBAGE_COMMANDS[command]]
+        argv += ["--campaign", str(campaign)]
+        counts = []
+        for _ in range(2):  # the first run may leave what a first use sets up
+            gc.collect()
+            gc.disable()
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main(argv) == 0
+            counts.append(gc.collect())
+            gc.enable()
+        left[size] = counts[-1]
+    assert left[100] == left[2000] < 100
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    bare = run(capsys, ["plan"])
+    changed = run(capsys, ["plan", "--set", "nu=0.2", "--seed", "5"])
+    assert changed[0] == bare[0] == 0
+    assert without_created(changed[1]) != without_created(bare[1])
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--format", "xml"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    again = run(capsys, ["plan"])
+    assert (again[0], without_created(again[1]), again[2]) == (
+        bare[0], without_created(bare[1]), bare[2])
+    # the shared parser's defaults are a fresh parser's
+    assert vars(build_parser().parse_args(["plan"])) == vars(
+        build_parser.__wrapped__().parse_args(["plan"]))
 
 
 # --- golden bytes -------------------------------------------------------------

@@ -27,6 +27,10 @@ class TestCountingCost:
     def test_unit_hour(self):
         assert counting_cost(3600.0, RATES) == pytest.approx(14.0)
 
+    def test_refuses_a_negative_duration(self):
+        with pytest.raises(ValueError, match=r"^duration_s must be >= 0, got -1\.0$"):
+            counting_cost(-1.0, CostRates())
+
     @given(
         d=st.floats(min_value=0, max_value=1e5),
         scale=st.floats(min_value=0.1, max_value=10),

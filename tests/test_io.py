@@ -767,7 +767,7 @@ def reference_load_campaign(path, strict: bool = False):
             sampled={"true": True, "false": False, "": None}[sampled_cell],
         )
         records.append(record)
-        violations.extend(validate_record(record))
+        violations.extend(reference_validate_record(record))
 
     if strict and violations:
         raise aio.CampaignError("validation failed:\n" + "\n".join(violations))

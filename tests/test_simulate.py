@@ -138,6 +138,15 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             NormalErrors(**{name: value})
 
+    @pytest.mark.parametrize("name", ["nu_s", "nu_u"])
+    def test_normal_model_deviations_must_not_be_negative(self, name):
+        with pytest.raises(ValueError, match="^standard deviations must be >= 0$"):
+            NormalErrors(**{name: -0.1})
+
+    def test_unknown_test_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown test 'x'$"):
+            SimConfig(NormalErrors(), PARAMS, SINGLE_STRATUM, n_values=(100,), test="x")
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["pool_s", "pool_u"])
     def test_resampling_pools_must_be_finite(self, name, value):
