@@ -4,10 +4,11 @@ Subcommands: plan, optimize, classify, sample, evaluate, simulate, cost.
 Flag overrides (`--set key=value`) win over the configuration file. A
 failed equivalence test is a result, not a program error: the exit code is
 nonzero only for hard errors (and, with --strict, for validation
-violations). Each command returns its warnings: the campaign's violations
-and its result's notes or warnings. `main` alone writes to stderr: one
-`error: ` line for a hard error, else, after the report, one `warning: `
-line per warning.
+violations). Each command writes its data files (a labeled or sampled
+campaign, a details CSV) and returns its report and its warnings: the
+campaign's violations and its result's notes or warnings. `main` alone
+writes both: one `error: ` line for a hard error and nothing else, or the
+report to --out or stdout followed by one `warning: ` line per warning.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import gc
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import cost as cost_mod
 from . import io as io_mod
@@ -25,76 +27,6 @@ from . import planner
 from .classify import KIND_COMBINED, ClassifierSpec, classify, draw_sample, first_stage_unsafe
 from .domain import SAFE, TEST_CLASSIC, TEST_PARTITIONED, UNLABELED, UNSAFE, DopRecord, relabel
 from .estimator import evaluate_classic, evaluate_partitioned, record_rows
-
-
-def _add_common(p: argparse.ArgumentParser, campaign: bool = False) -> None:
-    p.add_argument("--config", help="configuration file path")
-    p.add_argument("--set", dest="overrides", action="append", default=[],
-                   metavar="KEY=VALUE", help="override a config key")
-    p.add_argument("--out", help="write the report/output to this path")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, help="override the configured seed")
-    p.add_argument("--strict", action="store_true",
-                   help="treat validation violations as errors")
-    if campaign:
-        p.add_argument("--campaign", required=True, help="campaign file path")
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="apcval",
-        description="Plan, cost-optimize, run and stress-test partitioned "
-        "equivalence tests for passenger counting validation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("plan", help="sample/record size and quota planning")
-    _add_common(p)
-
-    p = sub.add_parser("optimize", help="cost-optimal quota from campaign costs")
-    _add_common(p, campaign=True)
-
-    p = sub.add_parser("classify", help="assign safe/unsafe labels")
-    _add_common(p, campaign=True)
-
-    p = sub.add_parser("sample", help="draw the counted subset of the safe partition")
-    _add_common(p, campaign=True)
-
-    p = sub.add_parser("evaluate", help="run the equivalence test on a campaign")
-    _add_common(p, campaign=True)
-    p.add_argument("--mode", choices=("auto", "classic", "partitioned"), default="auto")
-    p.add_argument("--details", help="write the per-record spreadsheet CSV here")
-
-    p = sub.add_parser("simulate", help="Monte Carlo test success study")
-    _add_common(p)
-    p.add_argument("--test", choices=(TEST_CLASSIC, TEST_PARTITIONED), default=TEST_CLASSIC)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--n-grid", required=True,
-                   help="comma-separated sample sizes, e.g. 500,1000,2000")
-    p.add_argument("--bias-grid", help="comma-separated target mean errors")
-    p.add_argument("--pool-s", help="comma-separated resampling pool (safe stratum)")
-    p.add_argument("--pool-u", help="comma-separated resampling pool (unsafe stratum)")
-    p.add_argument("--audit", action="store_true",
-                   help="report worst-case pass rate per n (user risk audit)")
-
-    p = sub.add_parser("cost", help="cost parameters from a campaign")
-    _add_common(p, campaign=True)
-    return parser
-
-
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _emit(args, report, **context) -> None:
-    """Write a report, followed by the command's context fields, to --out or stdout."""
-    payload = {**io_mod.report_to_dict(report), **context}
-    _write_or_print(io_mod.emit_report(payload, args.format), args.out)
 
 
 def _load(args) -> io_mod.Config:
@@ -121,33 +53,31 @@ def _cost_params(records: list[DopRecord], config: io_mod.Config):
     return cost_mod.cost_breakdown(records, config.rates, config.scheme, config.classifier)
 
 
-def cmd_plan(args) -> list[str]:
+def cmd_plan(args) -> tuple[dict, list[str]]:
     config = _load(args)
     plan = planner.make_plan(config.params, config.partition)
-    _emit(args, plan, seed=config.seed)
-    return list(plan.notes)
+    return {**io_mod.report_to_dict(plan), "seed": config.seed}, list(plan.notes)
 
 
-def cmd_optimize(args) -> list[str]:
+def cmd_optimize(args) -> tuple[dict, list[str]]:
     config = _load(args)
     records, violations = io_mod.load_campaign(args.campaign, strict=args.strict)
     breakdown = _cost_params(records, config)
     costs = breakdown.cost_params()
     plan = planner.make_plan(config.params, config.partition, costs=costs)
-    _emit(
-        args,
-        plan,
-        seed=config.seed,
-        scheme=breakdown.scheme,
-        total_cost_classic=planner.total_cost(plan.n_e, 1.0, config.partition, costs),
-        total_cost_partitioned=planner.total_cost(
+    report = {
+        **io_mod.report_to_dict(plan),
+        "seed": config.seed,
+        "scheme": breakdown.scheme,
+        "total_cost_classic": planner.total_cost(plan.n_e, 1.0, config.partition, costs),
+        "total_cost_partitioned": planner.total_cost(
             plan.n_rec, plan.q_planned, config.partition, costs
         ),
-    )
-    return [*violations, *breakdown.warnings, *plan.notes]
+    }
+    return report, [*violations, *breakdown.warnings, *plan.notes]
 
 
-def cmd_classify(args) -> list[str]:
+def cmd_classify(args) -> tuple[dict, list[str]]:
     if not args.out:
         raise io_mod.ConfigError("classify needs --out to write the labeled campaign")
     config = _load(args)
@@ -159,7 +89,7 @@ def cmd_classify(args) -> list[str]:
                        for r, unsafe in zip(labeled, first_stage_unsafe(records, spec)))
     n = len(labeled)
     n_s = sum(1 for r in labeled if r.label == SAFE)
-    payload = {
+    report = {
         "report": "classification",
         "version": io_mod.VERSION,
         "kind": spec.kind,
@@ -170,11 +100,10 @@ def cmd_classify(args) -> list[str]:
         "reclassified": reclassified if spec.kind == KIND_COMBINED else None,
         "out": str(args.out),
     }
-    sys.stdout.write(io_mod.emit_report(payload, args.format))
-    return violations
+    return report, violations
 
 
-def cmd_sample(args) -> list[str]:
+def cmd_sample(args) -> tuple[dict, list[str]]:
     if not args.out:
         raise io_mod.ConfigError("sample needs --out to write the updated campaign")
     config = _load(args)
@@ -183,15 +112,12 @@ def cmd_sample(args) -> list[str]:
     if not safe_ids:
         raise io_mod.CampaignError("campaign has no safe records to sample from")
     mask = draw_sample(safe_ids, config.partition.q, config.seed)
-    chosen = dict(zip(safe_ids, mask))
-    updated = [
-        relabel(r, r.label, bool(chosen[r.dop_id])) if r.label == SAFE else r
-        for r in records
-    ]
+    flags = iter(mask.tolist())  # one flag per safe record, in campaign order
+    updated = [relabel(r, r.label, next(flags)) if r.label == SAFE else r for r in records]
     io_mod.save_campaign(updated, args.out)
     n_s = len(safe_ids)
     counted = int(mask.sum())
-    payload = {
+    report = {
         "report": "sample",
         "version": io_mod.VERSION,
         "seed": config.seed,
@@ -201,11 +127,10 @@ def cmd_sample(args) -> list[str]:
         "q_effective": counted / n_s,
         "out": str(args.out),
     }
-    sys.stdout.write(io_mod.emit_report(payload, args.format))
-    return violations
+    return report, violations
 
 
-def cmd_evaluate(args) -> list[str]:
+def cmd_evaluate(args) -> tuple[dict, list[str]]:
     config = _load(args)
     records, violations = io_mod.load_campaign(args.campaign, strict=args.strict)
     mode = args.mode
@@ -213,18 +138,18 @@ def cmd_evaluate(args) -> list[str]:
         # a partially labeled campaign goes to the partitioned test, which names its records
         mode = "classic" if all(r.label == UNLABELED for r in records) else "partitioned"
     if mode == "classic":
-        report = evaluate_classic(records, config.params)
+        result = evaluate_classic(records, config.params)
     else:
-        report = evaluate_partitioned(records, config.params, q_planned=config.partition.q)
-
-    _emit(args, report, mode=mode, seed=config.seed, params=config.params)
+        result = evaluate_partitioned(records, config.params, q_planned=config.partition.q)
 
     details_path = args.details
     if details_path is None and args.out:
         details_path = str(Path(args.out)) + ".details.csv"
     if details_path:
-        io_mod.save_details(record_rows(records, report), details_path)
-    return [*violations, *report.warnings]
+        io_mod.save_details(record_rows(records, result), details_path)
+    report = {**io_mod.report_to_dict(result), "mode": mode, "seed": config.seed,
+              "params": config.params}
+    return report, [*violations, *result.warnings]
 
 
 def _number_list(text: str, flag: str, integer: bool = False) -> tuple:
@@ -240,7 +165,7 @@ def _number_list(text: str, flag: str, integer: bool = False) -> tuple:
     return values
 
 
-def cmd_simulate(args) -> list[str]:
+def cmd_simulate(args) -> tuple[dict, list[str]]:
     from . import simulate  # imports numpy, which only simulate and sample need
 
     config = _load(args)
@@ -264,37 +189,81 @@ def cmd_simulate(args) -> list[str]:
         seed=config.seed,
     )
     if args.audit:
-        audit = {"report": "user_risk_audit", "version": io_mod.VERSION,
-                 "points": simulate.user_risk_audit(sim)}
-        _emit(args, audit, seed=config.seed, trials=args.trials, test=args.test,
-              bias_sweep=list(bias or ()))
-        return []
+        return {"report": "user_risk_audit", "version": io_mod.VERSION,
+                "points": simulate.user_risk_audit(sim), "seed": config.seed,
+                "trials": args.trials, "test": args.test, "bias_sweep": list(bias or ())}, []
     curves = simulate.run_simulation(sim)
     if len(curves) == 1:
-        _emit(args, curves[0])
-    else:
-        _emit(args, {"report": "success_curves", "version": io_mod.VERSION,
-                     "curves": [io_mod.report_to_dict(c) for c in curves]})
-    return []
+        return io_mod.report_to_dict(curves[0]), []
+    return {"report": "success_curves", "version": io_mod.VERSION,
+            "curves": [io_mod.report_to_dict(c) for c in curves]}, []
 
 
-def cmd_cost(args) -> list[str]:
+def cmd_cost(args) -> tuple[dict, list[str]]:
     config = _load(args)
     records, violations = io_mod.load_campaign(args.campaign, strict=args.strict)
     breakdown = _cost_params(records, config)
-    _emit(args, breakdown)
-    return [*violations, *breakdown.warnings]
+    return io_mod.report_to_dict(breakdown), [*violations, *breakdown.warnings]
 
 
+class _Command(NamedTuple):
+    run: Callable[[argparse.Namespace], tuple[dict, list[str]]]
+    help: str
+    campaign: bool = False  # takes --campaign
+    writes_campaign: bool = False  # its --out is the campaign it writes; the report goes to stdout
+
+
+# in the order of the usage text
 _COMMANDS = {
-    "plan": cmd_plan,
-    "optimize": cmd_optimize,
-    "classify": cmd_classify,
-    "sample": cmd_sample,
-    "evaluate": cmd_evaluate,
-    "simulate": cmd_simulate,
-    "cost": cmd_cost,
+    "plan": _Command(cmd_plan, "sample/record size and quota planning"),
+    "optimize": _Command(cmd_optimize, "cost-optimal quota from campaign costs", campaign=True),
+    "classify": _Command(cmd_classify, "assign safe/unsafe labels", campaign=True,
+                         writes_campaign=True),
+    "sample": _Command(cmd_sample, "draw the counted subset of the safe partition",
+                       campaign=True, writes_campaign=True),
+    "evaluate": _Command(cmd_evaluate, "run the equivalence test on a campaign", campaign=True),
+    "simulate": _Command(cmd_simulate, "Monte Carlo test success study"),
+    "cost": _Command(cmd_cost, "cost parameters from a campaign", campaign=True),
 }
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; parsing leaves it unchanged."""
+    parser = argparse.ArgumentParser(
+        prog="apcval",
+        description="Plan, cost-optimize, run and stress-test partitioned "
+        "equivalence tests for passenger counting validation.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="configuration file path")
+        p.add_argument("--set", dest="overrides", action="append", default=[],
+                       metavar="KEY=VALUE", help="override a config key")
+        p.add_argument("--out", help="write the report/output to this path")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--seed", type=int, help="override the configured seed")
+        p.add_argument("--strict", action="store_true",
+                       help="treat validation violations as errors")
+        if command.campaign:
+            p.add_argument("--campaign", required=True, help="campaign file path")
+
+    p = sub.choices["evaluate"]
+    p.add_argument("--mode", choices=("auto", "classic", "partitioned"), default="auto")
+    p.add_argument("--details", help="write the per-record spreadsheet CSV here")
+
+    p = sub.choices["simulate"]
+    p.add_argument("--test", choices=(TEST_CLASSIC, TEST_PARTITIONED), default=TEST_CLASSIC)
+    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--n-grid", required=True,
+                   help="comma-separated sample sizes, e.g. 500,1000,2000")
+    p.add_argument("--bias-grid", help="comma-separated target mean errors")
+    p.add_argument("--pool-s", help="comma-separated resampling pool (safe stratum)")
+    p.add_argument("--pool-u", help="comma-separated resampling pool (unsafe stratum)")
+    p.add_argument("--audit", action="store_true",
+                   help="report worst-case pass rate per n (user risk audit)")
+    return parser
 
 
 _LIST_FLAGS = ("--n-grid", "--bias-grid", "--pool-s", "--pool-u")
@@ -337,8 +306,14 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(argv: list[str] | None) -> int:
     args = build_parser().parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
+    command = _COMMANDS[args.command]
     try:
-        warnings = _COMMANDS[args.command](args)
+        report, warnings = command.run(args)
+        text = io_mod.emit_report(report, args.format)
+        if args.out and not command.writes_campaign:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
     except (io_mod.CampaignError, io_mod.ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -147,6 +147,8 @@ class TestClassify:
     def test_missing_required_field(self):
         with pytest.raises(ValueError, match="alg_confidence"):
             classify([DopRecord(dop_id="a", k_auto=1)], ClassifierSpec(kind=KIND_CONFIDENCE_ONLY, threshold=0.5))
+        with pytest.raises(ValueError, match="^a: first manual count required for first_count$"):
+            classify([DopRecord(dop_id="a", k_auto=1)], ClassifierSpec(kind=KIND_FIRST_COUNT, threshold=0))
 
     def test_empty_campaign(self):
         for spec in (ClassifierSpec(kind=KIND_ALL_SAFE),

@@ -682,15 +682,19 @@ class TestSimulateCostOptimize:
     "argv",
     [["plan", "--out", "{missing}/p.json"],
      ["evaluate", "--campaign", "{campaign}", "--details", "{missing}/d.csv"],
+     ["evaluate", "--campaign", "{campaign}", "--out", "{tmp}/r.json",
+      "--details", "{missing}/d.csv"],
      ["classify", "--campaign", "{campaign}", "--out", "{missing}/x.csv", *_COMBINED]],
 )
 def test_unwritable_output_is_an_error(capsys, golden_campaign, tmp_path, argv):
+    # a command that ends in an error writes only its error line: no report
     missing = tmp_path / "no_such_dir"
-    code, _, err = run(capsys, [a.format(campaign=golden_campaign, missing=missing)
-                                for a in argv])
-    assert code == 1
+    code, out, err = run(capsys, [a.format(campaign=golden_campaign, missing=missing,
+                                           tmp=tmp_path) for a in argv])
+    assert code == 1 and out == ""
     assert err.startswith("error: ") and "no_such_dir" in err
     assert err.count("\n") == 1  # one line, no traceback
+    assert not (tmp_path / "r.json").exists()
 
 
 # --- the paused collector and the shared parser -----------------------------
@@ -704,11 +708,11 @@ def collector_enabled():
 
 
 def _stub_command(seen: list[bool], raises: bool):
-    def command(args) -> list[str]:
+    def command(args) -> tuple[dict, list[str]]:
         seen.append(gc.isenabled())
         if raises:
             raise RuntimeError("an unexpected failure")
-        return []
+        return {"report": "stub"}, []
     return command
 
 
@@ -718,7 +722,8 @@ def test_main_leaves_the_collector_as_it_found_it(monkeypatch, tmp_path, collect
                                                   enabled, path):
     seen: list[bool] = []
     if path in ("exit-0", "raises"):
-        monkeypatch.setitem(apcval.cli._COMMANDS, "plan", _stub_command(seen, path == "raises"))
+        monkeypatch.setitem(apcval.cli._COMMANDS, "plan", apcval.cli._COMMANDS["plan"]._replace(
+            run=_stub_command(seen, path == "raises")))
     argv = {"exit-0": ["plan"],
             "exit-1": ["evaluate", "--campaign", str(tmp_path / "missing.csv")],
             "exit-2": ["plan", "--format", "xml"],
@@ -801,7 +806,7 @@ def test_the_shared_parser_keeps_no_state_between_calls(capsys):
 # and `{unlabeled}` for the golden campaign without labels.
 # The expected exit code, stdout (without the `created` line and with the --out
 # path written `{out}`), stderr and details CSV of every case, and the --out
-# file of every case that names one, are in cli_golden.json. Regenerate that
+# file (without `created`) of every case that names one, are in cli_golden.json. Regenerate that
 # file, after checking that a change to the outputs is intended, with
 #   PYTHONPATH=src:tests python -c "import test_cli; test_cli.write_golden()"
 GOLDEN_CASES = {
@@ -856,6 +861,20 @@ GOLDEN_CASES.update({
     "sample_csv": ["sample", "--campaign", "{campaign}", "--out", "{out}",
                    "--set", "q=0.5", "--seed", "7", "--format", "csv"],
 })
+# reports written to --out, and simulate's curves and audit, whose pass
+# rates lie strictly between 0 and 1 and so pin the draws as well
+GOLDEN_CASES.update({
+    "plan_out": ["plan", "--out", "{out}"],
+    "evaluate_out": ["evaluate", "--campaign", "{campaign}", "--out", "{out}",
+                     "--details", "{details}"],
+    "simulate_n_grid": ["simulate", "--n-grid", "60,120", "--trials", "50",
+                        "--set", "delta=0.08"],
+    "simulate_bias_grid_csv": ["simulate", "--n-grid", "60", "--bias-grid", "-0.02,0.02",
+                               "--trials", "50", "--format", "csv", "--set", "delta=0.08"],
+    "simulate_audit": ["simulate", "--audit", "--n-grid", "60,120", "--bias-grid", "0.08,-0.08",
+                       "--trials", "50", "--set", "delta=0.08", "--pool-s", "-0.05,0.05",
+                       "--pool-u", "-0.2,0,0.2"],
+})
 GOLDEN_FILE = Path(__file__).with_name("cli_golden.json")
 _CREATED = re.compile(r'^(  "created": .*|created,.*)\n', re.MULTILINE)
 
@@ -880,7 +899,8 @@ def golden_output(case: str, workdir: Path) -> dict:
         "details": details.read_text(encoding="utf-8") if details.exists() else None,
     }
     if "{out}" in GOLDEN_CASES[case]:
-        result["out"] = out_file.read_text(encoding="utf-8") if out_file.exists() else None
+        result["out"] = (_CREATED.sub("", out_file.read_text(encoding="utf-8"))
+                         if out_file.exists() else None)
     return result
 
 
@@ -949,3 +969,20 @@ def test_cli_reads_no_private_name_of_an_apcval_module():
     ]
     assert {"cost_mod", "io_mod"} <= aliases
     assert imported == [] and read == []
+
+
+def test_only_run_writes_a_report():
+    # each command returns its report and `_run` alone writes it, so a command
+    # that raises has written no report
+    import apcval.cli
+
+    tree = ast.parse(Path(apcval.cli.__file__).read_text(encoding="utf-8"))
+
+    def writes(function: ast.FunctionDef) -> set[str]:
+        used = {node.attr for node in ast.walk(function) if isinstance(node, ast.Attribute)}
+        used |= {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}
+        return used & {"emit_report", "stdout", "print"}
+
+    writers = {node.name: writes(node) for node in tree.body
+               if isinstance(node, ast.FunctionDef) and writes(node)}
+    assert writers == {"_run": {"emit_report", "stdout", "print"}}

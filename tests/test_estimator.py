@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -458,6 +459,18 @@ class TestEvaluatePartitioned:
         assert report.n == 50
         assert report.stats.n == report.stats.n_s + report.stats.n_u
 
+    def test_a_report_refuses_a_point_estimate_outside_its_interval(self):
+        report = evaluate_partitioned(three_record_campaign(), TestParams())
+        with pytest.raises(ValueError,
+                           match="^confidence interval does not contain the point estimate$"):
+            replace(report, d_hat=report.ci_high + 0.01)
+
+    def test_a_report_refuses_a_verdict_its_interval_does_not_give(self):
+        report = evaluate_partitioned(three_record_campaign(), TestParams())
+        other = FAIL if report.verdict == PASS else PASS
+        with pytest.raises(ValueError, match=f"^verdict '{other}' inconsistent with interval$"):
+            replace(report, verdict=other)
+
 
 class TestRecordRows:
     # safe d00000 counted (M 2, K 1), safe d00001 not counted, unsafe d00002
@@ -516,3 +529,9 @@ class TestRecordRows:
         report = evaluate_partitioned(self.RECORDS, TestParams())
         with pytest.raises(ValueError, match="the report covers 3 records, got 2"):
             record_rows(self.RECORDS[:2], report)
+
+    def test_a_report_without_a_positive_mean_count_is_refused(self):
+        report = evaluate_partitioned(self.RECORDS, TestParams())
+        report = replace(report, stats=replace(report.stats, m_hat_q=0.0))
+        with pytest.raises(ValueError, match="^mean count estimate must be > 0, got 0.0$"):
+            record_rows(self.RECORDS, report)

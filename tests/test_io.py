@@ -283,6 +283,8 @@ class TestConfig:
         path.write_text("gamma = 0.1\n", encoding="utf-8")
         with pytest.raises(aio.ConfigError, match="unknown key 'gamma'"):
             aio.load_config_with_overrides(path, [])
+        with pytest.raises(aio.ConfigError, match="^unknown keys: gamma, zeta$"):
+            aio.config_from_raw({"zeta": "1", "nu": "0.2", "gamma": "0.1"})
 
     def test_invalid_value_rejected(self):
         with pytest.raises(aio.ConfigError):
@@ -328,6 +330,8 @@ class TestConfig:
     def test_override_unknown_key(self):
         with pytest.raises(aio.ConfigError, match="unknown override"):
             aio.merge_overrides({}, ["volume=11"])
+        with pytest.raises(aio.ConfigError, match="^override must be key=value, got 'nu'$"):
+            aio.merge_overrides({}, ["nu"])
 
     def test_duplicate_key_in_file(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -512,6 +516,10 @@ class TestEmitReport:
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="unknown format"):
             aio.emit_report(self.evaluation_report(), "xml")
+
+    def test_unknown_report_type(self):
+        with pytest.raises(TypeError, match="^cannot emit report for PartitionParams$"):
+            aio.emit_report(PartitionParams())
 
     def test_timestamp_can_be_suppressed(self):
         a = aio.emit_report(self.evaluation_report(), "json", timestamp=False)

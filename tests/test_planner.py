@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,6 +224,11 @@ class TestTotalCost:
         costs = CostParams(c_u=9.0, c_s0=0.0, c_sz=0.7)
         assert total_cost(500, 1.0, part, costs) == pytest.approx(500 * 0.7)
 
+    @pytest.mark.parametrize("n_rec,q", [(-1, 0.5), (100, -0.1)])
+    def test_refuses_a_negative_volume_or_quota(self, n_rec, q):
+        with pytest.raises(ValueError, match="^n_rec and q must be >= 0$"):
+            total_cost(n_rec, q, PartitionParams(), CostParams(c_u=1.0, c_s0=0.1, c_sz=0.4))
+
 
 class TestBufferAndQuotaRounding:
     def test_reference_buffer(self):
@@ -233,6 +239,20 @@ class TestBufferAndQuotaRounding:
 
     def test_ceiling(self):
         assert apply_buffer(1, 1.15) == 2
+
+    def test_refuses_a_buffer_below_1(self):
+        with pytest.raises(ValueError, match="^buffer must be >= 1, got 0.99$"):
+            apply_buffer(100, 0.99)
+
+    @pytest.mark.parametrize("q0", [0.0, -0.5, 1.5])
+    def test_counted_count_refuses_a_quota_outside_0_1(self, q0):
+        with pytest.raises(ValueError, match=rf"^q0 must be in \(0, 1\], got {q0}$"):
+            counted_count(q0, 10)
+
+    @pytest.mark.parametrize("n_s", [0, -2])
+    def test_counted_count_refuses_an_empty_safe_stratum(self, n_s):
+        with pytest.raises(ValueError, match=f"^n_s must be >= 1, got {n_s}$"):
+            counted_count(0.5, n_s)
 
     def test_counted_count_examples(self):
         assert counted_count(0.5, 7) == 4
@@ -292,3 +312,14 @@ class TestMakePlan:
         assert plan.q_source == "fixed"
         assert plan.q_planned == pytest.approx(0.175, abs=2e-3)
         assert plan.n_rec >= plan.n_e
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda plan: {"n_rec": plan.n_e - 1}, "^recorded size below classic sample size$"),
+        (lambda plan: {"buffered_n_rec": plan.n_rec - 1}, "^buffered size below recorded size$"),
+        (lambda plan: {"q_planned": 0.0}, r"^q_planned must be in \(0, 1\], got 0.0$"),
+        (lambda plan: {"q_planned": 1.5}, r"^q_planned must be in \(0, 1\], got 1.5$"),
+    ], ids=["n_rec", "buffered_n_rec", "q_zero", "q_above_1"])
+    def test_a_plan_refuses_inconsistent_sizes(self, change, message):
+        plan = make_plan(TestParams(nu=0.15), PartitionParams(p_s=0.9, nu_s_ratio=0.35, q=0.175))
+        with pytest.raises(ValueError, match=message):
+            replace(plan, **change(plan))

@@ -120,6 +120,11 @@ class TestPlanningNormalModel:
         model = planning_normal_model(0.2, SINGLE_STRATUM)
         assert model.nu_s == pytest.approx(0.2)
 
+    def test_a_safe_deviation_above_the_composite_is_refused(self):
+        # 0.9 * (1.1 * nu)^2 > nu^2 leaves the unsafe stratum a negative variance
+        with pytest.raises(ValueError, match="^nu_s_ratio too large: composite variance exceeded$"):
+            planning_normal_model(0.15, PartitionParams(p_s=0.9, nu_s_ratio=1.1, q=0.5))
+
 
 class TestSimConfigValidation:
     def test_bad_trials_and_sizes(self):
@@ -204,6 +209,14 @@ class TestRunSimulation:
             seed=123,
         )
         assert run_simulation(config) == run_simulation(config)
+
+    def test_a_model_without_spread_has_no_analytic_curve(self):
+        # the analytic curve needs a positive composite variance
+        config = SimConfig(NormalErrors(nu_s=0.0, nu_u=0.0), PARAMS,
+                           PartitionParams(p_s=0.9, nu_s_ratio=0.5, q=0.5),
+                           n_values=(20, 50), trials=20, seed=2)
+        (curve,) = run_simulation(config)
+        assert [p.analytic for p in curve.points] == [None, None]
 
     def test_classic_matches_analytic_small_grid(self):
         config = SimConfig(
@@ -791,3 +804,45 @@ class TestBiasEstimates:
         part = PartitionParams(p_s=0.5, nu_s_ratio=0.5, q=1.0)
         estimates = bias_estimates(model, part, n=200, trials=500, seed=1)
         assert abs(estimates.mean()) < 0.01
+
+
+# (study, model, test, p_s, q, n_values, bias_sweep, trials, seed) -> SHA-256
+# of the study's table: the curves' pass rates in order, or each audit
+# point's pass rate and worst bias. Every rate lies strictly between 0 and 1,
+# so the digests pin the engine's streams and draw order, not only a verdict.
+STUDY_PARAMS = TestParams(alpha=0.2, delta=0.05, nu=0.1, nu_min=0.0)
+STUDY_STREAM_DIGESTS = [
+    ("curve", "normal", TEST_CLASSIC, 0.9, 0.175, (6, 20), None, 200, 3,
+     "c0a644a7bdaa15473df64f033926d64757bd5b110028400182f8e27f8d89a860"),
+    ("curve", "normal", TEST_PARTITIONED, 0.9, 0.3, (40,), (-0.03, 0.0, 0.03), 200, 4,
+     "bfc16aae095985145a0a9d3a3ae154d90e80d82e6a577251b7a553d18580b510"),
+    ("curve", "two_value_pools", TEST_PARTITIONED, 0.0, 0.5, (30, 80), None, 150, 5,
+     "53ed7991946333735dfea170d13b7624187c1b614e95fc09e93c8a15504b5e8c"),
+    ("curve", "many_value_pools", TEST_PARTITIONED, 1.0, 0.4, (50,), (-0.045, 0.04), 150, 6,
+     "6083b28c86afeebf45023480e993e751661a459fc0db557d87404b8a0ff5fd23"),
+    ("curve", "many_value_pools", TEST_CLASSIC, 0.5, 0.2, (25, 90), None, 150, 7,
+     "9900787e4f3029f92bd34466ceef1e46d3e6171a9c3cd9fb8fff05f6766d1673"),
+    ("audit", "normal", TEST_CLASSIC, 0.9, 0.175, (20, 50), (0.05, -0.05), 200, 8,
+     "f843f64d6a699685a3e6707b1397b691f59816ac78f2199b69d2e6e3e3bd9eb4"),
+    ("audit", "two_value_pools", TEST_PARTITIONED, 1.0, 0.5, (30, 60), (0.05, -0.05), 150, 9,
+     "d5c7473c55d830aae9f39e840401f3fd6b6d1b5813436f302cb5fae1bf889833"),
+    ("audit", "many_value_pools", TEST_PARTITIONED, 0.0, 0.3, (40,), (-0.06, 0.05, 0.07), 150,
+     10, "6961848b0bb41d4f980d17b2c91dc7412288dfde7089936f681ab690ff9ad0d2"),
+]
+
+
+@pytest.mark.parametrize("study,model_name,test,p_s,q,n_values,sweep,trials,seed,digest",
+                         STUDY_STREAM_DIGESTS)
+def test_study_tables_are_pinned(study, model_name, test, p_s, q, n_values, sweep, trials,
+                                 seed, digest):
+    config = SimConfig(ENGINE_MODELS[model_name], STUDY_PARAMS,
+                       PartitionParams(p_s=p_s, nu_s_ratio=0.5, q=q), n_values=n_values,
+                       bias_sweep=sweep, trials=trials, test=test, seed=seed)
+    if study == "curve":
+        points = [p for curve in run_simulation(config) for p in curve.points]
+        table = [p.pass_rate for p in points]
+    else:
+        points = user_risk_audit(config)
+        table = [value for p in points for value in (p.pass_rate, p.worst_mu)]
+    assert all(0.0 < p.pass_rate < 1.0 for p in points)
+    assert hashlib.sha256(np.array(table).tobytes()).hexdigest() == digest
