@@ -4,11 +4,12 @@ Subcommands: plan, optimize, classify, sample, evaluate, simulate, cost.
 Flag overrides (`--set key=value`) win over the configuration file. A
 failed equivalence test is a result, not a program error: the exit code is
 nonzero only for hard errors (and, with --strict, for validation
-violations). Each command writes its data files (a labeled or sampled
-campaign, a details CSV) and returns its report and its warnings: the
-campaign's violations and its result's notes or warnings. `main` alone
-writes both: one `error: ` line for a hard error and nothing else, or the
-report to --out or stdout followed by one `warning: ` line per warning.
+violations). `main` reads each command's config and campaign as
+`_COMMANDS` declares them; the command writes its data files (a labeled or
+sampled campaign, a details CSV) and returns its report and its result's
+notes or warnings. `main` alone writes them: one `error: ` line for a hard
+error and nothing else, or the report to --out or stdout, then one
+`warning: ` line per violation of the campaign and per warning.
 """
 
 from __future__ import annotations
@@ -29,11 +30,6 @@ from .domain import SAFE, TEST_CLASSIC, TEST_PARTITIONED, UNLABELED, UNSAFE, Dop
 from .estimator import evaluate_classic, evaluate_partitioned, record_rows
 
 
-def _load(args) -> io_mod.Config:
-    seed = [] if args.seed is None else [f"seed={args.seed}"]
-    return io_mod.load_config_with_overrides(args.config, args.overrides + seed)
-
-
 def _classifier(config: io_mod.Config) -> ClassifierSpec:
     if config.classifier is None:
         raise io_mod.ConfigError("classifier.kind is not configured")
@@ -41,10 +37,10 @@ def _classifier(config: io_mod.Config) -> ClassifierSpec:
 
 
 def _cost_params(records: list[DopRecord], config: io_mod.Config):
-    """Cost breakdown of the campaign's labels; an unlabeled campaign is classified first."""
+    """Cost breakdown of the file's labels; only a wholly unlabeled campaign is classified."""
     if config.scheme == cost_mod.SCHEME_COMBINED and _classifier(config).kind != KIND_COMBINED:
         raise io_mod.ConfigError("costs.scheme=combined needs classifier.kind=combined")
-    if any(r.label == UNLABELED for r in records):
+    if records and all(r.label == UNLABELED for r in records):
         if config.classifier is None:
             raise io_mod.CampaignError(
                 "campaign has unlabeled records and no classifier is configured"
@@ -53,15 +49,12 @@ def _cost_params(records: list[DopRecord], config: io_mod.Config):
     return cost_mod.cost_breakdown(records, config.rates, config.scheme, config.classifier)
 
 
-def cmd_plan(args) -> tuple[dict, list[str]]:
-    config = _load(args)
+def cmd_plan(args, config: io_mod.Config, records: None) -> tuple[dict, list[str]]:
     plan = planner.make_plan(config.params, config.partition)
     return {**io_mod.report_to_dict(plan), "seed": config.seed}, list(plan.notes)
 
 
-def cmd_optimize(args) -> tuple[dict, list[str]]:
-    config = _load(args)
-    records, violations = io_mod.load_campaign(args.campaign, strict=args.strict)
+def cmd_optimize(args, config: io_mod.Config, records: list[DopRecord]) -> tuple[dict, list[str]]:
     breakdown = _cost_params(records, config)
     costs = breakdown.cost_params()
     plan = planner.make_plan(config.params, config.partition, costs=costs)
@@ -74,14 +67,10 @@ def cmd_optimize(args) -> tuple[dict, list[str]]:
             plan.n_rec, plan.q_planned, config.partition, costs
         ),
     }
-    return report, [*violations, *breakdown.warnings, *plan.notes]
+    return report, [*breakdown.warnings, *plan.notes]
 
 
-def cmd_classify(args) -> tuple[dict, list[str]]:
-    if not args.out:
-        raise io_mod.ConfigError("classify needs --out to write the labeled campaign")
-    config = _load(args)
-    records, violations = io_mod.load_campaign(args.campaign, strict=args.strict)
+def cmd_classify(args, config: io_mod.Config, records: list[DopRecord]) -> tuple[dict, list[str]]:
     spec = _classifier(config)
     labeled = classify(records, spec)
     io_mod.save_campaign(labeled, args.out)
@@ -100,14 +89,10 @@ def cmd_classify(args) -> tuple[dict, list[str]]:
         "reclassified": reclassified if spec.kind == KIND_COMBINED else None,
         "out": str(args.out),
     }
-    return report, violations
+    return report, []
 
 
-def cmd_sample(args) -> tuple[dict, list[str]]:
-    if not args.out:
-        raise io_mod.ConfigError("sample needs --out to write the updated campaign")
-    config = _load(args)
-    records, violations = io_mod.load_campaign(args.campaign, strict=args.strict)
+def cmd_sample(args, config: io_mod.Config, records: list[DopRecord]) -> tuple[dict, list[str]]:
     safe_ids = [r.dop_id for r in records if r.label == SAFE]
     if not safe_ids:
         raise io_mod.CampaignError("campaign has no safe records to sample from")
@@ -127,12 +112,10 @@ def cmd_sample(args) -> tuple[dict, list[str]]:
         "q_effective": counted / n_s,
         "out": str(args.out),
     }
-    return report, violations
+    return report, []
 
 
-def cmd_evaluate(args) -> tuple[dict, list[str]]:
-    config = _load(args)
-    records, violations = io_mod.load_campaign(args.campaign, strict=args.strict)
+def cmd_evaluate(args, config: io_mod.Config, records: list[DopRecord]) -> tuple[dict, list[str]]:
     mode = args.mode
     if mode == "auto":
         # a partially labeled campaign goes to the partitioned test, which names its records
@@ -149,7 +132,7 @@ def cmd_evaluate(args) -> tuple[dict, list[str]]:
         io_mod.save_details(record_rows(records, result), details_path)
     report = {**io_mod.report_to_dict(result), "mode": mode, "seed": config.seed,
               "params": config.params}
-    return report, [*violations, *result.warnings]
+    return report, list(result.warnings)
 
 
 def _number_list(text: str, flag: str, integer: bool = False) -> tuple:
@@ -165,10 +148,9 @@ def _number_list(text: str, flag: str, integer: bool = False) -> tuple:
     return values
 
 
-def cmd_simulate(args) -> tuple[dict, list[str]]:
+def cmd_simulate(args, config: io_mod.Config, records: None) -> tuple[dict, list[str]]:
     from . import simulate  # imports numpy, which only simulate and sample need
 
-    config = _load(args)
     n_values = _number_list(args.n_grid, "--n-grid", integer=True)
     bias = _number_list(args.bias_grid, "--bias-grid") if args.bias_grid else None
     if args.pool_s or args.pool_u:
@@ -199,18 +181,17 @@ def cmd_simulate(args) -> tuple[dict, list[str]]:
             "curves": [io_mod.report_to_dict(c) for c in curves]}, []
 
 
-def cmd_cost(args) -> tuple[dict, list[str]]:
-    config = _load(args)
-    records, violations = io_mod.load_campaign(args.campaign, strict=args.strict)
+def cmd_cost(args, config: io_mod.Config, records: list[DopRecord]) -> tuple[dict, list[str]]:
     breakdown = _cost_params(records, config)
-    return io_mod.report_to_dict(breakdown), [*violations, *breakdown.warnings]
+    return io_mod.report_to_dict(breakdown), list(breakdown.warnings)
 
 
 class _Command(NamedTuple):
-    run: Callable[[argparse.Namespace], tuple[dict, list[str]]]
+    run: Callable[[argparse.Namespace, io_mod.Config, list[DopRecord] | None],
+                  tuple[dict, list[str]]]
     help: str
-    campaign: bool = False  # takes --campaign
-    writes_campaign: bool = False  # its --out is the campaign it writes; the report goes to stdout
+    campaign: bool = False  # takes --campaign and --strict, and runs on the campaign
+    writes: str = ""  # names the campaign it writes to --out; its report goes to stdout
 
 
 # in the order of the usage text
@@ -218,9 +199,9 @@ _COMMANDS = {
     "plan": _Command(cmd_plan, "sample/record size and quota planning"),
     "optimize": _Command(cmd_optimize, "cost-optimal quota from campaign costs", campaign=True),
     "classify": _Command(cmd_classify, "assign safe/unsafe labels", campaign=True,
-                         writes_campaign=True),
+                         writes="labeled"),
     "sample": _Command(cmd_sample, "draw the counted subset of the safe partition",
-                       campaign=True, writes_campaign=True),
+                       campaign=True, writes="updated"),
     "evaluate": _Command(cmd_evaluate, "run the equivalence test on a campaign", campaign=True),
     "simulate": _Command(cmd_simulate, "Monte Carlo test success study"),
     "cost": _Command(cmd_cost, "cost parameters from a campaign", campaign=True),
@@ -244,9 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report/output to this path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, help="override the configured seed")
-        p.add_argument("--strict", action="store_true",
-                       help="treat validation violations as errors")
         if command.campaign:
+            p.add_argument("--strict", action="store_true",
+                           help="treat validation violations as errors")
             p.add_argument("--campaign", required=True, help="campaign file path")
 
     p = sub.choices["evaluate"]
@@ -308,19 +289,26 @@ def _run(argv: list[str] | None) -> int:
     args = build_parser().parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     command = _COMMANDS[args.command]
     try:
-        report, warnings = command.run(args)
+        if command.writes and not args.out:
+            raise io_mod.ConfigError(
+                f"{args.command} needs --out to write the {command.writes} campaign")
+        seed = [] if args.seed is None else [f"seed={args.seed}"]
+        config = io_mod.load_config_with_overrides(args.config, args.overrides + seed)
+        records, violations = (io_mod.load_campaign(args.campaign, strict=args.strict)
+                               if command.campaign else (None, []))
+        report, warnings = command.run(args, config, records)
         text = io_mod.emit_report(report, args.format)
-        if args.out and not command.writes_campaign:
+        if args.out and not command.writes:
             Path(args.out).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
     except (io_mod.CampaignError, io_mod.ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OverflowError as exc:
+    except (OverflowError, FloatingPointError) as exc:
         print(f"error: a result is out of range for these settings ({exc})", file=sys.stderr)
         return 1
-    sys.stderr.writelines(f"warning: {message}\n" for message in warnings)
+    sys.stderr.writelines(f"warning: {message}\n" for message in [*violations, *warnings])
     return 0
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import KIND_COMBINED, ClassifierSpec, first_stage_unsafe
-from .domain import SAFE, UNSAFE, CostParams, CostRates, DopRecord
+from .domain import SAFE, UNLABELED, UNSAFE, CostParams, CostRates, DopRecord, _id_list
 
 SCHEME_NO_FIRST_COUNT = "no_first_count"
 SCHEME_WITH_FIRST_COUNT = "with_first_count"
@@ -67,8 +67,11 @@ def cost_breakdown(
     Then c_s0 = mean(w * c) and c_sz = mean((1 - w + r_s) * c) over the
     safe stratum, so attribution moves cost between the two and never
     creates it. An empty stratum costs 0, and the breakdown's `warnings`
-    name it.
+    name it. Unlabeled records are refused: they belong to no stratum.
     """
+    unlabeled = [r.dop_id for r in records if r.label == UNLABELED]
+    if unlabeled:
+        raise ValueError(f"records are unlabeled: {_id_list(unlabeled)}")
     if scheme == SCHEME_COMBINED:
         if classifier is None or classifier.kind != KIND_COMBINED:
             raise ValueError("combined scheme needs a combined classifier")

@@ -193,20 +193,24 @@ def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecor
     return records, violations
 
 
-def save_campaign(records: list[DopRecord], path: str | Path) -> None:
-    """Write records back out; load_campaign(save_campaign(x)) is identity."""
+def _csv_text(header, rows) -> str:
+    """A header row and the rows as CSV text, one line each; None is an empty cell."""
     buf = _stringio.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CAMPAIGN_COLUMNS)
-    # csv writes None as an empty cell; floats go through repr to round-trip
-    for dop_id, k_auto, duration_s, m1, m2, m_sup, m_final, alg_count, conf, label, sampled in records:
-        writer.writerow((
-            dop_id, repr(duration_s), m1, m2, m_sup, m_final, k_auto, alg_count,
-            "" if conf is None else repr(conf),
-            _LABEL_TO_CSV[label],
-            "" if sampled is None else ("true" if sampled else "false"),
-        ))
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def save_campaign(records: list[DopRecord], path: str | Path) -> None:
+    """Write records back out, floats by repr; load_campaign(save_campaign(x)) is identity."""
+    Path(path).write_text(_csv_text(CAMPAIGN_COLUMNS, (
+        (dop_id, repr(duration_s), m1, m2, m_sup, m_final, k_auto, alg_count,
+         "" if conf is None else repr(conf), _LABEL_TO_CSV[label],
+         "" if sampled is None else ("true" if sampled else "false"))
+        for dop_id, k_auto, duration_s, m1, m2, m_sup, m_final, alg_count, conf, label, sampled
+        in records
+    )), encoding="utf-8")
 
 
 # --- configuration ----------------------------------------------------------
@@ -405,23 +409,14 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
 
 
 def _curves_csv(curves: list[dict]) -> str:
-    buf = _stringio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["grid_var", "grid_value", "pass_rate", "mc_se", "analytic", "n"])
-    for curve in curves:
-        for p in curve["points"]:
-            n = p.grid_value if curve["grid_var"] == "n" else curve["fixed"].get("n")
-            writer.writerow(
-                [
-                    curve["grid_var"],
-                    f"{p.grid_value:.12g}",
-                    f"{p.pass_rate:.12g}",
-                    f"{p.mc_se:.12g}",
-                    "" if p.analytic is None else f"{p.analytic:.12g}",
-                    "" if n is None else f"{n:.12g}",
-                ]
-            )
-    return buf.getvalue()
+    def row(curve: dict, p) -> list[str]:
+        n = p.grid_value if curve["grid_var"] == "n" else curve["fixed"].get("n")
+        return [curve["grid_var"], f"{p.grid_value:.12g}", f"{p.pass_rate:.12g}",
+                f"{p.mc_se:.12g}", "" if p.analytic is None else f"{p.analytic:.12g}",
+                "" if n is None else f"{n:.12g}"]
+
+    return _csv_text(["grid_var", "grid_value", "pass_rate", "mc_se", "analytic", "n"],
+                     (row(curve, p) for curve in curves for p in curve["points"]))
 
 
 def save_details(rows, path: str | Path) -> None:
@@ -430,15 +425,11 @@ def save_details(rows, path: str | Path) -> None:
     Numbers carry 12 significant digits, and an absent d_i is an empty cell.
     """
     weights: dict[float, str] = {}  # the text of each distinct weight (at most three)
-    buf = _stringio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["dop_id", "d_i", "stratum", "weight"])
-    writer.writerows(
+    Path(path).write_text(_csv_text(["dop_id", "d_i", "stratum", "weight"], (
         (dop_id, "" if d_i is None else f"{d_i:.12g}", _LABEL_TO_CSV[label],
          weights.get(weight) or weights.setdefault(weight, f"{weight:.12g}"))
         for dop_id, label, weight, d_i in rows
-    )
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    )), encoding="utf-8")
 
 
 def emit_report(report, fmt: str = "json", timestamp: bool = True) -> str:
@@ -468,8 +459,4 @@ def emit_report(report, fmt: str = "json", timestamp: bool = True) -> str:
             raise
     rows: list[tuple[str, str]] = []
     _flatten("", payload, rows)
-    buf = _stringio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    writer.writerows(rows)
-    return buf.getvalue()
+    return _csv_text(["key", "value"], rows)

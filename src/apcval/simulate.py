@@ -9,8 +9,8 @@ has a normal mean and a sum of squares of sigma^2 chi^2(k-1), and a
 resampled stratum has multinomial counts over the pool's distinct
 values, which over two values are one binomial draw. A study builds its
 group samplers once, and the verdicts of its trials are then evaluated
-over arrays, a chunk of whole rows of the grid at a time, by the
-estimator's `verdict_chain`, the same code that evaluates a live
+over arrays, whole grid points or a range of one point's trials at a
+time, by the estimator's `verdict_chain`, which also evaluates a live
 campaign. They become one table of pass rates, a row per sample size and
 a column per bias. Success curves are built from it, and a user-risk
 audit reads its rows back from the curves' points, in order; every grid
@@ -310,10 +310,10 @@ def _sufficient_stats(
     shift: float,
     seed: int,
     point_index: int,
-    trials: int,
+    trials: range,
     classic: bool = False,
 ) -> np.ndarray:
-    """Stratum statistics of every trial of one grid point, in `verdict_chain` order.
+    """Stratum statistics of the given trials of one grid point, in `verdict_chain` order.
 
     Each trial draws its safe count and then, from their exact
     distributions, the mean and sum of squares of three groups in a fixed
@@ -329,7 +329,7 @@ def _sufficient_stats(
     counted_of = {0: 0}  # counted_count by safe count, which repeats across trials
     point = _point_rng(seed, point_index)
     rows = array("d")
-    for trial in range(trials):
+    for trial in trials:
         rng = _trial_rng(point, trial)
         n_s = _safe_count(rng, n, p_s)
         m = counted_of.get(n_s)
@@ -341,7 +341,7 @@ def _sufficient_stats(
         uncounted = draw_s(rng, rest) if classic and rest else (0.0, 0.0)
         rows.extend((n_s, m, n_u, rest, *counted, *unsafe, *uncounted))
     n_s, m, n_u, rest, mean_c, squares_c, mean_u, squares_u, mean_r, squares_r = (
-        np.frombuffer(rows).reshape(trials, 10).T
+        np.frombuffer(rows).reshape(len(trials), 10).T
     )
     mean_c = np.where(m > 0, mean_c + shift, 0.0)
     mean_u = np.where(n_u > 0, mean_u + shift, 0.0)
@@ -354,9 +354,9 @@ def _sufficient_stats(
     squares = squares_c + squares_r + squares_u + (
         m * (mean_c - mean) ** 2 + rest * (mean_r - mean) ** 2 + n_u * (mean_u - mean) ** 2
     )
-    zeros = np.zeros(trials)
-    return np.array([zeros, np.full(trials, n), np.ones(trials), zeros, mean,
-                     np.full(trials, np.nan), np.sqrt(squares / (n - 1))])
+    zeros = np.zeros(len(trials))
+    return np.array([zeros, np.full(len(trials), n), np.ones(len(trials)), zeros, mean,
+                     np.full(len(trials), np.nan), np.sqrt(squares / (n - 1))])
 
 
 # --- record-level engine ------------------------------------------------------
@@ -403,12 +403,13 @@ def _analytic_for(config: SimConfig, n: int, mu: float) -> float | None:
     return analytic_success(mu, math.sqrt(nu2), n, config.params.alpha, config.params.delta)
 
 
-# Most trials one `verdict_chain` call evaluates when a row holds fewer: a
-# study's stats and the chain's intermediate arrays peak at about 120 bytes
-# per trial, so one call stays near 6 MB.
+# Most trials one `verdict_chain` call evaluates: a study's stats and the
+# chain's intermediate arrays peak at about 120 bytes per trial, so one call
+# stays near 6 MB.
 _CHAIN_TRIALS = 50_000
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def _pass_rates(config: SimConfig) -> tuple[tuple[float, ...], list[list[float]]]:
     """The study's bias sweep and its pass rates: one row per n, one column per bias.
 
@@ -416,27 +417,30 @@ def _pass_rates(config: SimConfig) -> tuple[tuple[float, ...], list[list[float]]
     mean. Grid point i * len(sweep) + j, at the i-th n and the j-th bias,
     keys its own trial streams, so every point reports its own trials,
     also where an n or a bias repeats. One `verdict_chain` call evaluates
-    as many consecutive rows as keep its trials within `_CHAIN_TRIALS`,
-    and at least one row, so a study's memory does not grow with its grid.
+    at most `_CHAIN_TRIALS` trials: as many consecutive whole points as
+    fit, or else one range of a point's trials, so a study's memory grows
+    with neither its grid nor its trials. Arithmetic that overflows (an
+    extreme pool or bias) raises FloatingPointError instead of warning.
     """
     partition, trials = config.partition, config.trials
     base_mean = config.error_model.overall_mean(partition.p_s)
     sweep = config.bias_sweep if config.bias_sweep is not None else (base_mean,)
     samplers = _group_samplers(config.error_model, partition.p_s)
-    chunk = max(1, _CHAIN_TRIALS // (len(sweep) * trials))
-    rates = []
-    for first in range(0, len(config.n_values), chunk):
-        rows = config.n_values[first:first + chunk]
+    span = min(trials, _CHAIN_TRIALS)  # the most trials of one point in one call
+    pieces = [(index, n, mu, range(first, min(first + span, trials)))
+              for index, (n, mu) in enumerate(itertools.product(config.n_values, sweep))
+              for first in range(0, trials, span)]
+    passes = np.zeros(len(config.n_values) * len(sweep), dtype=np.int64)
+    for first in range(0, len(pieces), _CHAIN_TRIALS // span):
+        batch = pieces[first:first + _CHAIN_TRIALS // span]  # whole points, or one range
         stats = np.concatenate([
-            _sufficient_stats(samplers, partition, n, mu - base_mean, config.seed, index, trials,
+            _sufficient_stats(samplers, partition, n, mu - base_mean, config.seed, index, block,
                               classic=config.test == TEST_CLASSIC)
-            for index, (n, mu) in enumerate(itertools.product(rows, sweep),
-                                            first * len(sweep))
+            for index, n, mu, block in batch
         ], axis=1)
-        passed = verdict_chain(*stats, config.params).passed
-        counts = np.count_nonzero(passed.reshape(len(rows), len(sweep), trials), axis=2)
-        rates.extend((counts / trials).tolist())
-    return sweep, rates
+        passed = verdict_chain(*stats, config.params).passed.reshape(len(batch), -1)
+        passes[[index for index, *_ in batch]] += np.count_nonzero(passed, axis=1)
+    return sweep, (passes / trials).reshape(len(config.n_values), len(sweep)).tolist()
 
 
 def run_simulation(config: SimConfig) -> list[SuccessCurve]:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import gc
 import io
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import fully_counted_campaign, make_record, source_env, subsample_safe
 import apcval.cli
@@ -567,6 +570,23 @@ class TestSimulateCostOptimize:
         assert code == 0
         assert json.loads(out)["report"] == "cost"
 
+    @pytest.mark.parametrize("command", ["cost", "optimize"])
+    def test_a_partially_labeled_campaign_is_refused(self, capsys, tmp_path, command):
+        # classifying the whole file would price a1, labeled safe, as unsafe
+        path = tmp_path / "c.csv"
+        path.write_text(GOLDEN.replace("0.5,s,false", "0.5,,false"), encoding="utf-8")
+        code, out, err = run(capsys, [command, "--campaign", str(path),
+                                      "--set", "classifier.kind=all_unsafe"])
+        assert (code, out, err) == (1, "", "error: records are unlabeled: a2\n")
+
+    def test_an_empty_campaign_is_costed_as_it_is(self, capsys, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(GOLDEN.splitlines()[0] + "\n", encoding="utf-8")
+        code, out, err = run(capsys, ["cost", "--campaign", str(path)])
+        assert code == 0 and json.loads(out)["per_record"] == []
+        assert err == ("warning: no safe records: stratum cost set to 0\n"
+                       "warning: no unsafe records: stratum cost set to 0\n")
+
     def test_combined_scheme_prices_the_file_labels(self, capsys, tmp_path):
         # the combined classifier would label a2 safe; the file says unsafe
         path = tmp_path / "c.csv"
@@ -657,6 +677,16 @@ class TestSimulateCostOptimize:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("extreme,operation", [
+        (["--pool-s", "1e300,-1e300", "--pool-u", "1e300"], "multiply"),
+        (["--bias-grid", "1e300,0"], "square"),
+    ], ids=["pool", "bias"])
+    def test_an_overflowing_study_is_one_error_line(self, capsys, extreme, operation):
+        code, out, err = run(capsys, ["simulate", "--n-grid", "50", "--trials", "5", *extreme])
+        assert (code, out) == (1, "")
+        assert err == ("error: a result is out of range for these settings "
+                       f"(overflow encountered in {operation})\n")
+
     def test_an_audit_without_a_bias_sweep_is_an_error(self, capsys):
         code, out, err = run(capsys, ["simulate", "--audit", "--n-grid", "100", "--trials", "10"])
         assert code == 1 and out == ""
@@ -697,6 +727,100 @@ def test_unwritable_output_is_an_error(capsys, golden_campaign, tmp_path, argv):
     assert not (tmp_path / "r.json").exists()
 
 
+# --- any command line ---------------------------------------------------------
+#
+# Command lines drawn from the parser itself: a command, some of its options
+# with good values, and at most one fault, a required option left out or an
+# option given a bad value. Paths are written `{campaign}`, `{out}` and so on,
+# and the `argv_paths` files stand behind them.
+
+_NUMBERS = st.lists(st.sampled_from(["0", "0.01", "-0.02", "0.5", "1e-3", "2"]),
+                    min_size=1, max_size=3).map(",".join)
+_BAD_NUMBERS = st.sampled_from(["", "x", "inf", "0,nan", "1e999", "1e300,-1e300"])
+_OPTION_VALUES = {  # dest: (good values, bad values)
+    "config": (st.just("{config}"), st.sampled_from(["{bad_config}", "{missing}/c.txt"])),
+    "overrides": (
+        st.sampled_from(["nu=0.2", "q=0.5", "p_s=0.8", "delta=0.05", "nu_min=0", "seed=4",
+                         "classifier.threshold=3", "costs.scheme=with_first_count"]),
+        st.sampled_from(["nu", "nu=abc", "bogus=1", "q=2", "alpha=-1", "seed=-1", "p_s=nan",
+                         "costs.scheme=x", "classifier.kind=all_safe",
+                         "classifier.target_share=2", "costs.scheme=combined"]),
+    ),
+    "out": (st.just("{out}"), st.just("{missing}/out")),
+    "details": (st.just("{details}"), st.just("{missing}/d.csv")),
+    "seed": (st.integers(0, 50).map(str), st.sampled_from(["-1", "x", "1.5", str(2**64)])),
+    "campaign": (st.sampled_from(["{campaign}", "{unlabeled}", "{empty}"]),
+                 st.just("{missing}/c.csv")),
+    "trials": (st.integers(1, 50).map(str), st.sampled_from(["0", "-2", "x", "1e3"])),
+    "n_grid": (st.lists(st.integers(2, 200).map(str), min_size=1, max_size=3).map(",".join),
+               st.sampled_from(["", "x", "1", "-1", "1.5", "nan", "10**9"])),
+    **{dest: (_NUMBERS, _BAD_NUMBERS) for dest in ("bias_grid", "pool_s", "pool_u")},
+}
+_SUBPARSERS = next(action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    name = draw(st.sampled_from(sorted(_SUBPARSERS)))
+    actions = [action for action in _SUBPARSERS[name]._actions
+               if action.dest != "help" and (action.required or draw(st.booleans()))]
+    faulty = draw(st.sampled_from(actions)) if actions and draw(st.booleans()) else None
+    argv = [name]
+    for action in actions:
+        if action is faulty and action.required and draw(st.booleans()):
+            continue  # left out
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            argv.append(flag)
+            continue
+        good, bad = ((st.sampled_from(action.choices), st.just("bad")) if action.choices
+                     else _OPTION_VALUES[action.dest])
+        for _ in range(draw(st.integers(1, 2))):
+            argv += [flag, draw(bad if action is faulty else good)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory) -> dict[str, Path]:
+    path = tmp_path_factory.mktemp("argv")
+    texts = {"campaign": GOLDEN, "unlabeled": GOLDEN_UNLABELED,
+             "empty": GOLDEN.splitlines()[0] + "\n",
+             "config": "nu = 0.15\nseed = 3\nclassifier.kind = combined\n"
+                       "classifier.threshold = 5\n",
+             "bad_config": "nu = 0.15\nnu = 0.2\n"}
+    for name, text in texts.items():
+        (path / name).write_text(text, encoding="utf-8")
+    return {**{name: path / name for name in texts}, "missing": path / "no_such_dir",
+            "out": path / "out", "details": path / "details"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=command_lines())
+@example(argv=["plan", "--strict"])
+# sums of squares that overflow: one error line, not numpy warnings and a rate
+@example(argv=["simulate", "--n-grid", "50", "--trials", "5", "--pool-s", "1e300,-1e300",
+               "--pool-u", "1e300"])
+@example(argv=["simulate", "--n-grid", "50", "--trials", "5", "--bias-grid", "1e300,0"])
+def test_any_command_line_exits_0_1_or_2(argv_paths, argv):
+    # a failed command writes its error or usage text and nothing else: no
+    # traceback, nothing on stdout and no report file
+    for written in ("out", "details"):
+        argv_paths[written].unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main([a.format(**argv_paths) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if code == 0:
+        assert out.getvalue() or argv_paths["out"].exists()
+        return
+    assert out.getvalue() == "" and not argv_paths["out"].exists()
+    assert err.getvalue().startswith("error: " if code == 1 else "usage: apcval")
+
+
 # --- the paused collector and the shared parser -----------------------------
 
 
@@ -708,7 +832,7 @@ def collector_enabled():
 
 
 def _stub_command(seen: list[bool], raises: bool):
-    def command(args) -> tuple[dict, list[str]]:
+    def command(args, config, records) -> tuple[dict, list[str]]:
         seen.append(gc.isenabled())
         if raises:
             raise RuntimeError("an unexpected failure")
@@ -986,3 +1110,19 @@ def test_only_run_writes_a_report():
     writers = {node.name: writes(node) for node in tree.body
                if isinstance(node, ast.FunctionDef) and writes(node)}
     assert writers == {"_run": {"emit_report", "stdout", "print"}}
+
+
+def test_only_run_reads_a_commands_inputs():
+    # `_run` loads the config and the campaign that `_COMMANDS` declares for a
+    # command, so no handler reads either by itself
+    import apcval.cli
+
+    tree = ast.parse(Path(apcval.cli.__file__).read_text(encoding="utf-8"))
+
+    def names(function: ast.FunctionDef) -> set[str]:
+        used = {node.attr for node in ast.walk(function) if isinstance(node, ast.Attribute)}
+        return used | {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}
+
+    readers = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+               and names(node) & {"load_campaign", "load_config_with_overrides"}}
+    assert readers == {"_run"}

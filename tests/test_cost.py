@@ -226,6 +226,15 @@ class TestBreakdownAndHooks:
         assert breakdown.scheme == SCHEME_NO_FIRST_COUNT
         assert breakdown.cost_params().c_sz == pytest.approx(2.2 * MEAN_SAFE, rel=1e-12)
 
+    @pytest.mark.parametrize("scheme", [NO_FIRST, WITH_FIRST, COMBINED])
+    def test_unlabeled_records_are_refused_by_name(self, scheme):
+        # an unlabeled record belongs to no stratum, so pricing it is an error
+        records = mixed_campaign()
+        records[1] = relabel(records[1], UNLABELED, None)
+        records[3] = relabel(records[3], UNLABELED, None)
+        with pytest.raises(ValueError, match=r"^records are unlabeled: d00001, d00003$"):
+            cost_breakdown(records, RATES, scheme, combined(threshold=5.0))
+
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown cost scheme 'bogus'"):
             cost_breakdown(mixed_campaign(), RATES, "bogus")

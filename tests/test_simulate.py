@@ -69,7 +69,7 @@ def _partitioned_stats(d_s: np.ndarray, d_u: np.ndarray, q0: float,
 
 
 def _trial_stats(model, partition, n, shift, seed, point_index, trials, classic=False):
-    """`_sufficient_stats` computed record by record, one stream per trial.
+    """`_sufficient_stats` computed record by record, one stream per trial of `trials`.
 
     Each trial draws every record with `simulate._draw_strata`, adds the
     bias shift to every value and takes the counted subset from the real
@@ -77,14 +77,14 @@ def _trial_stats(model, partition, n, shift, seed, point_index, trials, classic=
     """
     point = simulate._point_rng(seed, point_index)
     rows = []
-    for trial in range(trials):
+    for trial in trials:
         rng = simulate._trial_rng(point, trial)
         d_s, d_u = simulate._draw_strata(rng, n, partition.p_s, model)
         d_s, d_u = d_s + shift, d_u + shift
         if classic:
             d_s, d_u = d_s[:0], np.concatenate([d_s, d_u])
         rows.append(_partitioned_stats(d_s, d_u, partition.q, rng))
-    return np.array(rows, dtype=float).reshape(trials, 7).T
+    return np.array(rows, dtype=float).reshape(len(trials), 7).T
 
 
 class TestAnalyticSuccess:
@@ -287,7 +287,7 @@ class TestRunSimulation:
             rates.append([])
             for j, mu in enumerate(sweep):
                 stats = _sufficient_stats(samplers, part, n, mu - base, config.seed,
-                                          i * len(sweep) + j, config.trials,
+                                          i * len(sweep) + j, range(config.trials),
                                           classic=test == TEST_CLASSIC)
                 passed = verdict_chain(*stats, params).passed
                 rates[i].append(np.count_nonzero(passed) / config.trials)
@@ -315,11 +315,20 @@ class TestRunSimulation:
                             lambda *stats: chained.append(stats[0].size) or verdicts(*stats))
         sweep, one_chain = simulate._pass_rates(config)
         assert chained == [600] and len({rate for row in one_chain for rate in row}) > 1
-        for limit, calls in ((240, [240, 240, 120]), (239, [120] * 5), (1, [120] * 5)):
+        for limit, calls in ((240, [240, 240, 120]), (239, [200] * 3), (25, [25, 15] * 15),
+                             (1, [1] * 600)):
             chained.clear()
             monkeypatch.setattr(simulate, "_CHAIN_TRIALS", limit)
             assert simulate._pass_rates(config) == (sweep, one_chain)
             assert chained == calls
+
+    @pytest.mark.parametrize("test", [TEST_CLASSIC, TEST_PARTITIONED])
+    def test_an_overflowing_study_raises(self, test):
+        # the squares of an extreme pool overflow: an error, not a warning and a rate
+        model = ResamplingErrors(pool_s=(1e300, -1e300), pool_u=(1e300,))
+        config = SimConfig(model, PARAMS, PartitionParams(), n_values=(50,), trials=5, test=test)
+        with pytest.raises(FloatingPointError, match="^overflow encountered in multiply$"):
+            run_simulation(config)
 
     def test_partitioned_full_quota_equals_classic_when_failing_is_structural(self):
         # at n=80 the clamped halfwidth exceeds the margin: both tests fail
@@ -370,7 +379,7 @@ class TestRunSimulation:
         engines = {"run_simulation": captured}
         for engine in (_trial_stats, _sufficient):
             engines[engine.__name__] = [
-                engine(model, part, n, 0.0, seed, 0, trials, classic=classic)
+                engine(model, part, n, 0.0, seed, 0, range(trials), classic=classic)
                 for classic in (True, False)
             ]
         for name, (classic, partitioned) in engines.items():
@@ -448,20 +457,25 @@ class TestSufficientStatisticEngine:
         model = ENGINE_MODELS[model_name]
         part = PartitionParams(p_s=p_s, nu_s_ratio=0.5, q=q)
         for classic in (False, True):
-            oracle = _engine_summary(_trial_stats(model, part, n, 0.003, 51, 0, 400, classic))
-            drawn = _engine_summary(_sufficient(model, part, n, 0.003, 52, 0, 1200, classic))
+            oracle = _engine_summary(_trial_stats(model, part, n, 0.003, 51, 0, range(400),
+                                                  classic))
+            drawn = _engine_summary(_sufficient(model, part, n, 0.003, 52, 0, range(1200),
+                                                classic))
             off = [k for k in oracle if not _within_4_se(oracle[k], drawn[k])]
             assert off == [], f"classic={classic}: {off} disagree"
 
     @pytest.mark.parametrize("classic", [False, True])
     def test_a_trial_reproduces_in_a_longer_run(self, classic):
-        # each trial draws from its own stream, so a run is a prefix of any longer one
+        # each trial draws from its own stream, so a run is a prefix of any longer
+        # one, and trial t of a range of trials is trial t of the whole run
         model = ENGINE_MODELS["criterion_8_pool"]
         part = PartitionParams(p_s=0.9, nu_s_ratio=0.5, q=0.35)
         for engine in (_sufficient, _trial_stats):
-            short = engine(model, part, 50, 0.0, 8, 3, 40, classic)
-            longer = engine(model, part, 50, 0.0, 8, 3, 97, classic)
+            short = engine(model, part, 50, 0.0, 8, 3, range(40), classic)
+            longer = engine(model, part, 50, 0.0, 8, 3, range(97), classic)
+            rest = engine(model, part, 50, 0.0, 8, 3, range(40, 97), classic)
             np.testing.assert_array_equal(short, longer[:, :40], err_msg=engine.__name__)
+            np.testing.assert_array_equal(rest, longer[:, 40:], err_msg=engine.__name__)
             assert not np.array_equal(longer[:, :40], longer[:, 40:80], equal_nan=True)
 
     @pytest.mark.parametrize("model_name", ["normal", "criterion_8_pool", "many_value_pools"])
@@ -472,9 +486,9 @@ class TestSufficientStatisticEngine:
         model = ENGINE_MODELS[model_name]
         part = PartitionParams(p_s=0.7, nu_s_ratio=1.0, q=1.0)
         n, trials = 300, 2000
-        classic = _sufficient(model, part, n, 0.0, 2024, 0, trials, classic=True)
+        classic = _sufficient(model, part, n, 0.0, 2024, 0, range(trials), classic=True)
         n_s, n_u, _, d_bar_s, d_bar_u, nu_hat_s, nu_hat_u = _sufficient(
-            model, part, n, 0.0, 2024, 0, trials
+            model, part, n, 0.0, 2024, 0, range(trials)
         )
         assert np.all(classic[0] == 0) and np.all(classic[1] == n)
         mean = (n_s * d_bar_s + n_u * d_bar_u) / n
@@ -533,12 +547,12 @@ class TestTrialStreams:
         model = ENGINE_MODELS["criterion_8_pool"]
         part = PartitionParams(p_s=0.9, nu_s_ratio=0.5, q=0.35)
         trials = 60
-        forward = {e: e(model, part, 50, 0.0, 8, 3, trials, classic)
+        forward = {e: e(model, part, 50, 0.0, 8, 3, range(trials), classic)
                    for e in (_sufficient, _trial_stats)}
         monkeypatch.setattr(simulate, "_trial_rng",
                             lambda point, trial: _trial_rng(point, trials - 1 - trial))
         for engine, rows in forward.items():
-            reverse = engine(model, part, 50, 0.0, 8, 3, trials, classic)
+            reverse = engine(model, part, 50, 0.0, 8, 3, range(trials), classic)
             np.testing.assert_array_equal(reverse[:, ::-1], rows, err_msg=engine.__name__)
 
     def test_one_stream_per_trial_and_one_key_per_grid_point(self, monkeypatch):
@@ -761,7 +775,7 @@ class TestBiasEstimates:
     def test_estimates_are_the_oracles_point_estimates(self, model_name, p_s, q, n, trials, seed):
         # the oracle's deviations do not enter the point estimate
         model, part = BIAS_MODELS[model_name], PartitionParams(p_s=p_s, nu_s_ratio=0.5, q=q)
-        oracle = _trial_stats(model, part, n, 0.0, seed, 0, trials)
+        oracle = _trial_stats(model, part, n, 0.0, seed, 0, range(trials))
         assert (verdict_chain(*oracle, TestParams()).d_hat.tobytes()
                 == bias_estimates(model, part, n, trials, seed).tobytes())
 
