@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 from .domain import SAFE, UNSAFE, DopRecord, _id_list, relabel
@@ -28,23 +29,28 @@ KIND_CONFIDENCE_ONLY = "confidence_only"
 KIND_CONFIDENCE_WITH_COUNT = "confidence_with_count"
 KIND_COMBINED = "combined"
 
-KINDS = (
-    KIND_ALL_SAFE,
-    KIND_ALL_UNSAFE,
-    KIND_RULE_OF_THUMB,
-    KIND_FIRST_COUNT,
-    KIND_CONFIDENCE_ONLY,
-    KIND_CONFIDENCE_WITH_COUNT,
-    KIND_COMBINED,
-)
-# combined is scored as the rule of thumb, which is its first stage
-_SCORED_KINDS = (
-    KIND_RULE_OF_THUMB,
-    KIND_FIRST_COUNT,
-    KIND_CONFIDENCE_ONLY,
-    KIND_CONFIDENCE_WITH_COUNT,
-    KIND_COMBINED,
-)
+
+def _rule_of_thumb(r: DopRecord) -> tuple[float, float]:
+    if r.duration_s <= 0.0:
+        return (math.inf, 0.0)
+    return ((r.k_auto if r.m1 is None else r.m1) / (r.duration_s / 60.0), 0.0)
+
+
+# Each scored kind: the fields its score needs, their name in the error text, and the
+# (primary, tiebreak) unsafety score of a record that has them. combined is scored as
+# the rule of thumb, which is its first stage.
+_SCORES = {
+    KIND_RULE_OF_THUMB: ((), "", _rule_of_thumb),
+    KIND_FIRST_COUNT: (
+        ("m1",), "first manual count", lambda r: (float(abs(r.k_auto - r.m1)), 0.0)),
+    KIND_CONFIDENCE_ONLY: (
+        ("alg_confidence",), "alg_confidence", lambda r: (1.0 - r.alg_confidence, 0.0)),
+    KIND_CONFIDENCE_WITH_COUNT: (
+        ("alg_count", "alg_confidence"), "alg_count and alg_confidence",
+        lambda r: (float(abs(r.k_auto - r.alg_count)), 1.0 - r.alg_confidence)),
+    KIND_COMBINED: ((), "", _rule_of_thumb),
+}
+KINDS = (KIND_ALL_SAFE, KIND_ALL_UNSAFE, *_SCORES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,7 +72,7 @@ class ClassifierSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown classifier kind {self.kind!r}")
-        scored = self.kind in _SCORED_KINDS
+        scored = self.kind in _SCORES
         given = (self.threshold is not None) + (self.target_share is not None)
         if scored and given != 1:
             raise ValueError(
@@ -78,27 +84,6 @@ class ClassifierSpec:
             raise ValueError(f"classifier.threshold must be finite, got {self.threshold}")
         if self.target_share is not None and not 0.0 <= self.target_share <= 1.0:
             raise ValueError(f"target_share must be in [0, 1], got {self.target_share}")
-
-
-def _unsafety_score(record: DopRecord, spec: ClassifierSpec) -> tuple[float, float]:
-    """(primary, tiebreak) unsafety score; raises on missing inputs."""
-    r = record
-    if spec.kind in (KIND_RULE_OF_THUMB, KIND_COMBINED):
-        count = r.k_auto if r.m1 is None else r.m1
-        if r.duration_s <= 0.0:
-            return (math.inf, 0.0)
-        return (count / (r.duration_s / 60.0), 0.0)
-    if spec.kind == KIND_FIRST_COUNT:
-        if r.m1 is None:
-            raise ValueError(f"{r.dop_id}: first manual count required for {spec.kind}")
-        return (float(abs(r.k_auto - r.m1)), 0.0)
-    if spec.kind == KIND_CONFIDENCE_ONLY:
-        if r.alg_confidence is None:
-            raise ValueError(f"{r.dop_id}: alg_confidence required for {spec.kind}")
-        return (1.0 - r.alg_confidence, 0.0)
-    if r.alg_count is None or r.alg_confidence is None:
-        raise ValueError(f"{r.dop_id}: alg_count and alg_confidence required for {spec.kind}")
-    return (float(abs(r.k_auto - r.alg_count)), 1.0 - r.alg_confidence)
 
 
 def classify(records: list[DopRecord], spec: ClassifierSpec) -> list[DopRecord]:
@@ -139,7 +124,11 @@ def _safe_flags(records: list[DopRecord], spec: ClassifierSpec) -> list[bool]:
     """Whether the classifier, for combined its first stage, marks each record safe."""
     if spec.kind in (KIND_ALL_SAFE, KIND_ALL_UNSAFE):
         return [spec.kind == KIND_ALL_SAFE] * len(records)
-    scores = [_unsafety_score(r, spec) for r in records]
+    needs, name, score = _SCORES[spec.kind]
+    if any(None in map(attrgetter(field), records) for field in needs):
+        r = next(r for r in records if None in [getattr(r, field) for field in needs])
+        raise ValueError(f"{r.dop_id}: {name} required for {spec.kind}")
+    scores = list(map(score, records))
     if spec.threshold is not None:
         return [s[0] <= spec.threshold for s in scores]
     n = len(records)

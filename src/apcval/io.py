@@ -189,7 +189,8 @@ def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecor
     records = list(map(tuple.__new__, repeat(DopRecord), zip(*map(values.get, DopRecord._fields))))
     violations = campaign_violations(records)
     if strict and violations:
-        raise CampaignError("validation failed:\n" + "\n".join(violations))
+        more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
+        raise CampaignError(f"validation failed: {violations[0]}{more}")
     return records, violations
 
 
@@ -245,30 +246,22 @@ class ConfigError(ValueError):
     """Raised for unknown keys or invalid values in a configuration."""
 
 
-def _parse_config_text(text: str, source: str) -> dict[str, str]:
-    raw: dict[str, str] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{source}:{line_no}: expected 'key = value', got {line!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{source}:{line_no}: unknown key {key!r}")
-        if key in raw:
-            raise ConfigError(f"{source}:{line_no}: duplicate key {key!r}")
-        raw[key] = value.strip()
-    return raw
+def _pair(text: str, where: str) -> tuple[str, str]:
+    """The key and value of a `key = value` file line or `--set` item, checking the key.
+
+    `where` prefixes an error: `"<file>:<line>: "` or `"--set: "`.
+    """
+    key, eq, value = text.partition("=")
+    key = key.strip()
+    if not eq:
+        raise ConfigError(f"{where}expected 'key = value', got {text!r}")
+    if key not in _CONFIG_KEYS:
+        raise ConfigError(f"{where}unknown key {key!r}")
+    return key, value.strip()
 
 
 def config_from_raw(raw: dict[str, str]) -> Config:
-    """Build and validate a Config from raw string key-values."""
-    unknown = [k for k in raw if k not in _CONFIG_KEYS]
-    if unknown:
-        raise ConfigError(f"unknown keys: {', '.join(sorted(unknown))}")
-
+    """Build and validate a Config from raw string values of config keys."""
     def number(key: str) -> float:
         try:
             return float(raw[key])
@@ -319,28 +312,13 @@ def config_from_raw(raw: dict[str, str]) -> Config:
     )
 
 
-def merge_overrides(raw: dict[str, str], overrides: list[str]) -> dict[str, str]:
-    """Apply `key=value` override strings on top of raw config pairs.
-
-    The classifier's threshold and target share exclude each other, so an
-    override of either one drops both from `raw`.
-    """
-    given: dict[str, str] = {}
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override must be key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown override key {key!r}")
-        given[key] = value.strip()
-    rules = ("classifier.threshold", "classifier.target_share")
-    if not given.keys().isdisjoint(rules):
-        raw = {key: value for key, value in raw.items() if key not in rules}
-    return {**raw, **given}
-
-
 def load_config_with_overrides(path: str | Path | None, overrides: list[str]) -> Config:
+    """The config file's pairs, then the `--set` items, as a validated Config.
+
+    On a file line `#` starts a comment, and a key may appear once. The last
+    `--set` item for a key wins. The classifier's threshold and target share
+    exclude each other, so an item for either one drops both of the file's.
+    """
     raw: dict[str, str] = {}
     if path is not None:
         p = Path(path)
@@ -348,8 +326,18 @@ def load_config_with_overrides(path: str | Path | None, overrides: list[str]) ->
             text = p.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {p}: {exc}") from exc
-        raw = _parse_config_text(text, str(p))
-    return config_from_raw(merge_overrides(raw, overrides))
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            line = line.partition("#")[0]
+            if line.strip():
+                key, value = _pair(line, f"{p}:{line_no}: ")
+                if key in raw:
+                    raise ConfigError(f"{p}:{line_no}: duplicate key {key!r}")
+                raw[key] = value
+    given = dict(_pair(item, "--set: ") for item in overrides)
+    rules = ("classifier.threshold", "classifier.target_share")
+    if not given.keys().isdisjoint(rules):
+        raw = {key: value for key, value in raw.items() if key not in rules}
+    return config_from_raw({**raw, **given})
 
 
 # --- report emission --------------------------------------------------------

@@ -145,10 +145,17 @@ class TestClassify:
         assert classify([without_m1], spec)[0].label == UNSAFE
 
     def test_missing_required_field(self):
-        with pytest.raises(ValueError, match="alg_confidence"):
-            classify([DopRecord(dop_id="a", k_auto=1)], ClassifierSpec(kind=KIND_CONFIDENCE_ONLY, threshold=0.5))
-        with pytest.raises(ValueError, match="^a: first manual count required for first_count$"):
-            classify([DopRecord(dop_id="a", k_auto=1)], ClassifierSpec(kind=KIND_FIRST_COUNT, threshold=0))
+        records = [DopRecord(dop_id="a", k_auto=1, m1=1, alg_count=1, alg_confidence=0.5),
+                   DopRecord(dop_id="b", k_auto=1, alg_count=1),
+                   DopRecord(dop_id="c", k_auto=1)]
+        for kind, message in (
+            (KIND_FIRST_COUNT, "b: first manual count required for first_count"),
+            (KIND_CONFIDENCE_ONLY, "b: alg_confidence required for confidence_only"),
+            (KIND_CONFIDENCE_WITH_COUNT,
+             "b: alg_count and alg_confidence required for confidence_with_count"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                classify(records, ClassifierSpec(kind=kind, threshold=0.5))
 
     def test_empty_campaign(self):
         for spec in (ClassifierSpec(kind=KIND_ALL_SAFE),

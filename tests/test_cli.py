@@ -85,6 +85,21 @@ class TestPlan:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("item, message", [
+        ("nu", "expected 'key = value', got 'nu'"),
+        ("volume=11", "unknown key 'volume'"),
+    ])
+    def test_a_bad_set_item_is_one_error_line(self, capsys, item, message):
+        assert run(capsys, ["plan", "--set", item]) == (1, "", f"error: --set: {message}\n")
+
+    def test_the_readme_example_config_plans_the_reference_numbers(self, capsys, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        path = tmp_path / "readme.cfg"
+        path.write_text(readme.split("```ini\n")[1].split("```")[0], encoding="utf-8")
+        code, out, err = run(capsys, ["plan", "--config", str(path)])
+        plan = json.loads(out)
+        assert (code, err, plan["n_e"], plan["n_rec"]) == (0, "", 3458, 5256)
+
     def test_substituted_nu_is_one_warning_line(self, capsys):
         code, out, err = run(capsys, ["plan", "--set", "nu=0.01"])
         note = "planning nu=0.01 below nu_min=0.03: substituted nu_min"
@@ -240,7 +255,7 @@ class TestEvaluate:
         assert err == "".join(f"warning: {m}\n" for m in messages)
         code, out, err = run(capsys, [*argv, "--strict"])
         assert code == 1 and out == ""
-        assert err == "error: validation failed:\n" + "\n".join(messages) + "\n"
+        assert err == f"error: validation failed: {messages[0]} (and 1 more)\n"
 
     def test_full_quota_matches_classic_mode(self, capsys, tmp_path):
         rng = np.random.default_rng(12)
@@ -1126,3 +1141,13 @@ def test_only_run_reads_a_commands_inputs():
     readers = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
                and names(node) & {"load_campaign", "load_config_with_overrides"}}
     assert readers == {"_run"}
+
+
+def test_only_pair_checks_a_config_key():
+    # file lines and `--set` items meet one key check, so `config_from_raw`
+    # sees only config keys
+    tree = ast.parse(Path(aio.__file__).read_text(encoding="utf-8"))
+    checkers = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                and any(isinstance(name, ast.Name) and name.id == "_CONFIG_KEYS"
+                        for name in ast.walk(node))}
+    assert checkers == {"_pair"}

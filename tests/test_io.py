@@ -5,7 +5,6 @@ import json
 import math
 import re
 import tempfile
-import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import every_field_set, fully_counted_campaign, loadable_campaigns, make_record
 from test_domain import reference_validate_record
 import apcval.io as aio
-from apcval.classify import KIND_FIRST_COUNT, KINDS
+from apcval.classify import KIND_FIRST_COUNT, KINDS, ClassifierSpec
 from apcval.cost import SCHEME_NO_FIRST_COUNT, SCHEMES, cost_breakdown
 from apcval.domain import (
     SAFE,
@@ -281,10 +280,8 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("gamma = 0.1\n", encoding="utf-8")
-        with pytest.raises(aio.ConfigError, match="unknown key 'gamma'"):
+        with pytest.raises(aio.ConfigError, match=f"^{re.escape(str(path))}:1: unknown key 'gamma'$"):
             aio.load_config_with_overrides(path, [])
-        with pytest.raises(aio.ConfigError, match="^unknown keys: gamma, zeta$"):
-            aio.config_from_raw({"zeta": "1", "nu": "0.2", "gamma": "0.1"})
 
     def test_invalid_value_rejected(self):
         with pytest.raises(aio.ConfigError):
@@ -300,38 +297,53 @@ class TestConfig:
         with pytest.raises(aio.ConfigError, match="classifier.kind"):
             aio.config_from_raw({"classifier.threshold": "1"})
 
-    def test_overrides_win(self):
-        raw = {"nu": "0.2"}
-        merged = aio.merge_overrides(raw, ["nu=0.15", "seed=7"])
-        config = aio.config_from_raw(merged)
+    def test_overrides_win(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("nu = 0.2\n", encoding="utf-8")
+        config = aio.load_config_with_overrides(path, ["nu=0.15", "seed=7"])
         assert config.params.nu == 0.15
         assert config.seed == 7
+        assert aio.load_config_with_overrides(path, ["nu=0.1", "nu = 0.15"]).params.nu == 0.15
 
     @pytest.mark.parametrize("override, kept", [
-        ("classifier.threshold=5", "classifier.threshold"),
-        ("classifier.target_share=0.5", "classifier.target_share"),
+        ("classifier.threshold=5", "threshold"),
+        ("classifier.target_share=0.5", "target_share"),
     ])
-    def test_an_overridden_rule_drops_the_files_rules(self, override, kept):
-        raw = {"classifier.kind": "rule_of_thumb", "classifier.target_share": "0.9", "nu": "0.2"}
-        assert aio.merge_overrides(raw, [override]) == {
-            "classifier.kind": "rule_of_thumb", "nu": "0.2", kept: override.split("=")[1],
-        }
-        assert raw["classifier.target_share"] == "0.9"  # the file's pairs are not changed
-        assert aio.merge_overrides(raw, ["nu=0.15"])["classifier.target_share"] == "0.9"
+    def test_an_overridden_rule_drops_the_files_rules(self, tmp_path, override, kept):
+        path = tmp_path / "cfg.txt"
+        path.write_text("classifier.kind = rule_of_thumb\nclassifier.target_share = 0.9\n"
+                        "nu = 0.2\n", encoding="utf-8")
+        config = aio.load_config_with_overrides(path, [override])
+        assert config.params.nu == 0.2
+        assert config.classifier == ClassifierSpec(
+            "rule_of_thumb", **{kept: float(override.split("=")[1])})
+        config = aio.load_config_with_overrides(path, ["nu=0.15"])
+        assert config.classifier == ClassifierSpec("rule_of_thumb", target_share=0.9)
 
-    def test_both_rules_overridden_stay_an_error(self):
-        merged = aio.merge_overrides(
-            {"classifier.kind": "first_count", "classifier.threshold": "0"},
-            ["classifier.threshold=1", "classifier.target_share=0.5"],
-        )
+    def test_both_rules_overridden_stay_an_error(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("classifier.kind = first_count\nclassifier.threshold = 0\n",
+                        encoding="utf-8")
         with pytest.raises(aio.ConfigError, match="exactly one of threshold/target_share"):
-            aio.config_from_raw(merged)
+            aio.load_config_with_overrides(
+                path, ["classifier.threshold=1", "classifier.target_share=0.5"])
 
     def test_override_unknown_key(self):
-        with pytest.raises(aio.ConfigError, match="unknown override"):
-            aio.merge_overrides({}, ["volume=11"])
-        with pytest.raises(aio.ConfigError, match="^override must be key=value, got 'nu'$"):
-            aio.merge_overrides({}, ["nu"])
+        with pytest.raises(aio.ConfigError, match="^--set: unknown key 'volume'$"):
+            aio.load_config_with_overrides(None, ["volume=11"])
+        with pytest.raises(aio.ConfigError, match="^--set: expected 'key = value', got 'nu'$"):
+            aio.load_config_with_overrides(None, ["nu"])
+
+    def test_a_comment_may_follow_a_value(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("nu = 0.15   # planning deviation\n  # seed = 3\nseed = 7#\n",
+                        encoding="utf-8")
+        config = aio.load_config_with_overrides(path, [])
+        assert (config.params.nu, config.seed) == (0.15, 7)
+        path.write_text("nu 0.15 # no equals sign\n", encoding="utf-8")
+        message = f"{path}:1: expected 'key = value', got 'nu 0.15 '"
+        with pytest.raises(aio.ConfigError, match=f"^{re.escape(message)}$"):
+            aio.load_config_with_overrides(path, [])
 
     def test_duplicate_key_in_file(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -371,10 +383,13 @@ config_texts = st.lists(_FUZZ_LINES, max_size=8).map("\n".join)
 @settings(max_examples=300, deadline=None)
 @given(text=config_texts)
 def test_any_config_text_loads_or_raises_config_error(text):
-    try:
-        config = aio.config_from_raw(aio._parse_config_text(text, "fuzz.cfg"))
-    except aio.ConfigError:
-        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text(text, encoding="utf-8")
+        try:
+            config = aio.load_config_with_overrides(path, [])
+        except aio.ConfigError:
+            return
     assert isinstance(config, aio.Config)
 
 
@@ -392,9 +407,7 @@ def test_plan_on_any_config_exits_0_or_1(text):
         path.write_text(text, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                code = main(["plan", "--config", str(path)])
+            code = main(["plan", "--config", str(path)])
     assert code in (0, 1)
     if code == 0:
         plan = json.loads(out.getvalue())
@@ -661,9 +674,7 @@ def test_classify_and_evaluate_on_any_campaign_exit_0_or_1(text, command):
             argv += ["--out", str(Path(tmp) / "labeled.csv")]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                code = main(argv)
+            code = main(argv)
     assert code in (0, 1)
     if code == 1:
         assert out.getvalue() == "" and "error: " in err.getvalue()
@@ -778,7 +789,8 @@ def reference_load_campaign(path, strict: bool = False):
         violations.extend(reference_validate_record(record))
 
     if strict and violations:
-        raise aio.CampaignError("validation failed:\n" + "\n".join(violations))
+        more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
+        raise aio.CampaignError(f"validation failed: {violations[0]}{more}")
     return records, violations
 
 
