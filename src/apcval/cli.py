@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import math
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -38,14 +37,8 @@ def _classifier(config: io_mod.Config) -> ClassifierSpec:
 
 def _cost_params(records: list[DopRecord], config: io_mod.Config):
     """Cost breakdown of the file's labels; only a wholly unlabeled campaign is classified."""
-    if config.scheme == cost_mod.SCHEME_COMBINED and _classifier(config).kind != KIND_COMBINED:
-        raise io_mod.ConfigError("costs.scheme=combined needs classifier.kind=combined")
     if records and all(r.label == UNLABELED for r in records):
-        if config.classifier is None:
-            raise io_mod.CampaignError(
-                "campaign has unlabeled records and no classifier is configured"
-            )
-        records = classify(records, config.classifier)
+        records = classify(records, _classifier(config))
     return cost_mod.cost_breakdown(records, config.rates, config.scheme, config.classifier)
 
 
@@ -94,8 +87,6 @@ def cmd_classify(args, config: io_mod.Config, records: list[DopRecord]) -> tuple
 
 def cmd_sample(args, config: io_mod.Config, records: list[DopRecord]) -> tuple[dict, list[str]]:
     safe_ids = [r.dop_id for r in records if r.label == SAFE]
-    if not safe_ids:
-        raise io_mod.CampaignError("campaign has no safe records to sample from")
     mask = draw_sample(safe_ids, config.partition.q, config.seed)
     flags = iter(mask.tolist())  # one flag per safe record, in campaign order
     updated = [relabel(r, r.label, next(flags)) if r.label == SAFE else r for r in records]
@@ -135,37 +126,20 @@ def cmd_evaluate(args, config: io_mod.Config, records: list[DopRecord]) -> tuple
     return report, list(result.warnings)
 
 
-def _number_list(text: str, flag: str, integer: bool = False) -> tuple:
-    try:
-        values = tuple(
-            (int if integer else float)(v) for v in text.split(",") if v.strip() != ""
-        )
-    except ValueError:
-        kind = "integer" if integer else "number"
-        raise io_mod.ConfigError(f"{flag} must be a comma-separated {kind} list") from None
-    if not all(math.isfinite(v) for v in values):
-        raise io_mod.ConfigError(f"{flag} values must be finite, got {text!r}")
-    return values
-
-
 def cmd_simulate(args, config: io_mod.Config, records: None) -> tuple[dict, list[str]]:
     from . import simulate  # imports numpy, which only simulate and sample need
 
-    n_values = _number_list(args.n_grid, "--n-grid", integer=True)
-    bias = _number_list(args.bias_grid, "--bias-grid") if args.bias_grid else None
-    if args.pool_s or args.pool_u:
-        model: simulate.NormalErrors | simulate.ResamplingErrors = simulate.ResamplingErrors(
-            pool_s=_number_list(args.pool_s, "--pool-s") if args.pool_s else (),
-            pool_u=_number_list(args.pool_u, "--pool-u") if args.pool_u else (),
-        )
-    else:
+    model: simulate.NormalErrors | simulate.ResamplingErrors
+    if args.pool_s is None and args.pool_u is None:
         model = simulate.planning_normal_model(config.params.nu, config.partition)
+    else:
+        model = simulate.ResamplingErrors(pool_s=args.pool_s or (), pool_u=args.pool_u or ())
     sim = simulate.SimConfig(
         error_model=model,
         params=config.params,
         partition=config.partition,
-        n_values=n_values,
-        bias_sweep=bias,
+        n_values=args.n_grid,
+        bias_sweep=args.bias_grid,
         trials=args.trials,
         test=args.test,
         seed=config.seed,
@@ -173,7 +147,7 @@ def cmd_simulate(args, config: io_mod.Config, records: None) -> tuple[dict, list
     if args.audit:
         return {"report": "user_risk_audit", "version": io_mod.VERSION,
                 "points": simulate.user_risk_audit(sim), "seed": config.seed,
-                "trials": args.trials, "test": args.test, "bias_sweep": list(bias or ())}, []
+                "trials": args.trials, "test": args.test, "bias_sweep": list(sim.bias_sweep)}, []
     curves = simulate.run_simulation(sim)
     if len(curves) == 1:
         return io_mod.report_to_dict(curves[0]), []
@@ -208,6 +182,15 @@ _COMMANDS = {
 }
 
 
+def _comma_list(convert: Callable[[str], int | float]) -> Callable[[str], tuple]:
+    """An argparse type: the non-empty items of a comma-separated list, each converted."""
+    def parse(text: str) -> tuple:
+        return tuple(convert(item) for item in text.split(",") if item.strip())
+
+    parse.__name__ = f"comma-separated {convert.__name__}"  # for argparse's "invalid … value"
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process; parsing leaves it unchanged."""
@@ -237,11 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.choices["simulate"]
     p.add_argument("--test", choices=(TEST_CLASSIC, TEST_PARTITIONED), default=TEST_CLASSIC)
     p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--n-grid", required=True,
+    p.add_argument("--n-grid", required=True, type=_comma_list(int),
                    help="comma-separated sample sizes, e.g. 500,1000,2000")
-    p.add_argument("--bias-grid", help="comma-separated target mean errors")
-    p.add_argument("--pool-s", help="comma-separated resampling pool (safe stratum)")
-    p.add_argument("--pool-u", help="comma-separated resampling pool (unsafe stratum)")
+    p.add_argument("--bias-grid", type=_comma_list(float),
+                   help="comma-separated target mean errors")
+    p.add_argument("--pool-s", type=_comma_list(float),
+                   help="comma-separated resampling pool (safe stratum)")
+    p.add_argument("--pool-u", type=_comma_list(float),
+                   help="comma-separated resampling pool (unsafe stratum)")
     p.add_argument("--audit", action="store_true",
                    help="report worst-case pass rate per n (user risk audit)")
     return parser

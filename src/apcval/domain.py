@@ -242,6 +242,7 @@ class CostParams:
     c_sz: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         for name in ("c_u", "c_s0", "c_sz"):
             value = getattr(self, name)
             if value < 0.0:

@@ -3,10 +3,9 @@ import ast
 import gc
 import io
 import json
-import re
+import math
 import subprocess
 import sys
-import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -16,23 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fully_counted_campaign, make_record, source_env, subsample_safe
+from golden_cases import (COMBINED, GOLDEN, GOLDEN_CASES, GOLDEN_FILE, GOLDEN_UNLABELED,
+                          golden_output)
 import apcval.cli
 import apcval.io as aio
 from apcval.cli import build_parser, main
 from apcval.domain import SAFE, UNSAFE, TestParams
 from apcval.estimator import evaluate_partitioned
-
-GOLDEN = """dop_id,duration_s,m1,m2,m_sup,m_final,k_auto,alg_count,alg_confidence,label,sampled
-a1,42.15,4,4,,4,4,4,0.97,s,true
-a2,30.0,2,3,3,3,4,3,0.5,s,false
-a3,55.5,7,7,,7,6,,,u,
-"""
-# The golden campaign with `label` and `sampled` blanked.
-GOLDEN_UNLABELED = "\n".join(line.rsplit(",", 2)[0] + ",," if i else line
-                             for i, line in enumerate(GOLDEN.splitlines())) + "\n"
-# At threshold 5 the combined classifier gives the golden campaign's labels:
-# a2 is safe at the first stage, a1 is reclassified safe, a3 stays unsafe.
-_COMBINED = ["--set", "classifier.kind=combined", "--set", "classifier.threshold=5"]
 
 
 def run(capsys, argv) -> tuple[int, str, str]:
@@ -423,9 +412,10 @@ class TestClassifyAndSample:
         records = [make_record(0, 2, 2, UNSAFE)]
         path = tmp_path / "c.csv"
         aio.save_campaign(records, path)
-        code, _, err = run(capsys, ["sample", "--campaign", str(path), "--out", str(tmp_path / "o.csv")])
-        assert code == 1
-        assert "no safe records" in err
+        code, out, err = run(capsys, ["sample", "--campaign", str(path),
+                                      "--out", str(tmp_path / "o.csv")])
+        assert (code, out, err) == (1, "", "error: safe partition is empty\n")
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestSimulateCostOptimize:
@@ -465,12 +455,14 @@ class TestSimulateCostOptimize:
          ("--pool-u", "-inf,0.1")],
     )
     def test_simulate_rejects_non_finite_lists(self, capsys, flag, value):
+        # the list parses; the study's own check names the field and the value
         argv = ["simulate", "--n-grid", "50", "--trials", "10", flag, value]
         if flag == "--bias-grid":
             argv.append("--audit")
         code, out, err = run(capsys, argv)
-        assert code == 1 and out == ""
-        assert f"error: {flag} values must be finite" in err
+        field = {"--pool-s": "pool_s", "--pool-u": "pool_u", "--bias-grid": "bias_sweep"}[flag]
+        bad = next(float(v) for v in value.split(",") if not math.isfinite(float(v)))
+        assert (code, out, err) == (1, "", f"error: {field} values must be finite, got {bad}\n")
 
     @pytest.mark.parametrize(
         "flag,value,other",
@@ -489,9 +481,19 @@ class TestSimulateCostOptimize:
 
     @pytest.mark.parametrize("audit", [[], ["--audit"]])
     def test_simulate_refuses_an_empty_bias_grid(self, capsys, audit):
-        code, out, err = run(capsys, ["simulate", "--n-grid", "100", "--bias-grid", ",", *audit])
-        assert code == 1 and out == ""
-        assert err == "error: bias_sweep must hold at least one value, or be None\n"
+        for value in (",", ""):  # a given list without an item is not an absent one
+            code, out, err = run(capsys, ["simulate", "--n-grid", "100", "--bias-grid", value,
+                                          *audit])
+            assert code == 1 and out == ""
+            assert err == "error: bias_sweep must hold at least one value, or be None\n"
+
+    @pytest.mark.parametrize("flag", ["--pool-s", "--pool-u"])
+    def test_simulate_refuses_an_empty_pool(self, capsys, flag):
+        # a given pool selects the resampling model, whose own check refuses it empty
+        for value in (",", ""):
+            code, out, err = run(capsys, ["simulate", "--n-grid", "100", flag, value])
+            assert (code, out, err) == (
+                1, "", "error: resampling model needs a nonempty safe pool\n")
 
     @pytest.mark.parametrize("audit", [[], ["--audit"]])
     def test_simulate_refuses_an_empty_n_grid(self, capsys, audit):
@@ -501,9 +503,14 @@ class TestSimulateCostOptimize:
 
     @pytest.mark.parametrize("value", ["1.5", "abc", "nan"])
     def test_simulate_n_grid_must_be_integers(self, capsys, value):
-        code, out, err = run(capsys, ["simulate", "--n-grid", f"100,{value}", "--trials", "10"])
-        assert code == 1 and out == ""
-        assert err == "error: --n-grid must be a comma-separated integer list\n"
+        # a usage error: the parser converts the list
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n-grid", f"100,{value}", "--trials", "10"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith("usage: apcval simulate ")
+        assert err.endswith("apcval simulate: error: argument --n-grid: "
+                            f"invalid comma-separated int value: '100,{value}'\n")
 
     def test_simulate_audit(self, capsys):
         code, out, _ = run(
@@ -575,8 +582,8 @@ class TestSimulateCostOptimize:
         records = [make_record(i, 3, 3 + (i % 2), "unlabeled") for i in range(20)]
         path = tmp_path / "c.csv"
         aio.save_campaign(records, path)
-        code, _, err = run(capsys, ["cost", "--campaign", str(path)])
-        assert code == 1 and "no classifier" in err
+        code, out, err = run(capsys, ["cost", "--campaign", str(path)])
+        assert (code, out, err) == (1, "", "error: classifier.kind is not configured\n")
         code, out, _ = run(
             capsys,
             ["cost", "--campaign", str(path),
@@ -607,7 +614,7 @@ class TestSimulateCostOptimize:
         path = tmp_path / "c.csv"
         path.write_text(GOLDEN.replace("0.5,s,false", "0.5,u,"), encoding="utf-8")
         code, out, err = run(capsys, ["cost", "--campaign", str(path),
-                                      "--set", "costs.scheme=combined", *_COMBINED])
+                                      "--set", "costs.scheme=combined", *COMBINED])
         assert (code, err) == (0, "")
         payload = json.loads(out)
         c = dict(payload["per_record"])
@@ -644,7 +651,7 @@ class TestSimulateCostOptimize:
              "--set", "classifier.kind=first_count", "--set", "classifier.threshold=0"],
         )
         assert code == 1 and out == ""
-        assert err == "error: costs.scheme=combined needs classifier.kind=combined\n"
+        assert err == "error: combined scheme needs a combined classifier\n"
 
     @pytest.mark.parametrize("column,cell", [("duration_s", "nan"), ("duration_s", "inf"),
                                              ("alg_confidence", "-inf")])
@@ -673,6 +680,16 @@ class TestSimulateCostOptimize:
             assert code == 1 and stdout == ""
             assert err == f"error: report value {key} is not finite: inf\n"
         assert not out_path.exists()
+
+    def test_optimize_refuses_a_non_finite_cost_parameter(self, capsys, tmp_path):
+        # an infinite per-record cost times a sunk share of 0 makes c_s0 NaN,
+        # which the plan's CostParams refuses before any report is built
+        header, safe, _, unsafe = GOLDEN.splitlines()
+        path = tmp_path / "c.csv"
+        path.write_text("\n".join([header, safe.replace("42.15", "1e308"), unsafe]) + "\n")
+        code, out, err = run(capsys, ["optimize", "--campaign", str(path),
+                                      "--set", "costs.c_labor=1e300"])
+        assert (code, out, err) == (1, "", "error: c_s0 must be finite, got nan\n")
 
     def test_negative_seed_flag_is_a_config_error(self, capsys):
         code, out, err = run(capsys, ["plan", "--seed", "-3"])
@@ -729,7 +746,7 @@ class TestSimulateCostOptimize:
      ["evaluate", "--campaign", "{campaign}", "--details", "{missing}/d.csv"],
      ["evaluate", "--campaign", "{campaign}", "--out", "{tmp}/r.json",
       "--details", "{missing}/d.csv"],
-     ["classify", "--campaign", "{campaign}", "--out", "{missing}/x.csv", *_COMBINED]],
+     ["classify", "--campaign", "{campaign}", "--out", "{missing}/x.csv", *COMBINED]],
 )
 def test_unwritable_output_is_an_error(capsys, golden_campaign, tmp_path, argv):
     # a command that ends in an error writes only its error line: no report
@@ -940,119 +957,22 @@ def test_the_shared_parser_keeps_no_state_between_calls(capsys):
 
 # --- golden bytes -------------------------------------------------------------
 #
-# Each case runs one command on the golden campaign; `{campaign}`, `{details}`
-# and `{out}` stand for the campaign file, a details CSV path and an --out path,
-# and `{unlabeled}` for the golden campaign without labels.
-# The expected exit code, stdout (without the `created` line and with the --out
-# path written `{out}`), stderr and details CSV of every case, and the --out
-# file (without `created`) of every case that names one, are in cli_golden.json. Regenerate that
-# file, after checking that a change to the outputs is intended, with
-#   PYTHONPATH=src:tests python -c "import test_cli; test_cli.write_golden()"
-GOLDEN_CASES = {
-    "plan": ["plan"],
-    "evaluate_auto": ["evaluate", "--campaign", "{campaign}", "--details", "{details}"],
-    "evaluate_auto_csv": ["evaluate", "--campaign", "{campaign}", "--format", "csv",
-                          "--details", "{details}"],
-    "evaluate_classic": ["evaluate", "--campaign", "{campaign}", "--mode", "classic",
-                         "--details", "{details}"],
-    "cost_no_first_count": ["cost", "--campaign", "{campaign}"],
-    "cost_with_first_count": ["cost", "--campaign", "{campaign}",
-                              "--set", "costs.scheme=with_first_count"],
-    "cost_combined": ["cost", "--campaign", "{campaign}", "--set", "costs.scheme=combined",
-                      *_COMBINED],
-    "optimize_no_first_count": ["optimize", "--campaign", "{campaign}"],
-    "optimize_with_first_count": ["optimize", "--campaign", "{campaign}",
-                                  "--set", "costs.scheme=with_first_count"],
-    "optimize_combined": ["optimize", "--campaign", "{campaign}",
-                          "--set", "costs.scheme=combined", *_COMBINED],
-    "cost_combined_unlabeled": ["cost", "--campaign", "{unlabeled}",
-                                "--set", "costs.scheme=combined", *_COMBINED],
-    "optimize_combined_unlabeled": ["optimize", "--campaign", "{unlabeled}",
-                                    "--set", "costs.scheme=combined", *_COMBINED],
-}
-# classify runs every kind in both formats. The confidence kinds end in an
-# error at a3, which carries no algorithm output.
-_CLASSIFY_RULES = {
-    "all_safe": [],
-    "all_unsafe": [],
-    "rule_of_thumb": ["--set", "classifier.threshold=5"],
-    "first_count": ["--set", "classifier.threshold=0"],
-    "confidence_only": ["--set", "classifier.threshold=0.1"],
-    "confidence_with_count": ["--set", "classifier.target_share=0.5"],
-    "combined": ["--set", "classifier.threshold=5"],
-}
-GOLDEN_CASES.update({
-    f"classify_{kind}{suffix}": ["classify", "--campaign", "{campaign}", "--out", "{out}",
-                                 "--set", f"classifier.kind={kind}", *rule, *fmt]
-    for kind, rule in _CLASSIFY_RULES.items()
-    for suffix, fmt in (("", []), ("_csv", ["--format", "csv"]))
-})
-GOLDEN_CASES.update({
-    "classify_rule_of_thumb_share": ["classify", "--campaign", "{campaign}", "--out", "{out}",
-                                     "--set", "classifier.kind=rule_of_thumb",
-                                     "--set", "classifier.target_share=0.5"],
-    "classify_combined_share": ["classify", "--campaign", "{campaign}", "--out", "{out}",
-                                "--set", "classifier.kind=combined",
-                                "--set", "classifier.target_share=0.5"],
-    "classify_no_out": ["classify", "--campaign", "{campaign}", *_COMBINED],
-    "classify_no_kind": ["classify", "--campaign", "{campaign}", "--out", "{out}"],
-    "sample": ["sample", "--campaign", "{campaign}", "--out", "{out}"],
-    "sample_csv": ["sample", "--campaign", "{campaign}", "--out", "{out}",
-                   "--set", "q=0.5", "--seed", "7", "--format", "csv"],
-})
-# reports written to --out, and simulate's curves and audit, whose pass
-# rates lie strictly between 0 and 1 and so pin the draws as well
-GOLDEN_CASES.update({
-    "plan_out": ["plan", "--out", "{out}"],
-    "evaluate_out": ["evaluate", "--campaign", "{campaign}", "--out", "{out}",
-                     "--details", "{details}"],
-    "simulate_n_grid": ["simulate", "--n-grid", "60,120", "--trials", "50",
-                        "--set", "delta=0.08"],
-    "simulate_bias_grid_csv": ["simulate", "--n-grid", "60", "--bias-grid", "-0.02,0.02",
-                               "--trials", "50", "--format", "csv", "--set", "delta=0.08"],
-    "simulate_audit": ["simulate", "--audit", "--n-grid", "60,120", "--bias-grid", "0.08,-0.08",
-                       "--trials", "50", "--set", "delta=0.08", "--pool-s", "-0.05,0.05",
-                       "--pool-u", "-0.2,0,0.2"],
-})
-GOLDEN_FILE = Path(__file__).with_name("cli_golden.json")
-_CREATED = re.compile(r'^(  "created": .*|created,.*)\n', re.MULTILINE)
-
-
-def golden_output(case: str, workdir: Path) -> dict:
-    """Exit code, stdout without `created`, stderr, details CSV and --out file of one case."""
-    campaign = workdir / "campaign.csv"
-    campaign.write_text(GOLDEN, encoding="utf-8")
-    unlabeled = workdir / "unlabeled.csv"
-    unlabeled.write_text(GOLDEN_UNLABELED, encoding="utf-8")
-    details = workdir / f"{case}.details.csv"
-    out_file = workdir / f"{case}.out.csv"
-    argv = [a.format(campaign=campaign, unlabeled=unlabeled, details=details, out=out_file)
-            for a in GOLDEN_CASES[case]]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    result = {
-        "code": code,
-        "stdout": _CREATED.sub("", out.getvalue()).replace(str(out_file), "{out}"),
-        "stderr": err.getvalue(),
-        "details": details.read_text(encoding="utf-8") if details.exists() else None,
-    }
-    if "{out}" in GOLDEN_CASES[case]:
-        result["out"] = (_CREATED.sub("", out_file.read_text(encoding="utf-8"))
-                         if out_file.exists() else None)
-    return result
-
-
-def write_golden() -> None:
-    with tempfile.TemporaryDirectory() as tmp:
-        outputs = {case: golden_output(case, Path(tmp)) for case in GOLDEN_CASES}
-    GOLDEN_FILE.write_text(json.dumps(outputs, indent=1) + "\n", encoding="utf-8")
+# The cases, and how to regenerate cli_golden.json, are in golden_cases.py.
 
 
 @pytest.mark.parametrize("case", GOLDEN_CASES)
 def test_output_matches_the_golden_bytes(tmp_path, case):
     expected = json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))[case]
     assert golden_output(case, tmp_path) == expected
+
+
+def test_the_numpy_free_cases_replay_without_numpy():
+    # the replay script runs on any supported interpreter; here it runs on this one
+    script = Path(__file__).with_name("replay_golden.py")
+    proc = subprocess.run([sys.executable, str(script)], env=source_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith(": 37 replayed, 0 differ, 6 skipped for numpy\n")
 
 
 # --- cold start ---------------------------------------------------------------
@@ -1064,9 +984,9 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
 """
 _COLD_CASES = {
     "plan": (["plan"], False),
-    "classify": (["classify", "--campaign", "{campaign}", "--out", "{out}", *_COMBINED], False),
+    "classify": (["classify", "--campaign", "{campaign}", "--out", "{out}", *COMBINED], False),
     "cost": (["cost", "--campaign", "{campaign}", "--set", "costs.scheme=combined",
-              *_COMBINED], False),
+              *COMBINED], False),
     "optimize": (["optimize", "--campaign", "{campaign}"], False),
     "evaluate": (["evaluate", "--campaign", "{campaign}", "--details", "{out}"], False),
     "sample": (["sample", "--campaign", "{campaign}", "--out", "{out}"], True),
@@ -1141,6 +1061,15 @@ def test_only_run_reads_a_commands_inputs():
     readers = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
                and names(node) & {"load_campaign", "load_config_with_overrides"}}
     assert readers == {"_run"}
+
+
+def test_only_classifier_and_run_raise():
+    # a command states no rule of its own: each library call checks its inputs
+    # and raises, and `cli` raises only for a missing classifier and a missing --out
+    tree = ast.parse(Path(apcval.cli.__file__).read_text(encoding="utf-8"))
+    raisers = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+               and any(isinstance(child, ast.Raise) for child in ast.walk(node))}
+    assert raisers == {"_classifier", "_run"}
 
 
 def test_only_pair_checks_a_config_key():

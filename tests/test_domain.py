@@ -323,6 +323,14 @@ class TestParamContainers:
         with pytest.raises(ValueError):
             CostParams(c_u=-1.0, c_s0=0.0, c_sz=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["c_u", "c_s0", "c_sz"])
+    def test_cost_params_finite(self, field, value):
+        # as its sibling containers: a NaN passes every ">= 0" check and an
+        # infinite cost would make the quota optimum meaningless
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            CostParams(**{"c_u": 1.0, "c_s0": 0.0, "c_sz": 1.0, field: value})
+
     def test_cost_rates_defaults(self):
         r = CostRates()
         assert (r.r_av, r.c_labor, r.r_s) == (0.7, 20.0, 1.2)

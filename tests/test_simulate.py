@@ -860,3 +860,47 @@ def test_study_tables_are_pinned(study, model_name, test, p_s, q, n_values, swee
         table = [value for p in points for value in (p.pass_rate, p.worst_mu)]
     assert all(0.0 < p.pass_rate < 1.0 for p in points)
     assert hashlib.sha256(np.array(table).tobytes()).hexdigest() == digest
+
+
+# User risk at mu = +delta when the classifier does its job: the strata's
+# mean errors differ (the audit shifts both by one amount, to the overall
+# mean +delta, and keeps the gap). The pooled variance's between-strata term is estimated
+# from the same stratum means as d_hat, so the interval narrows exactly when
+# d_hat falls short of the true bias. Each model: (errors, partition, the
+# between-strata share of the estimator's variance).
+GAP_PARAMS = TestParams(alpha=0.05, delta=0.05)
+_REFERENCE_DEVIATIONS = planning_normal_model(0.15, PartitionParams())
+GAP_MODELS = {
+    "probe_gap": (NormalErrors(mu_s=0.0, nu_s=0.0, mu_u=0.222, nu_u=0.409),
+                  PartitionParams(p_s=0.775, q=0.175), 0.19),
+    "reference_gap": (NormalErrors(mu_s=0.0, nu_s=_REFERENCE_DEVIATIONS.nu_s, mu_u=0.1,
+                                   nu_u=_REFERENCE_DEVIATIONS.nu_u),
+                      PartitionParams(), 0.026),
+    "no_gap": (NormalErrors(mu_s=0.05, nu_s=0.0, mu_u=0.05, nu_u=0.453),
+               PartitionParams(p_s=0.775, q=0.175), 0.0),
+}
+# (model, nu_min, n) whose pass rate exceeds alpha/2 + 4 mc_se: findings
+# against the nu_min guarantee, which the README states
+GAP_AUDIT_FLAGGED = {("probe_gap", 0.0, 100), ("probe_gap", 0.0, 500),
+                     ("probe_gap", 0.0, 2000), ("probe_gap", 0.03, 100)}
+# the 18 pass rates in GAP_MODELS order, nu_min 0 then 0.03, n ascending
+GAP_AUDIT_DIGEST = "c052d5be6692b1ffbd791f39a9e9dfde715493ad9050c5fd2ef4a756dc7ff49a"
+
+
+def test_user_risk_audit_with_a_between_strata_gap():
+    table, flagged = [], set()
+    for name, (model, partition, share) in GAP_MODELS.items():
+        p_s, p_u, q = partition.p_s, partition.p_u, partition.q
+        between = p_s * p_u * (model.mu_u - model.mu_s) ** 2
+        total = p_s * model.nu_s**2 / q + p_u * model.nu_u**2 + between
+        assert between / total == pytest.approx(share, abs=0.005)
+        for nu_min in (0.0, 0.03):
+            config = SimConfig(model, replace(GAP_PARAMS, nu_min=nu_min), partition,
+                               n_values=(100, 500, 2000), bias_sweep=(GAP_PARAMS.delta,),
+                               trials=20_000, test=TEST_PARTITIONED, seed=3)
+            for point in user_risk_audit(config):
+                table.append(point.pass_rate)
+                if point.pass_rate > GAP_PARAMS.alpha / 2 + 4 * point.mc_se:
+                    flagged.add((name, nu_min, point.n))
+    assert flagged == GAP_AUDIT_FLAGGED
+    assert hashlib.sha256(np.array(table).tobytes()).hexdigest() == GAP_AUDIT_DIGEST
