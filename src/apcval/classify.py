@@ -159,10 +159,10 @@ def draw_sample(safe_ids: Sequence, q0: float, seed: int) -> np.ndarray:
     are ranked canonically, so input order does not matter); independent
     of all count fields by construction.
     """
-    import numpy as np
     n = len(safe_ids)
     if n == 0:
         raise ValueError("safe partition is empty")
+    import numpy as np
     rank_mask = _sample_mask(n, q0, np.random.default_rng(seed))
     order = np.argsort(np.asarray(safe_ids), kind="stable")
     mask = np.zeros(n, dtype=bool)

@@ -30,7 +30,7 @@ FAIL = "fail"
 
 @dataclass(frozen=True, slots=True)
 class EvaluationReport:
-    """Outcome of one equivalence test run.
+    """Outcome of one equivalence test run; `verdict_chain` decided its verdict.
 
     `nu_hat` is the pooled relative standard deviation actually used in the
     interval (floors applied); the raw stratum values sit in `stats`. The
@@ -52,13 +52,6 @@ class EvaluationReport:
     stats: PartitionStats = field(kw_only=True)
     warnings: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not self.ci_low <= self.d_hat <= self.ci_high:
-            raise ValueError("confidence interval does not contain the point estimate")
-        expected = equivalence_verdict((self.ci_low, self.ci_high), self.delta)
-        if self.verdict != expected:
-            raise ValueError(f"verdict {self.verdict!r} inconsistent with interval")
-
 
 class Verdicts(NamedTuple):
     """Output of `verdict_chain`: scalars or arrays, like its inputs."""
@@ -72,21 +65,14 @@ class Verdicts(NamedTuple):
     clamped_u: bool
 
 
-def _fmean(values: list[float]) -> float:
-    return math.fsum(values) / len(values)
-
-
-def _fstd(values: list[float], mean: float) -> float:
-    """Empirical standard deviation with the n-1 denominator."""
-    return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1))
-
-
 def _moments(diffs: list[float]) -> tuple[float | None, float | None]:
-    """(mean, deviation) of one stratum; None where undefined."""
+    """(mean, deviation with the n-1 denominator) of one stratum; None where undefined."""
     if not diffs:
         return None, None
-    mean = _fmean(diffs)
-    return mean, _fstd(diffs, mean) if len(diffs) >= 2 else None
+    mean = math.fsum(diffs) / len(diffs)
+    if len(diffs) < 2:
+        return mean, None
+    return mean, math.sqrt(math.fsum((v - mean) ** 2 for v in diffs) / (len(diffs) - 1))
 
 
 def _split(records: list[DopRecord]) -> tuple[list[DopRecord], list[DopRecord], list[DopRecord]]:
@@ -215,29 +201,6 @@ def equivalence_verdict(ci: tuple[float, float], delta: float) -> str:
     return PASS if _inside(*ci, delta) else FAIL
 
 
-def _report(
-    stats: PartitionStats,
-    params: TestParams,
-    warnings: list[str],
-    q_planned: float | None = None,
-) -> EvaluationReport:
-    v = verdict_chain(*_chain_inputs(stats), params)
-    return EvaluationReport(
-        d_hat=float(v.d_hat),
-        nu_hat=float(v.nu_hat),
-        n=stats.n,
-        ci_low=float(v.ci_low),
-        ci_high=float(v.ci_high),
-        delta=params.delta,
-        verdict=PASS if v.passed else FAIL,
-        stats=stats,
-        clamped_s=bool(v.clamped_s),
-        clamped_u=bool(v.clamped_u),
-        q_planned=q_planned,
-        warnings=tuple(warnings),
-    )
-
-
 def _evaluate(
     unsafe: list[DopRecord],
     counted: list[DopRecord],
@@ -250,12 +213,15 @@ def _evaluate(
 
     The classic test passes every record as unsafe and an empty safe stratum.
     The mean count weighs each record as `record_rows` states, so it
-    estimates the full campaign's.
+    estimates the full campaign's. `verdict_chain` alone decides the verdict;
+    an interval that overflows is an `OverflowError`, never a report.
     """
     missing = [r.dop_id for r in unsafe + counted if r.m_final is None]
     if missing:
         raise ValueError(f"records lack ground truth: {_id_list(missing)}")
     n = n_s + len(unsafe)
+    if n == 0:
+        raise ValueError("no records to evaluate")
     q_effective = len(counted) / n_s if n_s else 1.0
     total = math.fsum(r.m_final for r in unsafe) + (
         math.fsum(r.m_final for r in counted) / q_effective
@@ -276,7 +242,23 @@ def _evaluate(
         nu_hat_u=sigma_u,
         m_hat_q=m_hat,
     )
-    return _report(stats, params, warnings, q_planned)
+    v = verdict_chain(*_chain_inputs(stats), params)
+    if not (math.isfinite(v.ci_low) and math.isfinite(v.ci_high)):
+        raise OverflowError(f"the evaluation is not finite: d_hat {v.d_hat}, nu_hat {v.nu_hat}")
+    return EvaluationReport(
+        d_hat=v.d_hat,
+        nu_hat=v.nu_hat,
+        n=n,
+        ci_low=v.ci_low,
+        ci_high=v.ci_high,
+        delta=params.delta,
+        verdict=PASS if v.passed else FAIL,
+        stats=stats,
+        clamped_s=v.clamped_s,
+        clamped_u=v.clamped_u,
+        q_planned=q_planned,
+        warnings=tuple(warnings),
+    )
 
 
 def evaluate_classic(records: list[DopRecord], params: TestParams) -> EvaluationReport:
@@ -286,8 +268,6 @@ def evaluate_classic(records: list[DopRecord], params: TestParams) -> Evaluation
     ground truth. In the report's stats the whole campaign occupies the
     unsafe slot (fully counted, quota 1).
     """
-    if not records:
-        raise ValueError("no records to evaluate")
     warnings = []
     if len(records) < 2:
         warnings.append(
@@ -309,8 +289,6 @@ def evaluate_partitioned(
     record. The realized quota is derived from the data; `q_planned` is
     carried into the report for audit only.
     """
-    if not records:
-        raise ValueError("no records to evaluate")
     unsafe, sampled, safe = _split(records)
     if safe and not sampled:
         raise ValueError("safe partition is nonempty but no record was sampled")

@@ -25,13 +25,21 @@ a3,55.5,7,7,,7,6,,,u,
 # The golden campaign with `label` and `sampled` blanked.
 GOLDEN_UNLABELED = "\n".join(line.rsplit(",", 2)[0] + ",," if i else line
                              for i, line in enumerate(GOLDEN.splitlines())) + "\n"
+# Two counted safe records off by 1e160 passengers: the interval overflows.
+OVERFLOW = f"""{GOLDEN.splitlines()[0]}
+b1,30.0,1,1,,1,{10**160},,,s,true
+b2,30.0,1,1,,1,{10**160},,,s,true
+b3,30.0,1,1,,1,1,,,u,
+b4,30.0,1,1,,1,1,,,u,
+"""
 # At threshold 5 the combined classifier gives the golden campaign's labels:
 # a2 is safe at the first stage, a1 is reclassified safe, a3 stays unsafe.
 COMBINED = ["--set", "classifier.kind=combined", "--set", "classifier.threshold=5"]
 
 # Each case runs one command on the golden campaign; `{campaign}`, `{details}`
 # and `{out}` stand for the campaign file, a details CSV path and an --out path,
-# and `{unlabeled}` for the golden campaign without labels.
+# `{unlabeled}` for the golden campaign without labels and `{overflow}` for
+# `OVERFLOW`.
 # The expected exit code, stdout (without the `created` line and with the --out
 # path written `{out}`), stderr and details CSV of every case, and the --out
 # file (without `created`) of every case that names one, are in cli_golden.json. Regenerate that
@@ -114,6 +122,7 @@ GOLDEN_CASES.update({
     "optimize_combined_first_count": ["optimize", "--campaign", "{campaign}",
                                       "--set", "costs.scheme=combined", *_FIRST_COUNT],
     "sample_no_safe": ["sample", "--campaign", "{unlabeled}", "--out", "{out}"],
+    "evaluate_not_finite": ["evaluate", "--campaign", "{overflow}", "--details", "{details}"],
 })
 GOLDEN_FILE = Path(__file__).with_name("cli_golden.json")
 _CREATED = re.compile(r'^(  "created": .*|created,.*)\n', re.MULTILINE)
@@ -125,9 +134,12 @@ def golden_output(case: str, workdir: Path) -> dict:
     campaign.write_text(GOLDEN, encoding="utf-8")
     unlabeled = workdir / "unlabeled.csv"
     unlabeled.write_text(GOLDEN_UNLABELED, encoding="utf-8")
+    overflow = workdir / "overflow.csv"
+    overflow.write_text(OVERFLOW, encoding="utf-8")
     details = workdir / f"{case}.details.csv"
     out_file = workdir / f"{case}.out.csv"
-    argv = [a.format(campaign=campaign, unlabeled=unlabeled, details=details, out=out_file)
+    argv = [a.format(campaign=campaign, unlabeled=unlabeled, overflow=overflow, details=details,
+                     out=out_file)
             for a in GOLDEN_CASES[case]]
     out, err = io.StringIO(), io.StringIO()
     # argparse wraps its usage text to the terminal, which COLUMNS fixes

@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fully_counted_campaign, make_record, source_env, subsample_safe
+from conftest import (OVERFLOWING_CAMPAIGNS, fully_counted_campaign, make_record, source_env,
+                      subsample_safe)
 from golden_cases import (COMBINED, GOLDEN, GOLDEN_CASES, GOLDEN_FILE, GOLDEN_UNLABELED,
                           golden_output)
 import apcval.cli
@@ -220,6 +222,18 @@ class TestEvaluate:
         code, out, _ = run(capsys, ["evaluate", "--campaign", str(path)])
         assert code == 0
         assert json.loads(out)["verdict"] == "fail"
+
+    @pytest.mark.parametrize("mode", OVERFLOWING_CAMPAIGNS)
+    def test_an_interval_that_overflows_is_one_error_line(self, capsys, tmp_path, mode):
+        records, numbers = OVERFLOWING_CAMPAIGNS[mode]
+        path, details, report = tmp_path / "c.csv", tmp_path / "d.csv", tmp_path / "r.json"
+        aio.save_campaign(records, path)
+        argv = ["evaluate", "--campaign", str(path), "--mode", mode, "--details", str(details)]
+        for out in ([], ["--out", str(report)]):
+            assert run(capsys, [*argv, *out]) == (1, "", (
+                "error: a result is out of range for these settings "
+                f"(the evaluation is not finite: {numbers})\n"))
+        assert not details.exists() and not report.exists()
 
     def test_strict_mode_rejects_violations(self, capsys, tmp_path):
         path = tmp_path / "c.csv"
@@ -972,7 +986,29 @@ def test_the_numpy_free_cases_replay_without_numpy():
     proc = subprocess.run([sys.executable, str(script)], env=source_env(),
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.endswith(": 37 replayed, 0 differ, 6 skipped for numpy\n")
+    assert proc.stdout.endswith(": 39 replayed, 0 differ, 5 skipped for numpy\n")
+
+
+def test_the_readme_command_lines_exit_0(tmp_path, monkeypatch):
+    # the `sh` block under "## Command line", each line in order and without
+    # `apcval`, on the README's config and a seeded, wholly unlabeled campaign
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n")[1].split("```sh\n")[1].split("```")[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    (tmp_path / "config.txt").write_text(readme.split("```ini\n")[1].split("```")[0],
+                                         encoding="utf-8")
+    rng = np.random.default_rng(27)
+    counts = rng.poisson(3.0, 400) + 1
+    offsets = rng.choice([-1, 0, 0, 0, 0, 0, 1], 400)  # first_count marks these unsafe
+    aio.save_campaign([make_record(i, int(m), int(m + e), "unlabeled")
+                       for i, (m, e) in enumerate(zip(counts, offsets))], tmp_path / "c.csv")
+    monkeypatch.chdir(tmp_path)
+    assert {argv[0] for argv in lines} == {"apcval"}
+    codes = [(argv[1], main(argv[1:])) for argv in lines]
+    assert codes == [(command, 0) for command in
+                     ("plan", "classify", "sample", "evaluate", "cost", "optimize", "simulate")]
+    stats = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["stats"]
+    assert stats["n_s"] > 0 and stats["n_u"] > 0
 
 
 # --- cold start ---------------------------------------------------------------
@@ -1045,6 +1081,22 @@ def test_only_run_writes_a_report():
     writers = {node.name: writes(node) for node in tree.body
                if isinstance(node, ast.FunctionDef) and writes(node)}
     assert writers == {"_run": {"emit_report", "stdout", "print"}}
+
+
+def test_only_verdict_chain_decides_a_verdict():
+    # a report carries the verdict of `verdict_chain`; `equivalence_verdict`
+    # stays public, but nothing in the package decides a verdict again
+    import apcval
+
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(apcval.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "equivalence_verdict" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None))
+    ]
+    assert calls == []
 
 
 def test_only_run_reads_a_commands_inputs():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fully_counted_campaign, make_record, subsample_safe
+from conftest import OVERFLOWING_CAMPAIGNS, fully_counted_campaign, make_record, subsample_safe
 from apcval.domain import SAFE, UNSAFE, DopRecord, PartitionStats, TestParams
 from apcval.estimator import (
     FAIL,
@@ -459,17 +459,13 @@ class TestEvaluatePartitioned:
         assert report.n == 50
         assert report.stats.n == report.stats.n_s + report.stats.n_u
 
-    def test_a_report_refuses_a_point_estimate_outside_its_interval(self):
-        report = evaluate_partitioned(three_record_campaign(), TestParams())
-        with pytest.raises(ValueError,
-                           match="^confidence interval does not contain the point estimate$"):
-            replace(report, d_hat=report.ci_high + 0.01)
-
-    def test_a_report_refuses_a_verdict_its_interval_does_not_give(self):
-        report = evaluate_partitioned(three_record_campaign(), TestParams())
-        other = FAIL if report.verdict == PASS else PASS
-        with pytest.raises(ValueError, match=f"^verdict '{other}' inconsistent with interval$"):
-            replace(report, verdict=other)
+    @pytest.mark.parametrize("mode", OVERFLOWING_CAMPAIGNS)
+    def test_an_interval_that_overflows_is_an_overflow_error(self, mode):
+        records, numbers = OVERFLOWING_CAMPAIGNS[mode]
+        evaluate = {"classic": evaluate_classic, "partitioned": evaluate_partitioned}[mode]
+        with pytest.raises(OverflowError) as exc:
+            evaluate(records, TestParams())
+        assert str(exc.value) == f"the evaluation is not finite: {numbers}"
 
 
 class TestRecordRows:

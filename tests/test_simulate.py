@@ -1,18 +1,21 @@
 import hashlib
 import itertools
 import math
+import statistics
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from test_acceptance import MOMENT_SETTINGS
 from apcval import simulate
 from apcval.classify import _sample_mask
 from apcval.cli import main
 from apcval.domain import PartitionParams, TestParams
 from apcval.estimator import verdict_chain
 from apcval.normal import norm_ppf
+from apcval.planner import counted_count
 from apcval.simulate import (
     NormalErrors,
     ResamplingErrors,
@@ -818,6 +821,88 @@ class TestBiasEstimates:
         part = PartitionParams(p_s=0.5, nu_s_ratio=0.5, q=1.0)
         estimates = bias_estimates(model, part, n=200, trials=500, seed=1)
         assert abs(estimates.mean()) < 0.01
+
+
+# --- exact moments of `bias_estimates` ----------------------------------------
+
+
+def _value_moments(model, safe: bool) -> tuple[float, float]:
+    """Mean and variance of one drawn value of a stratum; a pool's variance is ddof 0."""
+    if isinstance(model, NormalErrors):
+        mu, nu = (model.mu_s, model.nu_s) if safe else (model.mu_u, model.nu_u)
+        return mu, nu * nu
+    pool = model.pool_s if safe else model.pool_u
+    return (statistics.fmean(pool), statistics.pvariance(pool)) if pool else (0.0, 0.0)
+
+
+def _binomial_terms(n: int, p: float) -> list[tuple[int, float]]:
+    """(k, P[K = k]) of K ~ Bin(n, p), without the terms below 1e-18."""
+    if p in (0.0, 1.0):
+        return [(round(p * n), 1.0)]
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    terms = ((k, math.exp(log_n - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                          + k * log_p + (n - k) * log_q)) for k in range(n + 1))
+    return [(k, w) for k, w in terms if w >= 1e-18]
+
+
+def exact_moments(model, partition: PartitionParams, n: int) -> tuple[float, float]:
+    """The exact mean and variance of `bias_estimates(model, partition, n, ...)`.
+
+    Given the safe count n_s ~ Bin(n, p_s), the estimate is
+    (n_s * d_bar_s + n_u * d_bar_u) / n, where d_bar_s averages the
+    m = counted_count(q, n_s) counted safe values and d_bar_u the n_u unsafe
+    ones; an empty stratum weighs 0. The conditional means and variances are
+    summed over n_s by the law of total variance.
+    """
+    mean_s, var_s = _value_moments(model, safe=True)
+    mean_u, var_u = _value_moments(model, safe=False)
+    terms = []
+    for n_s, weight in _binomial_terms(n, partition.p_s):
+        n_u = n - n_s
+        var_s_term = (n_s / n) ** 2 * var_s / counted_count(partition.q, n_s) if n_s else 0.0
+        terms.append((weight, (n_s * mean_s + n_u * mean_u) / n, var_s_term + n_u * var_u / n**2))
+    total = math.fsum(w for w, _, _ in terms)  # 1 up to the rounding of lgamma
+    mean = math.fsum(w * m for w, m, _ in terms) / total
+    return mean, math.fsum(w * (v + (m - mean) ** 2) for w, m, v in terms) / total
+
+
+# (exact - closed form) / closed form of the variance at criteria 3/4's
+# settings: below 0, since m = ceil(q * n_s) counts at least q * n_s records,
+# and 0 at q = 1, where m = n_s
+EXACT_VARIANCE_GAPS = {
+    1000: (-0.0024434484, -0.0006256583, -0.0003041277, 0.0, -0.0051167449),
+    10000: (-0.0002411825, -0.0000626992, -0.0000304519, 0.0, -0.0005153144),
+}
+
+
+@pytest.mark.parametrize("n", EXACT_VARIANCE_GAPS)
+def test_exact_moments_against_the_closed_form(n):
+    for setting, gap in zip(MOMENT_SETTINGS, EXACT_VARIANCE_GAPS[n], strict=True):
+        p_s, mu_s, nu_s, mu_u, nu_u, q = setting
+        model = NormalErrors(mu_s=mu_s, nu_s=nu_s, mu_u=mu_u, nu_u=nu_u)
+        mean, var = exact_moments(model, PartitionParams(p_s=p_s, nu_s_ratio=0.5, q=q), n)
+        p_u = 1.0 - p_s
+        closed_form = (p_s * nu_s**2 / q + p_u * nu_u**2 + (mu_s - mu_u) ** 2 * p_s * p_u) / n
+        assert abs(mean - (p_s * mu_s + p_u * mu_u)) <= 1e-12, setting
+        assert (var - closed_form) / closed_form == pytest.approx(gap, abs=1e-9), setting
+
+
+@pytest.mark.parametrize("model_name,p_s,q,n,seed", [
+    ("normal", 0.9, 0.175, 300, 21),
+    ("normal", 0.0, 0.3, 200, 22),
+    ("normal", 1.0, 0.3, 200, 23),
+    ("two_value_pools", 0.5, 0.05, 40, 24),
+    ("many_value_pools", 0.7, 0.2, 150, 25),
+    ("safe_pool_only", 1.0, 0.175, 100, 26),
+])
+def test_bias_estimates_meet_the_exact_moments(model_name, p_s, q, n, seed):
+    trials = 3000
+    model, part = BIAS_MODELS[model_name], PartitionParams(p_s=p_s, nu_s_ratio=0.5, q=q)
+    mean, var = exact_moments(model, part, n)
+    estimates = bias_estimates(model, part, n=n, trials=trials, seed=seed)
+    fourth = float(np.mean((estimates - estimates.mean()) ** 4))
+    assert abs(float(estimates.mean()) - mean) <= 4 * math.sqrt(var / trials)
+    assert abs(float(estimates.var(ddof=1)) - var) <= 4 * math.sqrt((fourth - var**2) / trials)
 
 
 # (study, model, test, p_s, q, n_values, bias_sweep, trials, seed) -> SHA-256
