@@ -1,10 +1,10 @@
 """Core value types shared by every other module.
 
-Every container is immutable and safe to share between concurrent
-workers. The parameter and result containers are frozen dataclasses that
-enforce their invariants at construction time. `DopRecord`, of which a
-campaign holds thousands, is a `NamedTuple`, the cheapest immutable record
-to build; it stays permissive (labels and sampling indicators are legal
+Every container is immutable. Parameter containers are frozen dataclasses
+that check their fields when built; a result is a plain record that the
+one function building it guarantees. `DopRecord`, of which a campaign
+holds thousands, is a `NamedTuple`, the cheapest immutable record to
+build; it stays permissive (labels and sampling indicators are legal
 transient states) and is checked by `validate_record` instead.
 """
 
@@ -274,7 +274,7 @@ class CostRates:
 
 @dataclass(frozen=True, slots=True)
 class PartitionStats:
-    """Aggregates of one evaluated campaign, split by partition.
+    """Aggregates of one campaign by partition, as `estimator._evaluate` builds them.
 
     Stratum statistics are None when the stratum is empty. `nu_hat_s` and
     `nu_hat_u` are the raw empirical standard deviations (None when fewer
@@ -291,17 +291,3 @@ class PartitionStats:
     nu_hat_s: float | None
     nu_hat_u: float | None
     m_hat_q: float
-
-    def __post_init__(self) -> None:
-        if self.n != self.n_s + self.n_u:
-            raise ValueError(f"n={self.n} != n_s+n_u={self.n_s + self.n_u}")
-        if not 0.0 < self.q_effective <= 1.0:
-            raise ValueError(f"q_effective must be in (0, 1], got {self.q_effective}")
-        for name in ("nu_hat_s", "nu_hat_u"):
-            value = getattr(self, name)
-            if value is not None and value < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        if self.n_s > 0 and self.d_bar_s is None:
-            raise ValueError("nonempty safe stratum without d_bar_s")
-        if self.n_u > 0 and self.d_bar_u is None:
-            raise ValueError("nonempty unsafe stratum without d_bar_u")

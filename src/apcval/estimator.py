@@ -72,7 +72,7 @@ def _moments(diffs: list[float]) -> tuple[float | None, float | None]:
     mean = math.fsum(diffs) / len(diffs)
     if len(diffs) < 2:
         return mean, None
-    return mean, math.sqrt(math.fsum((v - mean) ** 2 for v in diffs) / (len(diffs) - 1))
+    return mean, math.sqrt(math.fsum((v - mean) * (v - mean) for v in diffs) / (len(diffs) - 1))
 
 
 def _split(records: list[DopRecord]) -> tuple[list[DopRecord], list[DopRecord], list[DopRecord]]:

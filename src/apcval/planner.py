@@ -18,7 +18,7 @@ from .normal import norm_ppf
 
 @dataclass(frozen=True, slots=True)
 class Plan:
-    """A resolved validation plan.
+    """A resolved validation plan, as `make_plan` builds it.
 
     q_source records how the quota was chosen: 'given' (taken from the
     partition parameters), 'optimized' (cost-optimal closed form) or
@@ -35,14 +35,6 @@ class Plan:
     partition: PartitionParams
     costs: CostParams | None = None
     notes: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.n_rec < self.n_e:
-            raise ValueError("recorded size below classic sample size")
-        if self.buffered_n_rec < self.n_rec:
-            raise ValueError("buffered size below recorded size")
-        if not 0.0 < self.q_planned <= 1.0:
-            raise ValueError(f"q_planned must be in (0, 1], got {self.q_planned}")
 
 
 def _ceil_snapped(x: float) -> int:

@@ -123,6 +123,8 @@ GOLDEN_CASES.update({
                                       "--set", "costs.scheme=combined", *_FIRST_COUNT],
     "sample_no_safe": ["sample", "--campaign", "{unlabeled}", "--out", "{out}"],
     "evaluate_not_finite": ["evaluate", "--campaign", "{overflow}", "--details", "{details}"],
+    "evaluate_not_finite_classic": ["evaluate", "--campaign", "{overflow}", "--mode", "classic",
+                                    "--details", "{details}"],
 })
 GOLDEN_FILE = Path(__file__).with_name("cli_golden.json")
 _CREATED = re.compile(r'^(  "created": .*|created,.*)\n', re.MULTILINE)

@@ -223,9 +223,9 @@ class TestEvaluate:
         assert code == 0
         assert json.loads(out)["verdict"] == "fail"
 
-    @pytest.mark.parametrize("mode", OVERFLOWING_CAMPAIGNS)
-    def test_an_interval_that_overflows_is_one_error_line(self, capsys, tmp_path, mode):
-        records, numbers = OVERFLOWING_CAMPAIGNS[mode]
+    @pytest.mark.parametrize("case", OVERFLOWING_CAMPAIGNS)
+    def test_an_interval_that_overflows_is_one_error_line(self, capsys, tmp_path, case):
+        mode, records, numbers = OVERFLOWING_CAMPAIGNS[case]
         path, details, report = tmp_path / "c.csv", tmp_path / "d.csv", tmp_path / "r.json"
         aio.save_campaign(records, path)
         argv = ["evaluate", "--campaign", str(path), "--mode", mode, "--details", str(details)]
@@ -986,7 +986,7 @@ def test_the_numpy_free_cases_replay_without_numpy():
     proc = subprocess.run([sys.executable, str(script)], env=source_env(),
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.endswith(": 39 replayed, 0 differ, 5 skipped for numpy\n")
+    assert proc.stdout.endswith(": 40 replayed, 0 differ, 5 skipped for numpy\n")
 
 
 def test_the_readme_command_lines_exit_0(tmp_path, monkeypatch):
@@ -1097,6 +1097,23 @@ def test_only_verdict_chain_decides_a_verdict():
                                       getattr(node.func, "attr", None))
     ]
     assert calls == []
+
+
+def test_only_input_containers_check_themselves():
+    # a parameter container checks its fields when built; a result is a plain
+    # record that the one function building it guarantees
+    import apcval
+
+    checked = {
+        node.name
+        for path in Path(apcval.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+                for item in node.body)
+    }
+    assert checked == {"TestParams", "PartitionParams", "CostParams", "CostRates",
+                       "ClassifierSpec", "NormalErrors", "ResamplingErrors", "SimConfig"}
 
 
 def test_only_run_reads_a_commands_inputs():

@@ -16,7 +16,6 @@ from apcval.domain import (
     CostRates,
     DopRecord,
     PartitionParams,
-    PartitionStats,
     TestParams,
     _id_list,
     campaign_violations,
@@ -336,22 +335,6 @@ class TestParamContainers:
         assert (r.r_av, r.c_labor, r.r_s) == (0.7, 20.0, 1.2)
         with pytest.raises(ValueError):
             CostRates(r_av=0.0)
-
-    def test_partition_stats_consistency(self):
-        consistent = dict(n=2, n_s=1, n_u=1, q_effective=1.0, d_bar_s=0.0, d_bar_u=0.0,
-                          nu_hat_s=None, nu_hat_u=None, m_hat_q=1.0)
-        PartitionStats(**consistent)
-        for fields, message in [
-            ({"n": 3}, r"^n=3 != n_s\+n_u=2$"),
-            ({"q_effective": 0.0}, r"^q_effective must be in \(0, 1\], got 0.0$"),
-            ({"q_effective": 1.5}, r"^q_effective must be in \(0, 1\], got 1.5$"),
-            ({"d_bar_s": None}, "^nonempty safe stratum without d_bar_s$"),
-            ({"d_bar_u": None}, "^nonempty unsafe stratum without d_bar_u$"),
-            ({"nu_hat_s": -0.1}, "^nu_hat_s must be >= 0, got -0.1$"),
-            ({"nu_hat_u": -0.1}, "^nu_hat_u must be >= 0, got -0.1$"),
-        ]:
-            with pytest.raises(ValueError, match=message):
-                PartitionStats(**{**consistent, **fields})
 
     def test_records_are_immutable(self):
         r = rec()

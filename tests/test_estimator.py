@@ -1,5 +1,7 @@
+import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -459,9 +461,9 @@ class TestEvaluatePartitioned:
         assert report.n == 50
         assert report.stats.n == report.stats.n_s + report.stats.n_u
 
-    @pytest.mark.parametrize("mode", OVERFLOWING_CAMPAIGNS)
-    def test_an_interval_that_overflows_is_an_overflow_error(self, mode):
-        records, numbers = OVERFLOWING_CAMPAIGNS[mode]
+    @pytest.mark.parametrize("case", OVERFLOWING_CAMPAIGNS)
+    def test_an_interval_that_overflows_is_an_overflow_error(self, case):
+        mode, records, numbers = OVERFLOWING_CAMPAIGNS[case]
         evaluate = {"classic": evaluate_classic, "partitioned": evaluate_partitioned}[mode]
         with pytest.raises(OverflowError) as exc:
             evaluate(records, TestParams())
@@ -531,3 +533,93 @@ class TestRecordRows:
         report = replace(report, stats=replace(report.stats, m_hat_q=0.0))
         with pytest.raises(ValueError, match="^mean count estimate must be > 0, got 0.0$"):
             record_rows(self.RECORDS, report)
+
+
+# --- the exact design-based bias of the live estimator -----------------------
+#
+# Counting m of the n_s safe records, every subset equally likely, makes d_hat
+# the ratio Y_hat / X_hat of the inverse-quota totals of y = k_auto - m_final
+# and of x = m_final. Both totals are unbiased; their ratio is not. With
+# e = (X_hat - X) / X and D = Y / X, exactly
+#   d_hat - D = (Y_hat - D X_hat) / X * (1 - e) + (d_hat - D) * e**2,
+# so the bias is the first-order ratio bias (Cochran, Sampling Techniques,
+# 1977, 6.8) in its stratified inverse-quota form,
+#   B1 = n_s**2 (1 - f) / m * (D S2_x - S_xy) / X**2,   f = m / n_s,
+# plus E[(d_hat - D) e**2]. d_hat is a weighted mean of the records' y / x, so
+# |d_hat - D| <= rho = max |y / x - D|, and the remainder is at most
+#   rho * E[e**2] = rho * n_s**2 (1 - f) / m * S2_x / X**2.
+
+# (m_final, k_auto - m_final) of each safe record, then of each unsafe record;
+# drawn once from a seeded generator and written out
+DESIGN_CAMPAIGNS = {
+    "d_positive": ([(3, 0), (4, 0), (5, -1), (6, -1), (1, 1), (1, 0), (5, 1), (6, 0), (2, 1),
+                    (2, 0), (6, 0), (3, 0)],
+                   [(2, -1), (5, 1), (2, -1), (3, 1)]),
+    "d_zero": ([(6, 0), (2, -1), (1, 0), (2, 0), (3, 0), (5, 0), (3, 1), (1, -1), (3, 0),
+                (4, -1), (5, 0), (5, 0), (6, 1), (2, 1), (6, 0), (1, 0)],
+               [(4, 2), (2, -2), (2, 1), (4, -1)]),
+}
+# m -> (exact bias / B1, exact coverage of D), measured once; the exact bias
+# falls strictly in |.| over `DESIGN_COUNTED` and is 0 at m = n_s
+DESIGN_COUNTED = {"d_positive": range(1, 13), "d_zero": (4, 8, 12, 16)}
+DESIGN_PINS = {
+    "d_positive": {2: (1.2331, Fraction(62, 66)), 5: (1.0603, 1), 8: (1.0177, 1)},
+    "d_zero": {4: (1.1097, Fraction(1800, 1820)), 8: (1.0349, 1), 12: (1.0126, 1)},
+}
+
+
+def design_campaign(name: str) -> list[DopRecord]:
+    safe, unsafe = DESIGN_CAMPAIGNS[name]
+    return [make_record(i, m, m + e, label, sampled=True if label == SAFE else None)
+            for i, ((m, e), label) in enumerate([*((c, SAFE) for c in safe),
+                                                 *((c, UNSAFE) for c in unsafe)])]
+
+
+def exact_design(records: list[DopRecord], m: int) -> tuple[float, float, Fraction]:
+    """(D, exact E[d_hat], exact coverage of D) over all C(n_s, m) counted subsets.
+
+    Each subset runs through `evaluate_partitioned` at nu_min 0; D is the
+    campaign's sum(k_auto - m_final) / sum(m_final).
+    """
+    d = math.fsum(r.k_auto - r.m_final for r in records) / math.fsum(r.m_final for r in records)
+    safe = [i for i, r in enumerate(records) if r.label == SAFE]
+    estimates, covered = [], 0
+    for subset in itertools.combinations(safe, m):
+        counted = set(subset)
+        report = evaluate_partitioned(
+            [r._replace(sampled=i in counted) if r.label == SAFE else r
+             for i, r in enumerate(records)], TestParams(nu_min=0.0))
+        estimates.append(report.d_hat)
+        covered += report.ci_low <= d <= report.ci_high
+    return d, math.fsum(estimates) / len(estimates), Fraction(covered, len(estimates))
+
+
+def first_order_bias(records: list[DopRecord], m: int) -> tuple[float, float]:
+    """(B1, the bound rho * E[e**2] on the remainder) at m counted safe records."""
+    xs = [r.m_final for r in records if r.label == SAFE]
+    ys = [r.k_auto - r.m_final for r in records if r.label == SAFE]
+    n_s, x_bar, y_bar = len(xs), math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    s2_x = math.fsum((x - x_bar) ** 2 for x in xs) / (n_s - 1)
+    s_xy = math.fsum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)) / (n_s - 1)
+    total = math.fsum(r.m_final for r in records)
+    d = math.fsum(r.k_auto - r.m_final for r in records) / total
+    rho = max(abs((r.k_auto - r.m_final) / r.m_final - d) for r in records)
+    scale = n_s**2 * (1 - m / n_s) / m / total**2
+    return scale * (d * s2_x - s_xy), rho * scale * s2_x
+
+
+@pytest.mark.parametrize("name", DESIGN_CAMPAIGNS)
+def test_the_exact_design_bias_of_the_live_estimator(name):
+    records = design_campaign(name)
+    results = {m: exact_design(records, m) for m in DESIGN_COUNTED[name]}
+    d, full, coverage = results[len(DESIGN_CAMPAIGNS[name][0])]
+    assert (d == 0.0) == (name == "d_zero")
+    assert abs(full - d) <= 1e-12 and coverage == 1  # a full count is the ratio of totals
+    biases = [mean - d for _, mean, _ in results.values()]
+    assert all(abs(a) > abs(b) for a, b in zip(biases, biases[1:]))
+    for m, (ratio, coverage) in DESIGN_PINS[name].items():
+        b1, bound = first_order_bias(records, m)
+        _, mean, exact_coverage = results[m]
+        assert abs(mean - d - b1) <= bound
+        assert (mean - d) / b1 == pytest.approx(ratio, abs=5e-5)
+        assert exact_coverage == coverage

@@ -905,6 +905,18 @@ def test_bias_estimates_meet_the_exact_moments(model_name, p_s, q, n, seed):
     assert abs(float(estimates.var(ddof=1)) - var) <= 4 * math.sqrt((fourth - var**2) / trials)
 
 
+@pytest.mark.parametrize("c", [0.01, -0.037, 0.0])
+@pytest.mark.parametrize("p_s", [0.0, 0.9, 1.0])
+def test_bias_estimates_of_a_one_value_pool_are_that_value(p_s, c):
+    # exact variance 0, so every estimate is c up to the rounding of the two
+    # stratum means and their weighted sum: a few ulp of c
+    model, part = ResamplingErrors((c,), (c,)), PartitionParams(p_s=p_s, nu_s_ratio=0.5, q=0.05)
+    mean, var = exact_moments(model, part, 40)  # c and 0, up to rounding
+    assert abs(mean - c) <= 1e-17 and var <= 1e-33
+    estimates = bias_estimates(model, part, n=40, trials=3000, seed=5)
+    assert float(np.max(np.abs(estimates - c))) <= 4 * math.ulp(c)
+
+
 # (study, model, test, p_s, q, n_values, bias_sweep, trials, seed) -> SHA-256
 # of the study's table: the curves' pass rates in order, or each audit
 # point's pass rate and worst bias. Every rate lies strictly between 0 and 1,
