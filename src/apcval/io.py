@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import partial
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from ._version import VERSION
@@ -345,7 +346,7 @@ def load_config_with_overrides(path: str | Path | None, overrides: list[str]) ->
 
 # Result class name -> report name (by name: emitting imports no result's module).
 # A report is its name, the toolkit version and the result's fields in declaration
-# order; `_clean` turns nested dataclasses into dictionaries the same way.
+# order; a nested dataclass is emitted the same way, as the object of its fields.
 _REPORT_NAMES = {
     "EvaluationReport": "evaluation",
     "Plan": "plan",
@@ -354,24 +355,11 @@ _REPORT_NAMES = {
 }
 
 
-def _clean(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    names = getattr(obj, "__dataclass_fields__", None)
-    if names is not None:
-        return {name: _clean(getattr(obj, name)) for name in names}
-    return obj
-
-
 def report_to_dict(report) -> dict:
     """Name, version and top-level fields of a result; dicts pass through.
 
-    Nested values stay as they are; `emit_report` turns dataclasses into
-    dictionaries and floats into 12-digit numbers.
+    Nested values stay as they are; `emit_report` writes dataclasses as
+    objects and floats as 12-digit numbers.
     """
     if isinstance(report, dict):
         return report
@@ -383,17 +371,73 @@ def report_to_dict(report) -> dict:
 
 
 def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
-    """Append the `(key, value)` rows of a cleaned report; a non-finite value is an error."""
+    """Append the `(key, value)` rows of a report read as JSON; a non-finite value is an error."""
+    if isinstance(value, float):
+        value = float(f"{value:.12g}")
     if isinstance(value, dict):
         for k, v in value.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         for i, v in enumerate(value):
             _flatten(f"{prefix}[{i}]", v, rows)
+    elif hasattr(value, "__dataclass_fields__"):
+        _flatten(prefix, {name: getattr(value, name) for name in value.__dataclass_fields__}, rows)
     elif isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"report value {prefix} is not finite: {value}")
     else:
         rows.append((prefix, "" if value is None else str(value)))
+
+
+def _json_scalar(value, floats: dict) -> str | None:
+    """The JSON of a str, number, bool or None, else None; `floats` memoizes floats but 0."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if not isinstance(value, float):
+        return json.dumps(value) if value is None or isinstance(value, int) else None
+    text = floats.get(value)
+    if text is None:
+        rounded = float(f"{value:.12g}")
+        if not math.isfinite(rounded):
+            raise ValueError("Out of range float values are not JSON compliant")
+        text = float.__repr__(rounded)
+        if rounded:  # -0.0 == 0.0 would share a key and lose its sign
+            floats[value] = text
+    return text
+
+
+def _json_table(rows, indent: str, floats: dict) -> list[str] | None:
+    """The items of rows of one width with scalar cells, built by columns; else None."""
+    if not set(map(type, rows)) <= {list, tuple} or len(set(map(len, rows))) != 1:
+        return None
+    try:
+        columns = [list(map(_json_scalar, column, repeat(floats))) for column in zip(*rows)]
+    except ValueError:
+        return None  # walked row by row, the first bad cell in json's order raises
+    if not columns or any(None in column for column in columns):
+        return None
+    row = "[" + ",".join([f"\n{indent}  {{}}"] * len(columns)) + f"\n{indent}]"
+    return list(map(row.format, *columns))
+
+
+def _json_text(value, indent: str, floats: dict) -> str:
+    """The JSON of a payload in one walk (see `emit_report`); `indent` starts its last line."""
+    if (done := _json_scalar(value, floats)) is not None:
+        return done
+    if not isinstance(value, (dict, list, tuple)):
+        if not hasattr(value, "__dataclass_fields__"):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        value = {name: getattr(value, name) for name in value.__dataclass_fields__}
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner, floats)}"
+                 for k, v in value.items()]
+        brackets = "{}"
+    else:
+        items = _json_table(value, inner, floats) or [_json_text(v, inner, floats) for v in value]
+        brackets = "[]"
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def _curves_csv(curves: list[dict]) -> str:
@@ -423,25 +467,26 @@ def save_details(rows, path: str | Path) -> None:
 def emit_report(report, fmt: str = "json", timestamp: bool = True) -> str:
     """Serialize a result with stable field names.
 
-    JSON carries floats at 12 significant digits. CSV emits the success
-    curve table (grid_var, grid_value, pass_rate, mc_se, analytic, n; one
-    header, then the rows of every curve of a `success_curves` report) and
-    a flat key,value table for every other report type. The `created` field
-    is informational and excluded from reproducibility comparisons. A
-    non-finite number is a ValueError that names its key as the flat table
-    does (`per_record[2][1]`).
+    JSON carries floats at 12 significant digits: its bytes are those of
+    `json.dumps(payload, indent=2, allow_nan=False)` with every float so
+    rounded and every nested dataclass made the dict of its fields (keys
+    are strings). CSV emits the success curve table (grid_var, grid_value,
+    pass_rate, mc_se, analytic, n; one header, then the rows of every curve
+    of a `success_curves` report) and a flat key,value table for every
+    other report type. The `created` field is informational and excluded
+    from reproducibility comparisons. A non-finite number is a ValueError
+    that names its key as the flat table does (`per_record[2][1]`).
     """
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
     payload = report_to_dict(report)
     if fmt == "csv" and payload.get("report") in ("success_curve", "success_curves"):
         return _curves_csv(payload.get("curves", [payload]))
-    payload = _clean(payload)
     if timestamp:
-        payload["created"] = datetime.now(timezone.utc).isoformat()
+        payload = {**payload, "created": datetime.now(timezone.utc).isoformat()}
     if fmt == "json":
         try:
-            return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+            return _json_text(payload, "", {}) + "\n"
         except ValueError:
             _flatten("", payload, [])  # raises naming the non-finite value
             raise

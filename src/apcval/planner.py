@@ -74,7 +74,10 @@ def _planning_nu(params: TestParams) -> tuple[float, list[str]]:
 
 def _classic_size(params: TestParams, nu: float) -> int:
     """Classic sample size at the planning deviation `nu` (see `_planning_nu`)."""
-    return max(1, _ceil_snapped((_quantile_sum(params) * nu / params.delta) ** 2))
+    root = _quantile_sum(params) * nu / params.delta
+    if not math.isfinite(root * root):
+        raise ValueError(f"the classic sample size is not finite: delta {params.delta}, nu {nu}")
+    return max(1, _ceil_snapped(root * root))
 
 
 def recorded_size(n_e: int, partition: PartitionParams) -> int:
@@ -100,11 +103,11 @@ def _budget_quota(
         raise ValueError(
             f"recording budget {n_rec} below classic requirement {n_e}: no feasible quota"
         )
-    ps_nus2 = partition.p_s * (partition.nu_s_ratio * nu) ** 2
+    ps_nus2 = partition.p_s * (partition.nu_s_ratio * nu * (partition.nu_s_ratio * nu))
     if ps_nus2 == 0.0:
         return 1.0
-    zsum2 = _quantile_sum(params) ** 2
-    denom = (n_rec * params.delta**2 / zsum2 - nu**2) / ps_nus2 + 1.0
+    zsum = _quantile_sum(params)
+    denom = (n_rec * (params.delta * params.delta) / (zsum * zsum) - nu * nu) / ps_nus2 + 1.0
     q0 = 1.0 / denom
     return min(1.0, max(q0, math.ulp(0.0)))
 
@@ -121,12 +124,13 @@ def optimal_quota(partition: PartitionParams, nu: float, costs: CostParams) -> f
     """
     if costs.c_sz <= 0.0:
         raise ValueError("optimal quota undefined: counting a safe record costs 0")
-    if partition.p_s <= 0.0 or partition.nu_s_ratio <= 0.0 or nu <= 0.0:
-        raise ValueError("optimal quota requires p_s > 0 and nu_s > 0")
-    nu_s2 = (partition.nu_s_ratio * nu) ** 2
+    nu_s2 = partition.nu_s_ratio * nu * (partition.nu_s_ratio * nu)
+    if partition.p_s * nu_s2 <= 0.0 or partition.p_s * costs.c_sz <= 0.0:
+        raise ValueError("optimal quota requires p_s*nu_s^2 > 0 and p_s*c_sz > 0, got p_s "
+                         f"{partition.p_s}, nu_s^2 {nu_s2}, c_sz {costs.c_sz}")
     a = partition.p_u * costs.c_u / (partition.p_s * costs.c_sz) + costs.c_s0 / costs.c_sz
-    b = (nu**2 - partition.p_s * nu_s2) / (partition.p_s * nu_s2)
-    if b <= 0.0:
+    b = (nu * nu - partition.p_s * nu_s2) / (partition.p_s * nu_s2)
+    if not b > 0.0:  # b is inf/inf where nu_s^2 overflows, and tends to -1 there
         return 1.0
     if a == 0.0:
         raise ValueError(

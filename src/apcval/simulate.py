@@ -161,7 +161,7 @@ def planning_normal_model(nu: float, partition: PartitionParams) -> NormalErrors
     nu_s = partition.nu_s_ratio * nu
     p_u = partition.p_u
     if p_u > 0.0:
-        surplus = nu**2 - partition.p_s * nu_s**2
+        surplus = nu * nu - partition.p_s * (nu_s * nu_s)
         if surplus < 0.0:
             raise ValueError("nu_s_ratio too large: composite variance exceeded")
         nu_u = math.sqrt(surplus / p_u)

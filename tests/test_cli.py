@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -90,6 +91,10 @@ class TestPlan:
         code, out, err = run(capsys, ["plan", "--config", str(path)])
         plan = json.loads(out)
         assert (code, err, plan["n_e"], plan["n_rec"]) == (0, "", 3458, 5256)
+
+    def test_a_classic_size_that_is_not_finite_is_one_error_line(self, capsys):
+        assert run(capsys, ["plan", "--set", "delta=1e-300"]) == (
+            1, "", "error: the classic sample size is not finite: delta 1e-300, nu 0.2\n")
 
     def test_substituted_nu_is_one_warning_line(self, capsys):
         code, out, err = run(capsys, ["plan", "--set", "nu=0.01"])
@@ -582,6 +587,17 @@ class TestSimulateCostOptimize:
         )
         code, _, err = run(capsys, ["cost", "--campaign", str(path)])
         assert code == 0 and err == "warning: no unsafe records: stratum cost set to 0\n"
+
+    def test_optimize_with_an_underflowing_safe_variance_is_one_error_line(self, capsys,
+                                                                           tmp_path):
+        # (nu_s_ratio * nu)^2 underflows to 0 although nu_s_ratio > 0
+        path = tmp_path / "c.csv"
+        aio.save_campaign(fully_counted_campaign(np.random.default_rng(8), 200, p_s=0.9), path)
+        code, out, err = run(capsys, ["optimize", "--campaign", str(path),
+                                      "--set", "nu_s_ratio=1e-300"])
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error: optimal quota requires p_s\*nu_s\^2 > 0 and p_s\*c_sz > 0, "
+                            r"got p_s 0\.9, nu_s\^2 0\.0, c_sz [0-9.e-]+\n", err)
 
     def test_repeated_cost_warns_every_time(self, capsys, tmp_path):
         path = tmp_path / "c.csv"

@@ -1,11 +1,13 @@
 import contextlib
+import copy
 import csv
 import io
 import json
 import math
 import re
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import every_field_set, fully_counted_campaign, loadable_campaigns, make_record
+from conftest import (every_field_set, fully_counted_campaign, loadable_campaigns, make_record,
+                      subsample_safe)
 from test_domain import reference_validate_record
 import apcval.io as aio
 from apcval.classify import KIND_FIRST_COUNT, KINDS, ClassifierSpec
@@ -924,3 +927,189 @@ def test_save_campaign_matches_the_attribute_reference(text, extra):
         aio.save_campaign(records, ours)
         reference_save_campaign(records, reference)
         assert ours.read_bytes() == reference.read_bytes()
+
+
+# --- one-walk JSON emitter against `_clean` and `json.dumps` -----------------
+
+
+def reference_clean(obj):
+    """The payload `emit_report` once handed `json.dumps`: floats at 12 digits, dataclasses dicts."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: reference_clean(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_clean(v) for v in obj]
+    names = getattr(obj, "__dataclass_fields__", None)
+    if names is not None:
+        return {name: reference_clean(getattr(obj, name)) for name in names}
+    return obj
+
+
+def reference_flatten(prefix: str, value, rows: list) -> None:
+    """The flat table of a cleaned payload, as `emit_report` once wrote it."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            reference_flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            reference_flatten(f"{prefix}[{i}]", v, rows)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"report value {prefix} is not finite: {value}")
+    else:
+        rows.append((prefix, "" if value is None else str(value)))
+
+
+def reference_emit_report(report, fmt: str) -> str:
+    """`emit_report(report, fmt, timestamp=False)` as `_clean` and `json.dumps` wrote it."""
+    payload = aio.report_to_dict(report)
+    if fmt == "csv" and payload.get("report") in ("success_curve", "success_curves"):
+        return aio.emit_report(report, fmt)  # the curve table is not the emitter's
+    payload = reference_clean(payload)
+    if fmt == "json":
+        try:
+            return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            reference_flatten("", payload, [])
+            raise
+    rows: list = []
+    reference_flatten("", payload, rows)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([["key", "value"], *rows])
+    return buf.getvalue()
+
+
+def _emitted(emit, report, fmt: str):
+    """The text an emitter writes, or the type and text of the error it raises."""
+    try:
+        return emit(report, fmt)
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@dataclass(frozen=True)
+class _Nested:
+    a: object
+    b: object = ()
+
+
+class _Opaque:
+    """An object that json cannot write."""
+
+
+_TEXTS = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", 'say "hi"\\n', "\x00\x1f\t\n\r\x7f", "Zürich", "北京", "😀", " "])
+_SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e22, 0.1 + 0.2, 123456789012.5, np.float64(0.1),
+                   np.float64(-0.0), 1.7976931348623157e308, 2.5, 1234567.0]
+_FLOATS = (st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_SPECIAL_FLOATS)
+           | st.floats(allow_nan=False, allow_infinity=False).map(np.float64))
+_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | _TEXTS
+_BAD = st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan), _Opaque(), 1j])
+
+
+def _tables(cells):
+    """Lists of rows (lists or tuples) of one drawn width, or of any widths."""
+    def rows(width):
+        row = st.lists(cells, min_size=width, max_size=width)
+        return st.lists(row | row.map(tuple), max_size=6)
+
+    return st.integers(min_value=0, max_value=3).flatmap(rows) | st.lists(st.lists(cells), max_size=4)
+
+
+def _payloads(scalars):
+    values = st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXTS, inner, max_size=4),
+        st.builds(_Nested, inner, inner),
+        _tables(scalars),
+        _tables(inner),
+    ), max_leaves=24)
+    return st.dictionaries(_TEXTS, values, max_size=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(payload=_payloads(_SCALARS), fmt=st.sampled_from(["json", "csv"]))
+@example(payload={"z": [0.0, -0.0, [-0.0, 0.0]], "t": [(0.0, "a"), (-0.0, "b"), (-0.0, "a")]},
+         fmt="json")
+@example(payload={"per_record": [["d1", 0.1 + 0.2], ["d2", 2.0], ["d3", 0.1 + 0.2]]}, fmt="json")
+@example(payload={"rows": [[1, None, True, "x", 1.5], [False, 2, None, "y", -0.0]]}, fmt="json")
+@example(payload={"ragged": [[1, 2], [3], []], "empty": [[], []], "e": {}, "l": [], "t": ()},
+         fmt="json")
+def test_emit_report_writes_the_bytes_of_json_dumps(payload, fmt):
+    expected = reference_emit_report(payload, fmt)
+    assert aio.emit_report(payload, fmt, timestamp=False) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_payloads(_SCALARS | _BAD), fmt=st.sampled_from(["json", "csv"]))
+@example(payload={"per_record": [["d0", 1.0], ["d1", 2.0], ["d2", math.nan]]}, fmt="json")
+@example(payload={"t": [[1.0, math.inf], [_Opaque(), 2.0]]}, fmt="json")
+@example(payload={"t": [[1.0, _Opaque()], [math.nan, 2.0]]}, fmt="json")
+def test_emit_report_raises_as_json_dumps(payload, fmt):
+    """A non-finite value names its key, an object json cannot write is a TypeError."""
+    emit = partial(aio.emit_report, timestamp=False)
+    assert _emitted(emit, payload, fmt) == _emitted(reference_emit_report, payload, fmt)
+
+
+def test_emit_report_refuses_what_json_refuses():
+    payload = {"per_record": [["d0", 1.0], ["d1", 2.0], ["d2", -math.inf]]}
+    with pytest.raises(ValueError, match=r"^report value per_record\[2\]\[1\] is not finite: -inf$"):
+        aio.emit_report(payload)
+    with pytest.raises(TypeError, match="^Object of type _Opaque is not JSON serializable$"):
+        aio.emit_report({"per_record": [["d0", 1.0], ["d1", _Opaque()]]})
+    with pytest.raises(TypeError):
+        aio.emit_report({"counts": [np.int64(3)]})
+
+
+def _campaign_files(tmp_path: Path, seed: int, n: int) -> dict[str, Path]:
+    """A raw, a labeled and a sampled campaign of n records, durations drawn."""
+    rng = np.random.default_rng(seed)
+    labeled = [r._replace(duration_s=round(float(rng.uniform(5.0, 90.0)), 1),
+                          alg_confidence=round(float(rng.uniform()), 3))
+               for r in fully_counted_campaign(rng, n)]
+    files = {"labeled": labeled, "sampled": subsample_safe(labeled, rng, 0.3),
+             "raw": [relabel(r, UNLABELED, None) for r in labeled]}
+    for name, records in files.items():
+        aio.save_campaign(records, tmp_path / f"{name}.csv")
+    return {name: tmp_path / f"{name}.csv" for name in files}
+
+
+_RULE = ["--set", "classifier.kind=combined", "--set", "classifier.threshold=5"]
+_EVERY_COMMAND = {
+    "plan": ["plan"],
+    "classify": ["classify", "--campaign", "{raw}", "--out", "{out}", *_RULE],
+    "sample": ["sample", "--campaign", "{labeled}", "--out", "{out}"],
+    "evaluate": ["evaluate", "--campaign", "{sampled}"],
+    "evaluate_classic": ["evaluate", "--campaign", "{sampled}", "--mode", "classic"],
+    **{f"cost_{scheme}": ["cost", "--campaign", "{labeled}", "--set", f"costs.scheme={scheme}",
+                          *_RULE] for scheme in SCHEMES},
+    "cost_raw": ["cost", "--campaign", "{raw}", *_RULE],
+    "optimize": ["optimize", "--campaign", "{labeled}", "--set", "nu_s_ratio=0.35"],
+    "simulate": ["simulate", "--n-grid", "60,120", "--trials", "20"],
+    "simulate_audit": ["simulate", "--audit", "--n-grid", "60", "--bias-grid", "0.08,-0.08",
+                       "--trials", "20", "--pool-s", "-0.05,0.05", "--pool-u", "-0.2,0,0.2"],
+}
+
+
+@pytest.mark.parametrize("seed,n", [(3, 60), (11, 900)])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", sorted(_EVERY_COMMAND))
+def test_every_commands_report_is_emitted_as_json_dumps_wrote_it(
+        command, fmt, seed, n, tmp_path, monkeypatch, capsys):
+    from apcval.cli import main
+
+    files = _campaign_files(tmp_path, seed, n)
+    emit, reports = aio.emit_report, []
+
+    def recording(report, fmt="json", timestamp=True):
+        reports.append((copy.deepcopy(report), report))
+        return emit(report, fmt, timestamp)
+
+    monkeypatch.setattr(aio, "emit_report", recording)
+    argv = [a.format(out=tmp_path / "out.csv", **files) for a in _EVERY_COMMAND[command]]
+    assert main([*argv, "--format", fmt]) == 0
+    capsys.readouterr()
+    (before, report), = reports
+    assert emit(report, fmt, timestamp=False) == reference_emit_report(report, fmt)
+    assert report == before  # the timestamp is added to a copy

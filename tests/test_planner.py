@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +182,26 @@ class TestOptimalQuota:
         # without a variance surplus the full count stays optimal
         assert optimal_quota(PartitionParams(p_s=1.0, nu_s_ratio=1.0, q=0.5), 0.2, free) == 1.0
 
+    @pytest.mark.parametrize("partition,costs,got", [
+        (PartitionParams(nu_s_ratio=1e-300), CostParams(c_u=1.0, c_s0=1.0, c_sz=1.0),
+         "p_s 0.9, nu_s^2 0.0, c_sz 1.0"),
+        (PartitionParams(p_s=1e-300, nu_s_ratio=1.0), CostParams(c_u=1.0, c_s0=0.0, c_sz=1e-300),
+         "p_s 1e-300, nu_s^2 0.0225, c_sz 1e-300"),
+    ], ids=["nu_s2", "p_s_c_sz"])
+    def test_a_product_that_underflows_is_a_named_error(self, partition, costs, got):
+        # each factor is above 0, but the product divided by underflows to 0
+        message = f"optimal quota requires p_s*nu_s^2 > 0 and p_s*c_sz > 0, got {got}"
+        with pytest.raises(ValueError) as excinfo:
+            optimal_quota(partition, 0.15, costs)
+        assert str(excinfo.value) == message
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_plan(TestParams(nu=0.15), partition, costs=costs)
+
+    def test_a_safe_variance_that_overflows_keeps_the_full_count(self):
+        # b = nu^2 / (p_s * nu_s^2) - 1 tends to -1 as nu_s^2 overflows
+        part = PartitionParams(p_s=0.9, nu_s_ratio=1e160, q=0.5)
+        assert optimal_quota(part, 0.15, CostParams(c_u=1.0, c_s0=0.0, c_sz=1.0)) == 1.0
+
     @settings(max_examples=100, deadline=None)
     @given(
         nu=st.floats(min_value=0.08, max_value=0.3),
@@ -287,6 +308,11 @@ class TestBufferAndQuotaRounding:
 
 
 class TestMakePlan:
+    def test_a_classic_size_that_is_not_finite_is_a_named_error(self):
+        with pytest.raises(ValueError) as excinfo:
+            make_plan(TestParams(nu=0.15, delta=1e-300), PartitionParams())
+        assert str(excinfo.value) == "the classic sample size is not finite: delta 1e-300, nu 0.15"
+
     def test_given_quota(self):
         plan = make_plan(TestParams(nu=0.15), PartitionParams(p_s=0.9, nu_s_ratio=0.35, q=0.175))
         assert plan.n_e == 3458

@@ -128,6 +128,11 @@ class TestPlanningNormalModel:
         with pytest.raises(ValueError, match="^nu_s_ratio too large: composite variance exceeded$"):
             planning_normal_model(0.15, PartitionParams(p_s=0.9, nu_s_ratio=1.1, q=0.5))
 
+    def test_a_safe_deviation_whose_square_overflows_is_refused(self):
+        # nu_s * nu_s is inf, so the unsafe stratum's variance is -inf
+        with pytest.raises(ValueError, match="^nu_s_ratio too large: composite variance exceeded$"):
+            planning_normal_model(0.15, PartitionParams(p_s=0.9, nu_s_ratio=1e160, q=0.5))
+
 
 class TestSimConfigValidation:
     def test_bad_trials_and_sizes(self):
