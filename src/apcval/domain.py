@@ -124,15 +124,14 @@ def _keys(columns: dict, names):
     return columns[names] if isinstance(names, str) else zip(*map(columns.get, names))
 
 
-def campaign_violations(records: list[DopRecord]) -> list[str]:
-    """The invariant violations of `records`, by record and then in check order.
+def column_violations(columns: dict) -> list[str]:
+    """The invariant violations of a campaign given by columns, by record and then in check order.
 
-    Each check of `_INVARIANTS` runs once per distinct value of what it reads,
-    so values that compare equal (1 and 1.0) share the text of their check.
+    `columns` maps every field of `DopRecord` to the campaign's values of it,
+    in record order. Each check of `_INVARIANTS` runs once per distinct value
+    of what it reads, so values that compare equal (1 and 1.0) share the text
+    of their check.
     """
-    if not records:
-        return []
-    columns = dict(zip(DopRecord._fields, zip(*records)))
     found = []  # (record index, text), check by check
     for names, check in _INVARIANTS:
         table = {key: check(key) for key in set(_keys(columns, names))}
@@ -140,7 +139,15 @@ def campaign_violations(records: list[DopRecord]) -> list[str]:
             keys = _keys(columns, names)
             found += [(i, text) for i, key in enumerate(keys) for text in table[key]]
     found.sort(key=itemgetter(0))  # a stable sort: each record's texts stay in check order
-    return [f"{records[i].dop_id}: {text}" for i, text in found]
+    dop_ids = columns["dop_id"]
+    return [f"{dop_ids[i]}: {text}" for i, text in found]
+
+
+def campaign_violations(records: list[DopRecord]) -> list[str]:
+    """The invariant violations of `records`: `column_violations` of their columns."""
+    if not records:
+        return []
+    return column_violations(dict(zip(DopRecord._fields, zip(*records))))
 
 
 def validate_record(record: DopRecord) -> list[str]:

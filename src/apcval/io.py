@@ -6,6 +6,15 @@ one-letter values 's' and 'u'. Configuration files are flat `key = value`
 text with a closed key set; unknown keys are rejected and every value is
 validated against the domain invariants on load. Both kinds of file may
 start with a UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes them.
+
+A campaign file is read without newline translation, so a quoted cell
+keeps its carriage return. A plain file (no `"`, carriage return or NUL,
+a header line that is not blank, every row of the header's width and none
+all empty, no line over `csv.field_size_limit()`) is split at its commas
+and newlines into the columns `csv.reader` would read; `csv.reader` reads
+any other file. Every CSV written here (campaign, details, curve and flat
+tables) is written by columns: a cell holding a comma, a quote, a newline
+or a carriage return is quoted, its quotes doubled, on every interpreter.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import csv
 import io as _stringio
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import partial
@@ -32,7 +42,7 @@ from .domain import (
     DopRecord,
     PartitionParams,
     TestParams,
-    campaign_violations,
+    column_violations,
 )
 
 CAMPAIGN_COLUMNS = (
@@ -52,6 +62,7 @@ CAMPAIGN_COLUMNS = (
 _LABEL_TO_CSV = {SAFE: "s", UNSAFE: "u", UNLABELED: ""}
 _CSV_TO_LABEL = {"s": SAFE, "u": UNSAFE, "": UNLABELED}
 _CSV_TO_SAMPLED = {"true": True, "false": False, "": None}
+_QUOTED_CHARS = (",", '"', "\n", "\r")  # a CSV cell holding one is quoted
 
 
 class CampaignError(ValueError):
@@ -138,36 +149,50 @@ _CELL_CHECKS = (
 )
 
 
-def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecord], list[str]]:
-    """Read a campaign file into records plus a validation report.
+def _plain_columns(text: str) -> tuple[list[str], list[list[str]]] | None:
+    """The header and columns that `csv.reader` reads from `text`, by one split; None if unsure.
 
-    Parse problems (bad header, unparseable cells, duplicate ids) are hard
-    errors. Domain invariant violations are returned as a list; with
-    strict=True any violation is promoted to a CampaignError.
-
-    The rows are read once and checked by columns (`_CELL_CHECKS`): the
-    error is the first bad row's, and within the row the first check's. A
-    row of another width, or one the csv reader cannot read, ends the rows.
+    Applies to a text with no `"`, `\\r` or NUL whose header line is not
+    blank, whose other lines all have the header's width and are not all
+    empty, and none of whose lines is over `csv.field_size_limit()`. In such
+    a text a row is a line and a cell is what lies between its commas.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CampaignError(f"cannot read campaign file {path}: {exc}") from exc
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":  # the final newline
+        lines.pop()
+    if not lines or not lines[0] or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = lines[0].split(",")
+    width = len(header)
+    body = lines[1:]
+    if body.count("," * (width - 1)) or set(map(str.count, body, repeat(","))) - {width - 1}:
+        return None
+    cells = ",".join(body).split(",") if body else []
+    return header, [cells[i::width] for i in range(width)]
 
+
+def _read_columns(text: str, path: Path) -> tuple[list[str], dict, range | list[int], str | None]:
+    """The header, the columns by header cell, the row numbers and the error that ends the rows.
+
+    A text `_plain_columns` declines goes through `csv.reader`: blank rows are
+    skipped but counted, and a row of another width, or one the reader
+    cannot read, ends the rows.
+    """
+    plain = _plain_columns(text)
+    if plain is not None:
+        header, columns = plain
+        return header, dict(zip(header, columns)), range(2, len(columns[0]) + 2), None
     rows: list[list[str]] = []
     last = None  # the error of the row that ends the rows
     try:
-        rows.extend(csv.reader(_stringio.StringIO(text)))
+        rows.extend(csv.reader(_stringio.StringIO(text, newline="")))
     except csv.Error as exc:  # such as a field over csv.field_size_limit()
         last = f"{path}: row {len(rows) + 1}: {exc}"
     if not rows:
         raise CampaignError(last or f"{path}: empty file, header row is mandatory")
     header, *rows = rows
-    if sorted(header) != sorted(CAMPAIGN_COLUMNS):
-        raise CampaignError(
-            f"{path}: malformed header {header!r}, expected columns {list(CAMPAIGN_COLUMNS)}"
-        )
     row_nos = range(2, len(rows) + 2)
     if not all(map(any, rows)):  # blank rows are skipped but counted
         row_nos = [row_no for row_no, row in zip(row_nos, rows) if any(row)]
@@ -177,7 +202,34 @@ def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecor
         last = f"row {row_nos[cut]}: expected {len(header)} cells, got {len(rows[cut])}"
         del rows[cut:]
     columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
-    del rows
+    return header, columns, row_nos, last
+
+
+def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecord], list[str]]:
+    """Read a campaign file into records plus a validation report.
+
+    Parse problems (bad header, unparseable cells, duplicate ids) are hard
+    errors. Domain invariant violations are returned as a list; with
+    strict=True any violation is promoted to a CampaignError.
+
+    The rows are read once (`_read_columns`) and checked by columns
+    (`_CELL_CHECKS`): the error is the first bad row's, and within the row
+    the first check's. A row of another width, or one the csv reader cannot
+    read, ends the rows. The invariants are checked on the same columns.
+    """
+    path = Path(path)
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as file:  # a quoted "\r" stays
+            text = file.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CampaignError(f"cannot read campaign file {path}: {exc}") from exc
+
+    header, columns, row_nos, last = _read_columns(text, path)
+    del text
+    if sorted(header) != sorted(CAMPAIGN_COLUMNS):
+        raise CampaignError(
+            f"{path}: malformed header {header!r}, expected columns {list(CAMPAIGN_COLUMNS)}"
+        )
     values, errors = {}, []
     for check, (field, convert) in enumerate(_CELL_CHECKS):
         try:
@@ -188,30 +240,65 @@ def load_campaign(path: str | Path, strict: bool = False) -> tuple[list[DopRecor
     if errors or last:
         raise CampaignError(min(errors)[2] if errors else last)
     records = list(map(tuple.__new__, repeat(DopRecord), zip(*map(values.get, DopRecord._fields))))
-    violations = campaign_violations(records)
+    violations = column_violations(values)
     if strict and violations:
         more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
         raise CampaignError(f"validation failed: {violations[0]}{more}")
     return records, violations
 
 
-def _csv_text(header, rows) -> str:
-    """A header row and the rows as CSV text, one line each; None is an empty cell."""
-    buf = _stringio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _quoted(cells: Sequence[str]) -> Sequence[str]:
+    """CSV fields of str cells: a cell holding `,`, `"`, `\\n` or `\\r` is quoted, its quotes doubled.
+
+    The column is scanned once; only a column that holds such a cell is
+    walked cell by cell.
+    """
+    joined = "".join(cells)
+    if not any(char in joined for char in _QUOTED_CHARS):
+        return cells
+    return ['"' + cell.replace('"', '""') + '"' if any(char in cell for char in _QUOTED_CHARS)
+            else cell for cell in cells]
+
+
+def _csv_text(header, columns) -> str:
+    """A header row and its columns of str cells as CSV text, one line per row."""
+    rows = map(",".join, zip(*map(_quoted, columns)))
+    return "\n".join([",".join(_quoted(header)), *rows]) + "\n"
+
+
+def _cell(value) -> str:
+    """A value as a CSV cell: None empty, a str as it is, anything else by str."""
+    if value is None or isinstance(value, str):
+        return value or ""
+    return str(value)
+
+
+def _by_value(values, text) -> list[str]:
+    """`text` of each value, called once per distinct value: for a text that equal values share."""
+    table = {value: text(value) for value in set(values)}
+    return list(map(table.__getitem__, values))
+
+
+def _cells(values: Sequence) -> Sequence[str]:
+    """The `_cell` of each value: a column of str as it is, one of ints and None by value."""
+    types = set(map(type, values))
+    if types <= {str}:
+        return values
+    if types <= {int, type(None)}:  # not 1, 1.0 and True, which are equal
+        return _by_value(values, _cell)
+    return list(map(_cell, values))
 
 
 def save_campaign(records: list[DopRecord], path: str | Path) -> None:
     """Write records back out, floats by repr; load_campaign(save_campaign(x)) is identity."""
+    columns = dict(zip(DopRecord._fields, zip(*records) if records else repeat(())))
     Path(path).write_text(_csv_text(CAMPAIGN_COLUMNS, (
-        (dop_id, repr(duration_s), m1, m2, m_sup, m_final, k_auto, alg_count,
-         "" if conf is None else repr(conf), _LABEL_TO_CSV[label],
-         "" if sampled is None else ("true" if sampled else "false"))
-        for dop_id, k_auto, duration_s, m1, m2, m_sup, m_final, alg_count, conf, label, sampled
-        in records
+        _cells(columns["dop_id"]),
+        list(map(repr, columns["duration_s"])),
+        *map(_cells, map(columns.get, ("m1", "m2", "m_sup", "m_final", "k_auto", "alg_count"))),
+        ["" if conf is None else repr(conf) for conf in columns["alg_confidence"]],
+        list(map(_LABEL_TO_CSV.__getitem__, columns["label"])),
+        _by_value(columns["sampled"], lambda s: "" if s is None else ("true" if s else "false")),
     )), encoding="utf-8")
 
 
@@ -448,7 +535,7 @@ def _curves_csv(curves: list[dict]) -> str:
                 "" if n is None else f"{n:.12g}"]
 
     return _csv_text(["grid_var", "grid_value", "pass_rate", "mc_se", "analytic", "n"],
-                     (row(curve, p) for curve in curves for p in curve["points"]))
+                     zip(*(row(curve, p) for curve in curves for p in curve["points"])))
 
 
 def save_details(rows, path: str | Path) -> None:
@@ -456,11 +543,12 @@ def save_details(rows, path: str | Path) -> None:
 
     Numbers carry 12 significant digits, and an absent d_i is an empty cell.
     """
-    weights: dict[float, str] = {}  # the text of each distinct weight (at most three)
+    dop_ids, labels, weights, d_i = list(zip(*rows)) or [()] * 4
     Path(path).write_text(_csv_text(["dop_id", "d_i", "stratum", "weight"], (
-        (dop_id, "" if d_i is None else f"{d_i:.12g}", _LABEL_TO_CSV[label],
-         weights.get(weight) or weights.setdefault(weight, f"{weight:.12g}"))
-        for dop_id, label, weight, d_i in rows
+        _cells(dop_ids),
+        ["" if d is None else format(d, ".12g") for d in d_i],
+        list(map(_LABEL_TO_CSV.__getitem__, labels)),
+        _by_value(weights, "{:.12g}".format),  # record_rows' are 1.0, 1/q_effective and 0.0
     )), encoding="utf-8")
 
 
@@ -492,4 +580,4 @@ def emit_report(report, fmt: str = "json", timestamp: bool = True) -> str:
             raise
     rows: list[tuple[str, str]] = []
     _flatten("", payload, rows)
-    return _csv_text(["key", "value"], rows)
+    return _csv_text(["key", "value"], zip(*rows))

@@ -85,7 +85,11 @@ def recorded_size(n_e: int, partition: PartitionParams) -> int:
 
     Enlarges n_e by p_s * (nu_s/nu)^2 * (1/q - 1) + 1, a factor >= 1.
     """
-    factor = partition.p_s * partition.nu_s_ratio**2 * (1.0 / partition.q - 1.0) + 1.0
+    ratio = partition.nu_s_ratio
+    factor = partition.p_s * (ratio * ratio) * (1.0 / partition.q - 1.0) + 1.0
+    if not math.isfinite(n_e * factor):
+        raise ValueError(f"the recorded size is not finite: n_e {n_e}, p_s {partition.p_s}, "
+                         f"nu_s_ratio {ratio}, q {partition.q}")
     return _ceil_snapped(n_e * factor)
 
 

@@ -32,14 +32,18 @@ b2,30.0,1,1,,1,{10**160},,,s,true
 b3,30.0,1,1,,1,1,,,u,
 b4,30.0,1,1,,1,1,,,u,
 """
+# The unlabeled golden campaign with ids that hold a comma, a quote and a carriage
+# return, each quoted.
+QUOTED = (GOLDEN_UNLABELED.replace("\na1,", '\n"a,1",').replace("\na2,", '\n"a""2",')
+          .replace("\na3,", '\n"a\r3",'))
 # At threshold 5 the combined classifier gives the golden campaign's labels:
 # a2 is safe at the first stage, a1 is reclassified safe, a3 stays unsafe.
 COMBINED = ["--set", "classifier.kind=combined", "--set", "classifier.threshold=5"]
 
 # Each case runs one command on the golden campaign; `{campaign}`, `{details}`
 # and `{out}` stand for the campaign file, a details CSV path and an --out path,
-# `{unlabeled}` for the golden campaign without labels and `{overflow}` for
-# `OVERFLOW`.
+# `{unlabeled}` for the golden campaign without labels, `{overflow}` for
+# `OVERFLOW` and `{quoted}` for `QUOTED`.
 # The expected exit code, stdout (without the `created` line and with the --out
 # path written `{out}`), stderr and details CSV of every case, and the --out
 # file (without `created`) of every case that names one, are in cli_golden.json. Regenerate that
@@ -126,6 +130,10 @@ GOLDEN_CASES.update({
     "evaluate_not_finite_classic": ["evaluate", "--campaign", "{overflow}", "--mode", "classic",
                                     "--details", "{details}"],
 })
+# a written campaign whose ids must be quoted, one of them for its carriage return
+GOLDEN_CASES.update({
+    "classify_quoted_ids": ["classify", "--campaign", "{quoted}", "--out", "{out}", *COMBINED],
+})
 GOLDEN_FILE = Path(__file__).with_name("cli_golden.json")
 _CREATED = re.compile(r'^(  "created": .*|created,.*)\n', re.MULTILINE)
 
@@ -138,10 +146,12 @@ def golden_output(case: str, workdir: Path) -> dict:
     unlabeled.write_text(GOLDEN_UNLABELED, encoding="utf-8")
     overflow = workdir / "overflow.csv"
     overflow.write_text(OVERFLOW, encoding="utf-8")
+    quoted = workdir / "quoted.csv"
+    quoted.write_bytes(QUOTED.encode("utf-8"))
     details = workdir / f"{case}.details.csv"
     out_file = workdir / f"{case}.out.csv"
-    argv = [a.format(campaign=campaign, unlabeled=unlabeled, overflow=overflow, details=details,
-                     out=out_file)
+    argv = [a.format(campaign=campaign, unlabeled=unlabeled, overflow=overflow, quoted=quoted,
+                     details=details, out=out_file)
             for a in GOLDEN_CASES[case]]
     out, err = io.StringIO(), io.StringIO()
     # argparse wraps its usage text to the terminal, which COLUMNS fixes
@@ -157,8 +167,8 @@ def golden_output(case: str, workdir: Path) -> dict:
         "details": details.read_text(encoding="utf-8") if details.exists() else None,
     }
     if "{out}" in GOLDEN_CASES[case]:
-        result["out"] = (_CREATED.sub("", out_file.read_text(encoding="utf-8"))
-                         if out_file.exists() else None)
+        result["out"] = (_CREATED.sub("", out_file.read_bytes().decode("utf-8"))
+                         if out_file.exists() else None)  # the bytes, a "\r" too
     return result
 
 

@@ -96,6 +96,11 @@ class TestPlan:
         assert run(capsys, ["plan", "--set", "delta=1e-300"]) == (
             1, "", "error: the classic sample size is not finite: delta 1e-300, nu 0.2\n")
 
+    def test_a_recorded_size_that_is_not_finite_is_one_error_line(self, capsys):
+        assert run(capsys, ["plan", "--set", "nu_s_ratio=1e160"]) == (
+            1, "", "error: the recorded size is not finite: n_e 6147, p_s 0.9, "
+                   "nu_s_ratio 1e+160, q 0.175\n")
+
     def test_substituted_nu_is_one_warning_line(self, capsys):
         code, out, err = run(capsys, ["plan", "--set", "nu=0.01"])
         note = "planning nu=0.01 below nu_min=0.03: substituted nu_min"
@@ -1002,7 +1007,7 @@ def test_the_numpy_free_cases_replay_without_numpy():
     proc = subprocess.run([sys.executable, str(script)], env=source_env(),
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.endswith(": 40 replayed, 0 differ, 5 skipped for numpy\n")
+    assert proc.stdout.endswith(": 41 replayed, 0 differ, 5 skipped for numpy\n")
 
 
 def test_the_readme_command_lines_exit_0(tmp_path, monkeypatch):

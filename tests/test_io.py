@@ -9,6 +9,7 @@ import tempfile
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from apcval.domain import (
     DopRecord,
     PartitionParams,
     TestParams,
+    campaign_violations,
     relabel,
     validate_record,
 )
@@ -729,11 +731,12 @@ def reference_load_campaign(path, strict: bool = False):
     """The per-cell loader `aio.load_campaign` replaced: one lookup, strip and check per cell."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig", newline="") as file:  # a quoted "\r" stays
+            text = file.read()
     except OSError as exc:
         raise aio.CampaignError(f"cannot read campaign file {path}: {exc}") from exc
 
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -863,17 +866,180 @@ def test_load_campaign_matches_the_per_cell_reference(text, strict):
         assert _load_outcome(aio.load_campaign, path, strict) == expected
 
 
+# --- split reading against the csv.reader loader ----------------------------
+
+
+def reference_reader_load_campaign(path, strict: bool = False):
+    """`aio.load_campaign` as it read every file: through `csv.reader`, then by rows.
+
+    It reads the file with `newline=""`, as the loader now does, so a quoted
+    `\\r` stays in its cell.
+    """
+    path = Path(path)
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as file:
+            text = file.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise aio.CampaignError(f"cannot read campaign file {path}: {exc}") from exc
+
+    rows: list[list[str]] = []
+    last = None  # the error of the row that ends the rows
+    try:
+        rows.extend(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        last = f"{path}: row {len(rows) + 1}: {exc}"
+    if not rows:
+        raise aio.CampaignError(last or f"{path}: empty file, header row is mandatory")
+    header, *rows = rows
+    if sorted(header) != sorted(aio.CAMPAIGN_COLUMNS):
+        raise aio.CampaignError(
+            f"{path}: malformed header {header!r}, expected columns {list(aio.CAMPAIGN_COLUMNS)}"
+        )
+    row_nos = range(2, len(rows) + 2)
+    if not all(map(any, rows)):
+        row_nos = [row_no for row_no, row in zip(row_nos, rows) if any(row)]
+        rows = list(filter(any, rows))
+    if set(map(len, rows)) - {len(header)}:
+        cut = next(i for i, row in enumerate(rows) if len(row) != len(header))
+        last = f"row {row_nos[cut]}: expected {len(header)} cells, got {len(rows[cut])}"
+        del rows[cut:]
+    columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    values, errors = {}, []
+    for check, (field, convert) in enumerate(aio._CELL_CHECKS):
+        try:
+            values[field] = convert(field, columns[field], row_nos)
+        except ValueError as exc:
+            index, message = exc.args
+            errors.append((index, check, message))
+    if errors or last:
+        raise aio.CampaignError(min(errors)[2] if errors else last)
+    records = [DopRecord(**{field: values[field][i] for field in DopRecord._fields})
+               for i in range(len(row_nos))]
+    violations = campaign_violations(records)
+    if strict and violations:
+        more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
+        raise aio.CampaignError(f"validation failed: {violations[0]}{more}")
+    return records, violations
+
+
+@st.composite
+def edited_campaign_texts(draw):
+    """`campaign_texts` with line ends, blank lines, quotes and odd characters spliced in."""
+    lines = draw(campaign_texts()).split("\n")[:-1]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        edit = draw(st.sampled_from(["blank", "commas", "char", "quote"]))
+        at = draw(st.integers(min_value=0, max_value=len(lines)))
+        if edit == "blank" or edit == "commas":
+            lines.insert(at, "" if edit == "blank" else "," * draw(st.integers(0, 12)))
+        elif lines and at < len(lines):
+            line = lines[at]
+            cut = draw(st.integers(min_value=0, max_value=len(line)))
+            char = draw(st.sampled_from(["\r", "\0", '"', "\ufeff", "\x0c", "\u2028"]))
+            lines[at] = line[:cut] + char + line[cut:] if edit == "char" else f'"{line}"'
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    final = draw(st.sampled_from([end, ""]))
+    return draw(st.sampled_from(["", "\ufeff"])) + end.join(lines) + (final if lines else "")
+
+
+_LONG = "x" * (csv.field_size_limit() + 1)
+# the files the split must decline, and those at its edges
+_READER_CASES = {
+    "blank_header": "\n" + _rows("r0,10.0,2,2,,2,2,,,u,"),
+    "blank_first_line": "\nx\n",
+    "blank_rows": _rows("r0,10.0,2,2,,2,2,,,u,", "", "r1,9.0,1,1,,1,1,,,u,"),
+    "comma_rows": _rows("r0,10.0,2,2,,2,2,,,u,", ",,,,,,,,,,", "r1,9.0,1,1,,1,1,,,u,"),
+    "blank_last_row": _rows("r0,10.0,2,2,,2,2,,,u,") + "\n",
+    "no_final_newline": _rows("r0,10.0,2,2,,2,2,,,u,", "r1,9.0,1,1,,1,1,,,u,")[:-1],
+    "header_only": _HEADER + "\n",
+    "header_only_no_newline": _HEADER,
+    "empty": "",
+    "crlf": _rows("r0,10.0,2,2,,2,2,,,u,", "r1,9.0,1,1,,1,1,,,u,").replace("\n", "\r\n"),
+    "cr": _rows("r0,10.0,2,2,,2,2,,,u,", "r1,9.0,1,1,,1,1,,,u,").replace("\n", "\r"),
+    "quoted": _rows('"r0",10.0,2,2,,2,2,,,u,', '"r,1",9.0,1,1,,1,1,,,u,', '"r""2",1,1,1,,1,1,,,u,'),
+    "quoted_of_the_width": _rows('"r0",10.0,2,2,,2,2,,,u,', 'r1,"9.0",1,1,,1,1,,"",u,',
+                                 'r"2,9.0,1,1,,1,1,,,u,'),
+    "quoted_newlines": _rows('"r\r0",10.0,2,2,,2,2,,,u,', '"r\n1",9.0,1,1,,1,1,,,u,',
+                             '"r\r\n2",9.0,1,1,,1,1,,,u,'),
+    "bare_cr_in_a_cell": _rows("r\r0,10.0,2,2,,2,2,,,u,"),
+    "nul": _rows("r\x000,10.0,2,2,,2,2,,,u,"),
+    "bom": "\ufeff" + _rows("r0,10.0,2,2,,2,2,,,u,"),
+    "bom_blank_header": "\ufeff\n" + _rows("r0,10.0,2,2,,2,2,,,u,"),
+    "long_field": _rows("r0,10.0,2,2,,2,2,,,u,", f"{_LONG},9.0,1,1,,1,1,,,u,"),
+    "long_line": _rows("r0,10.0,2,2,,2,2,,,u," + " " * csv.field_size_limit()),
+    "long_header": f"{_LONG},{_HEADER}\n",
+    "short_row": _rows("r0,10.0,2,2,,2,2,,,u,", "r1,9.0,1,1,,1,1,,,u"),
+    "long_row": _rows("r0,10.0,2,2,,2,2,,,u,,", "r1,9.0,1,1,,1,1,,,u,"),
+    "ragged_but_same_commas": _rows("r0,10.0,2,2,,2,2,,,u,,", "r1,9.0,1,1,,1,1,,,u"),
+    "one_column": "dop_id\nr0\n\nr1\n",
+    "odd_line_breaks": _rows("r\x0c0,10.0,2,2,,2,2,,,u,", "r\u20281,9.0,1,1,,1,1,,,u,"),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=campaign_texts() | edited_campaign_texts(), strict=st.booleans())
+@example(text=_rows("r0,10.0,2,2,,2,2,,,u,", "r1,9.0,1,1,,1,1,,,u,"), strict=False)
+def test_load_campaign_matches_the_csv_reader_loader(text, strict):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "campaign.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _load_outcome(reference_reader_load_campaign, path, strict)
+        assert _load_outcome(aio.load_campaign, path, strict) == expected
+
+
+@pytest.mark.parametrize("case", sorted(_READER_CASES))
+@pytest.mark.parametrize("strict", [False, True])
+def test_load_campaign_reads_every_edge_as_the_csv_reader_loader(case, strict, tmp_path):
+    path = tmp_path / "campaign.csv"
+    path.write_bytes(_READER_CASES[case].encode("utf-8"))
+    expected = _load_outcome(reference_reader_load_campaign, path, strict)
+    assert _load_outcome(aio.load_campaign, path, strict) == expected
+
+
+@pytest.mark.parametrize("case", sorted(_READER_CASES))
+def test_only_a_plain_text_is_split(case):
+    """The split takes the plain texts and declines the rest, which `csv.reader` reads."""
+    text = _READER_CASES[case].removeprefix("\ufeff")  # the file is read as utf-8-sig
+    plain = case in ("bom", "no_final_newline", "header_only",
+                     "header_only_no_newline", "odd_line_breaks")
+    assert (aio._plain_columns(text) is not None) == plain
+    if plain:
+        header, columns = aio._plain_columns(text)
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert [header, *zip(*columns)] == [rows[0], *map(tuple, filter(any, rows[1:]))]
+
+
+def test_a_saved_campaign_is_split(tmp_path):
+    records = fully_counted_campaign(np.random.default_rng(2), 300)
+    aio.save_campaign(records, tmp_path / "c.csv")
+    text = (tmp_path / "c.csv").read_text(encoding="utf-8")
+    assert aio._plain_columns(text) is not None
+    assert aio.load_campaign(tmp_path / "c.csv") == (records, [])
+
+
 # --- tuple-unpacking writer against the attribute-based reference -----------
+
+
+def reference_csv_text(rows) -> str:
+    """The rows as `csv.writer(..., lineterminator="\\n")` writes them, but a cell holding
+    `\\r` is quoted on every interpreter (CPython 3.11 and 3.12 leave it bare).
+
+    `csv.writer` quotes a cell that holds a character of its line terminator, so
+    each row is written with the terminator `"\\r\\n"`, which then becomes `"\\n"`.
+    """
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue().removesuffix("\r\n"))
+    return "".join(line + "\n" for line in lines)
 
 
 def reference_save_campaign(records, path) -> None:
     """The writer `aio.save_campaign` replaced: eleven attribute loads per record."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(aio.CAMPAIGN_COLUMNS)
     labels = {SAFE: "s", UNSAFE: "u", UNLABELED: ""}
+    rows = [aio.CAMPAIGN_COLUMNS]
     for r in records:
-        writer.writerow(
+        rows.append(
             [
                 r.dop_id,
                 repr(r.duration_s),
@@ -888,7 +1054,7 @@ def reference_save_campaign(records, path) -> None:
                 "" if r.sampled is None else ("true" if r.sampled else "false"),
             ]
         )
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    Path(path).write_text(reference_csv_text(rows), encoding="utf-8")
 
 
 _OPT_COUNT = st.none() | st.integers(min_value=-3, max_value=10**20)
@@ -927,6 +1093,146 @@ def test_save_campaign_matches_the_attribute_reference(text, extra):
         aio.save_campaign(records, ours)
         reference_save_campaign(records, reference)
         assert ours.read_bytes() == reference.read_bytes()
+
+
+# --- columnar writers against the csv.writer writers -------------------------
+
+
+def reference_save_details(rows, path) -> None:
+    """The writer `aio.save_details` replaced: one row at a time through `csv.writer`."""
+    weights: dict[float, str] = {}
+    Path(path).write_text(reference_csv_text([["dop_id", "d_i", "stratum", "weight"], *(
+        (dop_id, "" if d_i is None else f"{d_i:.12g}", aio._LABEL_TO_CSV[label],
+         weights.get(weight) or weights.setdefault(weight, f"{weight:.12g}"))
+        for dop_id, label, weight, d_i in rows
+    )]), encoding="utf-8")
+
+
+def reference_curves_csv(curves) -> str:
+    """The curve table `aio.emit_report` wrote one row at a time through `csv.writer`."""
+    def row(curve: dict, p) -> list[str]:
+        n = p.grid_value if curve["grid_var"] == "n" else curve["fixed"].get("n")
+        return [curve["grid_var"], f"{p.grid_value:.12g}", f"{p.pass_rate:.12g}",
+                f"{p.mc_se:.12g}", "" if p.analytic is None else f"{p.analytic:.12g}",
+                "" if n is None else f"{n:.12g}"]
+
+    return reference_csv_text([["grid_var", "grid_value", "pass_rate", "mc_se", "analytic", "n"],
+                               *(row(curve, p) for curve in curves for p in curve["points"])])
+
+
+# cells that a writer must quote, or write as they are
+_CELL_TEXTS = st.text(max_size=6) | st.sampled_from(
+    [",", '"', "\n", "\0", "\r", "a\rb", "a,b", 'say "hi"', "\r\n", "Zürich", "北京", "😀", " ", ""])
+_ODD_COUNTS = st.none() | st.integers(min_value=-3, max_value=10**20) | st.sampled_from(
+    [True, False, 1, 1.0, 0, -0.0, 0.0, np.float64(2.0), np.int64(3)])
+_ODD_FLOATS = _ANY_FLOAT | st.sampled_from([True, 1, np.float64(-0.0)])
+_ODD_RECORDS = st.lists(st.builds(
+    DopRecord,
+    dop_id=_CELL_TEXTS,
+    k_auto=_ODD_COUNTS,
+    duration_s=_ODD_FLOATS,
+    m1=_ODD_COUNTS,
+    m2=_ODD_COUNTS,
+    m_sup=_ODD_COUNTS,
+    m_final=_ODD_COUNTS,
+    alg_count=_ODD_COUNTS,
+    alg_confidence=st.none() | _ODD_FLOATS,
+    label=st.sampled_from([SAFE, UNSAFE, UNLABELED]),
+    sampled=st.sampled_from([True, False, None, 1, 0]),
+), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=_ODD_RECORDS)
+@example(records=[])
+@example(records=[DopRecord("a\rb", 1, m1=True, m2=1, m_sup=1.0, m_final=-0.0),
+                  DopRecord('"x",\n', 1, m1=1, m2=True, m_sup=1, m_final=0.0, duration_s=-0.0)])
+def test_save_campaign_writes_any_cell_as_the_csv_writer_reference(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, reference = Path(tmp) / "ours.csv", Path(tmp) / "reference.csv"
+        aio.save_campaign(records, ours)
+        reference_save_campaign(records, reference)
+        assert ours.read_bytes() == reference.read_bytes()
+
+
+_DETAIL_NUMBERS = st.floats() | st.sampled_from([0.0, -0.0, 1.0, 1, True, 1 / 0.175, np.float64(-0.0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_CELL_TEXTS, st.sampled_from([SAFE, UNSAFE, UNLABELED]),
+                               _DETAIL_NUMBERS, st.none() | _DETAIL_NUMBERS), max_size=6))
+@example(rows=[])
+@example(rows=[("a\rb", SAFE, 1, -0.0), ("c", UNSAFE, True, 0.0), ("d", SAFE, 1.0, None)])
+def test_save_details_writes_any_cell_as_the_csv_writer_reference(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, reference = Path(tmp) / "ours.csv", Path(tmp) / "reference.csv"
+        aio.save_details(iter(rows), ours)
+        reference_save_details(iter(rows), reference)
+        assert ours.read_bytes() == reference.read_bytes()
+
+
+_CURVE_POINTS = st.builds(SimpleNamespace, grid_value=_DETAIL_NUMBERS, pass_rate=_DETAIL_NUMBERS,
+                          mc_se=_DETAIL_NUMBERS, analytic=st.none() | _DETAIL_NUMBERS)
+_CURVES = st.lists(st.fixed_dictionaries({
+    "grid_var": st.sampled_from(["n", "mu"]) | _CELL_TEXTS,
+    "fixed": st.fixed_dictionaries({}, optional={"n": _DETAIL_NUMBERS}),
+    "points": st.lists(_CURVE_POINTS, max_size=4),
+}), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(curves=_CURVES)
+@example(curves=[])
+@example(curves=[{"grid_var": "a\rb,", "fixed": {"n": True}, "points": [
+    SimpleNamespace(grid_value=-0.0, pass_rate=1, mc_se=True, analytic=None)]}])
+def test_curve_csv_writes_any_cell_as_the_csv_writer_reference(curves):
+    payload = {"report": "success_curves", "curves": curves}
+    assert aio.emit_report(payload, "csv") == reference_curves_csv(curves)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(_CELL_TEXTS, min_size=2, max_size=4), max_size=5))
+def test_the_csv_writer_reference_is_csv_writer_but_for_carriage_returns(rows):
+    """Where no cell holds `\\r` it is `csv.writer`'s text; it always reads back as the rows."""
+    text = reference_csv_text(rows)
+    assert list(csv.reader(io.StringIO(text, newline=""))) == rows
+    if not any("\r" in cell for row in rows for cell in row):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert text == buf.getvalue()
+
+
+# quoted ids that hold the characters a writer must quote
+_QUOTED_IDS = ["a\rb", "c,d", 'say "e"', "f\r\ng", "h\ni"]
+
+
+def test_a_quoted_carriage_return_round_trips(tmp_path):
+    records = [make_record(i, 3, 3, UNSAFE)._replace(dop_id=dop_id)
+               for i, dop_id in enumerate(_QUOTED_IDS)]
+    path = tmp_path / "campaign.csv"
+    aio.save_campaign(records, path)
+    assert b'"a\rb",' in path.read_bytes()
+    assert aio.load_campaign(path) == (records, [])
+
+
+def test_a_quoted_carriage_return_round_trips_through_classify(tmp_path, capsys):
+    from apcval.cli import main
+
+    records = [make_record(i, 3 + i, 3, UNLABELED)._replace(dop_id=dop_id)
+               for i, dop_id in enumerate(_QUOTED_IDS)]
+    path, out = tmp_path / "campaign.csv", tmp_path / "labeled.csv"
+    aio.save_campaign(records, path)
+    assert main(["classify", "--campaign", str(path), "--out", str(out),
+                 "--set", "classifier.kind=rule_of_thumb", "--set", "classifier.threshold=5"]) == 0
+    capsys.readouterr()
+    labeled, _ = aio.load_campaign(out)
+    assert [r.dop_id for r in labeled] == _QUOTED_IDS
+
+
+def test_a_flat_csv_key_with_a_carriage_return_reads_back():
+    text = aio.emit_report({"\r": None, "a\rb": "c\r"}, "csv", timestamp=False)
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows == [["key", "value"], ["\r", ""], ["a\rb", "c\r"]]
 
 
 # --- one-walk JSON emitter against `_clean` and `json.dumps` -----------------
@@ -974,9 +1280,7 @@ def reference_emit_report(report, fmt: str) -> str:
             raise
     rows: list = []
     reference_flatten("", payload, rows)
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([["key", "value"], *rows])
-    return buf.getvalue()
+    return reference_csv_text([["key", "value"], *rows])
 
 
 def _emitted(emit, report, fmt: str):

@@ -313,6 +313,12 @@ class TestMakePlan:
             make_plan(TestParams(nu=0.15, delta=1e-300), PartitionParams())
         assert str(excinfo.value) == "the classic sample size is not finite: delta 1e-300, nu 0.15"
 
+    def test_a_recorded_size_that_is_not_finite_is_a_named_error(self):
+        with pytest.raises(ValueError) as excinfo:
+            make_plan(TestParams(nu=0.15), PartitionParams(nu_s_ratio=1e160))
+        assert str(excinfo.value) == (
+            "the recorded size is not finite: n_e 3458, p_s 0.9, nu_s_ratio 1e+160, q 0.175")
+
     def test_given_quota(self):
         plan = make_plan(TestParams(nu=0.15), PartitionParams(p_s=0.9, nu_s_ratio=0.35, q=0.175))
         assert plan.n_e == 3458
