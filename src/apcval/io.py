@@ -548,7 +548,7 @@ def save_details(rows, path: str | Path) -> None:
         _cells(dop_ids),
         ["" if d is None else format(d, ".12g") for d in d_i],
         list(map(_LABEL_TO_CSV.__getitem__, labels)),
-        _by_value(weights, "{:.12g}".format),  # record_rows' are 1.0, 1/q_effective and 0.0
+        list(map("{:.12g}".format, weights)),
     )), encoding="utf-8")
 
 

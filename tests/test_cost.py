@@ -31,6 +31,7 @@ class TestCountingCost:
         with pytest.raises(ValueError, match=r"^duration_s must be >= 0, got -1\.0$"):
             counting_cost(-1.0, CostRates())
 
+    @settings(max_examples=100)
     @given(
         d=st.floats(min_value=0, max_value=1e5),
         scale=st.floats(min_value=0.1, max_value=10),
@@ -176,6 +177,7 @@ class TestCombined:
         with pytest.raises(ValueError, match="^combined scheme needs a combined classifier$"):
             cost_breakdown(mixed_campaign(), RATES, COMBINED, classifier)
 
+    @settings(max_examples=100)
     @given(
         m1=st.lists(st.integers(min_value=0, max_value=10), min_size=3, max_size=3),
         threshold=st.floats(min_value=-1.0, max_value=25.0),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import every_field_set, fully_counted_campaign, loadable_campaigns, loadable_records
+from conftest import every_field_set, fully_counted_campaign, loadable_campaigns
 from apcval.domain import (
     LABELS,
     SAFE,
@@ -135,6 +135,7 @@ class TestValidateRecord:
     def test_without_second_count_m_final_is_kept(self):
         assert validate_record(rec(m1=2, m_final=5)) == []
 
+    @settings(max_examples=100)
     @given(
         st.integers(min_value=0, max_value=3) | st.none(),
         st.integers(min_value=0, max_value=3) | st.none(),
@@ -159,6 +160,7 @@ class TestValidateRecord:
     def test_bad_confidence(self):
         assert validate_record(rec(alg_confidence=1.5))
 
+    @settings(max_examples=100)
     @given(
         st.integers(min_value=-3, max_value=5) | st.none(),
         st.integers(min_value=-3, max_value=5) | st.none(),
@@ -281,6 +283,7 @@ class TestGroundTruth:
         assert ground_truth(None, 4, 2) is None
         assert ground_truth(4, None, 2) is None
 
+    @settings(max_examples=100)
     @given(st.integers(min_value=0, max_value=50), st.integers(min_value=0, max_value=50) | st.none())
     def test_agreement_wins_over_supervisor(self, a, sup):
         assert ground_truth(a, a, sup) == a

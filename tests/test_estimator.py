@@ -123,6 +123,7 @@ class TestPooledVariance:
         assert v.clamped_s and v.clamped_u
         assert v.nu_hat**2 == pytest.approx(0.03**2, abs=1e-18)
 
+    @settings(max_examples=100)
     @given(
         nu_min_a=st.floats(min_value=0, max_value=0.5),
         nu_min_b=st.floats(min_value=0, max_value=0.5),

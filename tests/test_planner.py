@@ -70,6 +70,7 @@ class TestRecordedSize:
         part = PartitionParams(p_s=0.0, nu_s_ratio=0.35, q=0.2)
         assert recorded_size(3458, part) == 3458
 
+    @settings(max_examples=100)
     @given(
         n_e=st.integers(min_value=1, max_value=20000),
         p_s=st.floats(min_value=0, max_value=1),
@@ -299,6 +300,7 @@ class TestBufferAndQuotaRounding:
         assert 0.0 < q < 1e-9
         assert counted_count(q, n_s) == 1
 
+    @settings(max_examples=100)
     @given(q=st.floats(min_value=1e-6, max_value=1.0), n=st.integers(min_value=1, max_value=100000))
     def test_counted_count_covers_the_quota(self, q, n):
         count = counted_count(q, n)
