@@ -939,6 +939,16 @@ def test_load_campaign_reads_every_edge_as_the_per_cell_reference(case, strict, 
     assert _load_outcome(aio.load_campaign, path, strict) == expected
 
 
+@pytest.mark.parametrize("case,row_no", [("long_header", 1), ("long_field", 3)])
+def test_the_per_cell_reference_names_the_row_of_a_field_over_the_csv_limit(case, row_no, tmp_path):
+    """The reference states the loader's message itself, so the two cannot share a bare csv.Error."""
+    path = tmp_path / "campaign.csv"
+    path.write_bytes(_READER_CASES[case].encode("utf-8"))
+    message = f"{path}: row {row_no}: field larger than field limit"
+    with pytest.raises(aio.CampaignError, match=f"^{re.escape(message)}"):
+        reference_load_campaign(path)
+
+
 @pytest.mark.parametrize("case", sorted(_READER_CASES))
 def test_only_a_plain_text_is_split(case):
     """The split takes the plain texts and declines the rest, which `csv.reader` reads."""
@@ -1086,6 +1096,13 @@ def test_save_details_writes_any_cell_as_the_csv_writer_reference(rows):
         aio.save_details(iter(rows), ours)
         reference_save_details(iter(rows), reference)
         assert ours.read_bytes() == reference.read_bytes()
+
+
+def test_save_details_keeps_the_sign_of_each_weight(tmp_path):
+    """Spelled out, as the reference once shared the memo that wrote `-0` for both rows."""
+    path = tmp_path / "details.csv"
+    aio.save_details(iter([("a", SAFE, -0.0, None), ("b", SAFE, 0.0, None)]), path)
+    assert path.read_bytes() == b"dop_id,d_i,stratum,weight\na,,s,-0\nb,,s,0\n"
 
 
 _CURVE_POINTS = st.builds(SimpleNamespace, grid_value=_DETAIL_NUMBERS, pass_rate=_DETAIL_NUMBERS,
