@@ -52,9 +52,14 @@ def test_clip():
 
 
 @pytest.fixture
-def tree(tmp_path):
-    """A tree laid out as the repository: src/apcval, tests, pyproject.toml and README.md."""
+def tree(tmp_path, monkeypatch):
+    """A tree laid out as the repository: src/apcval, tests, pyproject.toml and README.md.
+
+    The harness runs on it and keeps its kill table beside it.
+    """
     root = tmp_path / "tree"
+    monkeypatch.setattr(mutate, "ROOT", root)
+    monkeypatch.setattr(mutate, "TABLE", tmp_path / "kills.json")
     (root / "src" / "apcval").mkdir(parents=True)
     (root / "tests").mkdir()
     (root / "src" / "apcval" / "__init__.py").write_text("")
@@ -62,7 +67,6 @@ def tree(tmp_path):
     (root / "tests" / "test_calc.py").write_text(TESTS)
     (root / "pyproject.toml").write_text('[tool.pytest.ini_options]\ntestpaths = ["tests"]\n')
     (root / "README.md").write_text("")
-    (tmp_path / "work").mkdir()
     return root
 
 
@@ -82,23 +86,35 @@ def test_the_ids_are_the_same_across_two_enumerations():
     assert len({m.id for m in first}) == len(first) == 13
 
 
-def test_a_killed_and_an_equivalent_mutant_then_a_lost_kill(tree, tmp_path, capsys):
-    table = tmp_path / "kills.json"
-    argv = ["calc", "--root", str(tree), "--table", str(table), "--work", str(tmp_path / "work"),
-            "--id", KILLED, "--id", EQUIVALENT]
-    assert mutate.main(argv) == 0
-    entries = json.loads(table.read_text())
+def test_a_killed_and_an_equivalent_mutant_then_a_lost_kill(tree, capsys):
+    note = "the early return only repeats what min(x, 10) gives"
+    survived = {"status": "survived", "stage": "suite", "failed": None}
+    mutate.TABLE.write_text(json.dumps({EQUIVALENT: {**survived, "note": note}}))
+    assert mutate.main(["calc", "--id", KILLED, "--id", EQUIVALENT]) == 0
+    entries = json.loads(mutate.TABLE.read_text())
     assert entries[KILLED] == {"status": "killed", "stage": "module",
                                "failed": "tests/test_calc.py::test_clip"}
-    assert entries[EQUIVALENT] == {"status": "survived", "stage": "suite", "failed": None}
-    assert f"survivor without a note: {EQUIVALENT}" in capsys.readouterr().out
+    assert entries[EQUIVALENT] == {**survived, "note": note}
+    assert "survivor without a note" not in capsys.readouterr().out
 
     # the table says the equivalent mutant was killed: the run must fail
     entries[EQUIVALENT] = {"status": "killed", "stage": "module", "failed": "tests/x.py::t"}
-    table.write_text(json.dumps(entries))
-    assert mutate.main([*argv[:-4], "--id", EQUIVALENT]) == 1
+    mutate.TABLE.write_text(json.dumps(entries))
+    assert mutate.main(["calc", "--id", EQUIVALENT]) == 1
     assert f"killed in the table, survives now: {EQUIVALENT}" in capsys.readouterr().out
-    assert json.loads(table.read_text())[KILLED] == entries[KILLED]  # not run, kept
+    assert json.loads(mutate.TABLE.read_text())[KILLED] == entries[KILLED]  # not run, kept
+
+
+def test_a_lost_kill_whose_line_moved_fails_the_run(tree, capsys):
+    """A line above the site moves its id, so the lost kill is a survivor without a note."""
+    mutate.TABLE.write_text(json.dumps({KILLED: {"status": "killed", "stage": "module",
+                                                 "failed": "tests/test_calc.py::test_clip"}}))
+    (tree / "src" / "apcval" / "calc.py").write_text('"""Calc."""\n' + CALC)
+    (tree / "tests" / "test_calc.py").write_text(TESTS.replace("clip(3) == 3 and ", ""))
+    moved = "calc:9:11:compare"
+    assert mutate.main(["calc", "--id", moved]) == 1
+    assert f"survivor without a note: {moved}" in capsys.readouterr().out
+    assert json.loads(mutate.TABLE.read_text())[moved]["status"] == "survived"
 
 
 def test_a_survivors_note_is_kept():
