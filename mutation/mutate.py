@@ -3,9 +3,12 @@
     python3 mutation/mutate.py io domain
 
 Each mutant changes one operator of one module (the operator list is
-`OPERATORS`). Its id is `module:line:column:operator`, at the position of
-the constant, of the `if` statement's test, or of the operand to the right
-of the operator.
+`OPERATORS`). Its id is `module:scope:index:operator`: the scope is the
+qualified name of the innermost function or class around the site
+(`<module>` at module level), and the index counts the scope's earlier
+sites of the same operator, in order of position (that of the constant,
+of the `if` statement's test, or of the operand to the right of the
+operator). An edit outside a scope leaves its ids as they are.
 A mutant runs in a throwaway copy of `src`, `tests`, `pyproject.toml` and
 `README.md`, first against its module's test file (`tests/test_{module}.py`)
 and, only if it passes, against the whole suite (`tests`), two mutants at a
@@ -22,10 +25,11 @@ status (killed, timeout or survived), the first test that failed, and for
 a survivor a note saying why it is equivalent or which test should kill
 it. The run reads the table, replaces the entries of the modules it ran
 (keeping each note), writes it back and exits 1 if a mutant the table had
-killed now survives, or if a mutant survives without a note. Ids move with
-line numbers, so a lost kill whose id an edit above it moved shows as a
-survivor without a note; so does an equivalent survivor whose id moved,
-which needs its note carried to the new id.
+killed now survives, or if a mutant survives without a note. An edit
+inside a scope that adds or removes a site moves the ids of the scope's
+later sites of that operator, so a lost kill among them shows as a
+survivor without a note; so does an equivalent survivor among them, which
+needs its note carried to the new id.
 """
 
 from __future__ import annotations
@@ -61,17 +65,38 @@ _SWAPPED = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.
 OPERATORS = ("compare", "int_plus_one", "add_sub", "mul_div", "and_or", "if_false")
 
 
+MODULE_SCOPE = "<module>"
+
+
 class Mutant(NamedTuple):
     module: str
-    line: int
-    column: int
+    scope: str  # the qualified name of the function or class around the site
+    index: int  # the site's place among the scope's sites of this operator
     operator: str
     node: int  # the node's index in `ast.walk` order
     part: int  # which operator of a chained comparison
 
     @property
     def id(self) -> str:
-        return f"{self.module}:{self.line}:{self.column}:{self.operator}"
+        return f"{self.module}:{self.scope}:{self.index}:{self.operator}"
+
+
+def _scopes(tree: ast.AST) -> dict[int, str]:
+    """The scope of every node below `tree`, by `id(node)`; a def or class is in its own."""
+    scopes: dict[int, str] = {}
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if scope == MODULE_SCOPE else f"{scope}.{child.name}"
+                scopes[id(child)] = inner
+                visit(child, inner)
+            else:
+                scopes[id(child)] = scope
+                visit(child, scope)
+
+    visit(tree, MODULE_SCOPE)
+    return scopes
 
 
 def _sites(tree: ast.AST):
@@ -92,11 +117,14 @@ def _sites(tree: ast.AST):
 
 def mutants(module: str, source: str) -> list[Mutant]:
     """The mutants of a module's source, sorted by position; their ids are unique."""
-    found = sorted(
-        (Mutant(module, at.lineno, at.col_offset, operator, index, part)
-         for index, part, operator, at in _sites(ast.parse(source))),
-        key=lambda m: (m.line, m.column, OPERATORS.index(m.operator)),
-    )
+    tree = ast.parse(source)
+    scopes = _scopes(tree)
+    sites = sorted(((at.lineno, at.col_offset, OPERATORS.index(operator)), scopes[id(at)],
+                    operator, index, part) for index, part, operator, at in _sites(tree))
+    found, counts = [], {}
+    for _, scope, operator, index, part in sites:
+        counts[scope, operator] = counts.get((scope, operator), -1) + 1
+        found.append(Mutant(module, scope, counts[scope, operator], operator, index, part))
     ids = [m.id for m in found]
     if len(set(ids)) != len(ids):
         raise ValueError(f"{module}: two mutants share an id")
@@ -233,8 +261,8 @@ def merge(old: dict, new: dict, modules: list[str], some_ids: bool) -> dict:
 
 
 def _order(mutant_id: str):
-    module, line, column, operator = mutant_id.split(":")
-    return module, int(line), int(column), OPERATORS.index(operator)
+    module, scope, index, operator = mutant_id.split(":")
+    return module, scope, OPERATORS.index(operator), int(index)
 
 
 def write_table(path: Path, table: dict) -> None:

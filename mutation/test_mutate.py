@@ -26,17 +26,17 @@ def clip(x):
 
 # grow's mutants, one per operator, and the function each one makes
 GROW = {
-    "calc:2:7:if_false": "if False:\n        return x * 2 + 1",
-    "calc:2:11:compare": "if x <= 0 and on:",
-    "calc:2:11:int_plus_one": "if x > 1 and on:",
-    "calc:2:17:and_or": "if x > 0 or on:",
-    "calc:3:19:int_plus_one": "return x * 3 + 1",
-    "calc:3:19:mul_div": "return x / 2 + 1",
-    "calc:3:23:int_plus_one": "return x * 2 + 2",
-    "calc:3:23:add_sub": "return x * 2 - 1",
+    "calc:grow:0:if_false": "if False:\n        return x * 2 + 1",
+    "calc:grow:0:compare": "if x <= 0 and on:",
+    "calc:grow:0:int_plus_one": "if x > 1 and on:",
+    "calc:grow:0:and_or": "if x > 0 or on:",
+    "calc:grow:1:int_plus_one": "return x * 3 + 1",
+    "calc:grow:0:mul_div": "return x / 2 + 1",
+    "calc:grow:2:int_plus_one": "return x * 2 + 2",
+    "calc:grow:0:add_sub": "return x * 2 - 1",
 }
-KILLED = "calc:8:11:compare"  # clip(3) returns 10
-EQUIVALENT = "calc:8:7:if_false"  # the early return only repeats what min(x, 10) gives
+KILLED = "calc:clip:0:compare"  # clip(3) returns 10
+EQUIVALENT = "calc:clip:0:if_false"  # the early return only repeats what min(x, 10) gives
 
 TESTS = '''from apcval.calc import clip, grow
 
@@ -77,7 +77,7 @@ def test_each_operator_yields_its_mutant():
         mutated = mutate.mutate(CALC, found[mutant_id])
         assert text in mutated
         assert mutated.replace(text, "") != mutate.mutate(CALC, None).replace(text, "")
-    assert [i for i in found if i.startswith(("calc:2:", "calc:3:"))] == list(GROW)
+    assert [i for i in found if i.startswith("calc:grow:")] == list(GROW)
 
 
 def test_the_ids_are_the_same_across_two_enumerations():
@@ -105,16 +105,30 @@ def test_a_killed_and_an_equivalent_mutant_then_a_lost_kill(tree, capsys):
     assert json.loads(mutate.TABLE.read_text())[KILLED] == entries[KILLED]  # not run, kept
 
 
-def test_a_lost_kill_whose_line_moved_fails_the_run(tree, capsys):
-    """A line above the site moves its id, so the lost kill is a survivor without a note."""
+def test_lines_added_above_a_function_leave_its_ids():
+    """Ids are keyed on the scope, not the line: a new line, site or function above keeps them."""
+    edited = ('"""Calc."""\nLIMIT = 10\n\n\ndef first(x):\n    return x + 1 if x < 0 else x\n\n\n'
+              + CALC.replace("def clip(x):", "def clip(x):\n    x = first(x)"))
+    before = {m.id for m in mutate.mutants("calc", CALC)}
+    after = {m.id for m in mutate.mutants("calc", edited)}
+    assert before < after
+    assert sorted(after - before) == ["calc:<module>:0:int_plus_one", "calc:first:0:add_sub",
+                                      "calc:first:0:compare", "calc:first:0:int_plus_one",
+                                      "calc:first:1:int_plus_one"]
+    found = {m.id: m for m in mutate.mutants("calc", edited)}
+    for mutant_id, text in GROW.items():
+        assert text in mutate.mutate(edited, found[mutant_id])
+
+
+def test_a_lost_kill_below_an_edit_fails_the_run(tree, capsys):
+    """A line above the site keeps its id, so the lost kill shows under the id the table has."""
     mutate.TABLE.write_text(json.dumps({KILLED: {"status": "killed", "stage": "module",
                                                  "failed": "tests/test_calc.py::test_clip"}}))
     (tree / "src" / "apcval" / "calc.py").write_text('"""Calc."""\n' + CALC)
     (tree / "tests" / "test_calc.py").write_text(TESTS.replace("clip(3) == 3 and ", ""))
-    moved = "calc:9:11:compare"
-    assert mutate.main(["calc", "--id", moved]) == 1
-    assert f"survivor without a note: {moved}" in capsys.readouterr().out
-    assert json.loads(mutate.TABLE.read_text())[moved]["status"] == "survived"
+    assert mutate.main(["calc", "--id", KILLED]) == 1
+    assert f"killed in the table, survives now: {KILLED}" in capsys.readouterr().out
+    assert json.loads(mutate.TABLE.read_text())[KILLED]["status"] == "survived"
 
 
 def test_a_survivors_note_is_kept():

@@ -5,11 +5,12 @@ Flag overrides (`--set key=value`) win over the configuration file. A
 failed equivalence test is a result, not a program error: the exit code is
 nonzero only for hard errors (and, with --strict, for validation
 violations). `main` reads each command's config and campaign as
-`_COMMANDS` declares them; the command writes its data files (a labeled or
-sampled campaign, a details CSV) and returns its report and its result's
-notes or warnings. `main` alone writes them: one `error: ` line for a hard
-error and nothing else, or the report to --out or stdout, then one
-`warning: ` line per violation of the campaign and per warning.
+`_COMMANDS` declares them; the command imports the library modules it uses
+when it runs (so a process loads only those), writes its data files (a
+labeled or sampled campaign, a details CSV) and returns its report and its
+result's notes or warnings. `main` alone writes them: one `error: ` line
+for a hard error and nothing else, or the report to --out or stdout, then
+one `warning: ` line per violation of the campaign and per warning.
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ import functools
 import gc
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import cost as cost_mod
 from . import io as io_mod
-from . import planner
-from .classify import KIND_COMBINED, ClassifierSpec, classify, draw_sample, first_stage_unsafe
 from .domain import SAFE, TEST_CLASSIC, TEST_PARTITIONED, UNLABELED, UNSAFE, DopRecord, relabel
-from .estimator import evaluate_classic, evaluate_partitioned, record_rows
+
+if TYPE_CHECKING:
+    from .classify import ClassifierSpec
 
 
 def _classifier(config: io_mod.Config) -> ClassifierSpec:
@@ -37,17 +37,21 @@ def _classifier(config: io_mod.Config) -> ClassifierSpec:
 
 def _cost_params(records: list[DopRecord], config: io_mod.Config):
     """Cost breakdown of the file's labels; only a wholly unlabeled campaign is classified."""
+    from . import cost as cost_mod
+    from .classify import classify
     if records and all(r.label == UNLABELED for r in records):
         records = classify(records, _classifier(config))
     return cost_mod.cost_breakdown(records, config.rates, config.scheme, config.classifier)
 
 
 def cmd_plan(args, config: io_mod.Config, records: None) -> tuple[dict, list[str]]:
+    from . import planner
     plan = planner.make_plan(config.params, config.partition)
     return {**io_mod.report_to_dict(plan), "seed": config.seed}, list(plan.notes)
 
 
 def cmd_optimize(args, config: io_mod.Config, records: list[DopRecord]) -> tuple[dict, list[str]]:
+    from . import planner
     breakdown = _cost_params(records, config)
     costs = breakdown.cost_params()
     plan = planner.make_plan(config.params, config.partition, costs=costs)
@@ -64,6 +68,7 @@ def cmd_optimize(args, config: io_mod.Config, records: list[DopRecord]) -> tuple
 
 
 def cmd_classify(args, config: io_mod.Config, records: list[DopRecord]) -> tuple[dict, list[str]]:
+    from .classify import KIND_COMBINED, classify, first_stage_unsafe
     spec = _classifier(config)
     labeled = classify(records, spec)
     io_mod.save_campaign(labeled, args.out)
@@ -86,6 +91,7 @@ def cmd_classify(args, config: io_mod.Config, records: list[DopRecord]) -> tuple
 
 
 def cmd_sample(args, config: io_mod.Config, records: list[DopRecord]) -> tuple[dict, list[str]]:
+    from .classify import draw_sample
     safe_ids = [r.dop_id for r in records if r.label == SAFE]
     mask = draw_sample(safe_ids, config.partition.q, config.seed)
     flags = iter(mask.tolist())  # one flag per safe record, in campaign order
@@ -107,6 +113,7 @@ def cmd_sample(args, config: io_mod.Config, records: list[DopRecord]) -> tuple[d
 
 
 def cmd_evaluate(args, config: io_mod.Config, records: list[DopRecord]) -> tuple[dict, list[str]]:
+    from .estimator import evaluate_classic, evaluate_partitioned, record_rows
     mode = args.mode
     if mode == "auto":
         # a partially labeled campaign goes to the partitioned test, which names its records

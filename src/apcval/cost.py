@@ -13,13 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import KIND_COMBINED, ClassifierSpec, first_stage_unsafe
-from .domain import SAFE, UNLABELED, UNSAFE, CostParams, CostRates, DopRecord, _id_list
-
-SCHEME_NO_FIRST_COUNT = "no_first_count"
-SCHEME_WITH_FIRST_COUNT = "with_first_count"
-SCHEME_COMBINED = "combined"
-
-SCHEMES = (SCHEME_NO_FIRST_COUNT, SCHEME_WITH_FIRST_COUNT, SCHEME_COMBINED)
+from .domain import (SAFE, SCHEME_COMBINED, SCHEME_NO_FIRST_COUNT, SCHEME_WITH_FIRST_COUNT,
+                     SCHEMES, UNLABELED, UNSAFE, CostParams, CostRates, DopRecord, _id_list)
 
 # Sunk share of a safe record's first review pass where the scheme fixes it;
 # under `combined` it is 1 where the classifier's first stage marked it unsafe.

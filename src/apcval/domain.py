@@ -24,6 +24,12 @@ LABELS = (SAFE, UNSAFE, UNLABELED)
 TEST_CLASSIC = "classic"
 TEST_PARTITIONED = "partitioned"
 
+# The cost attribution schemes (see `cost.cost_breakdown`)
+SCHEME_NO_FIRST_COUNT = "no_first_count"
+SCHEME_WITH_FIRST_COUNT = "with_first_count"
+SCHEME_COMBINED = "combined"
+SCHEMES = (SCHEME_NO_FIRST_COUNT, SCHEME_WITH_FIRST_COUNT, SCHEME_COMBINED)
+
 
 def _id_list(ids: list[str]) -> str:
     """Record ids for an error message: the first ten, then how many more."""
