@@ -120,15 +120,20 @@ def test_lines_added_above_a_function_leave_its_ids():
         assert text in mutate.mutate(edited, found[mutant_id])
 
 
-def test_a_lost_kill_below_an_edit_fails_the_run(tree, capsys):
-    """A line above the site keeps its id, so the lost kill shows under the id the table has."""
+def test_a_lost_kill_whose_id_moved_fails_the_run(tree, capsys):
+    """A site added before it in its scope moves the killed mutant's id off the table's."""
     mutate.TABLE.write_text(json.dumps({KILLED: {"status": "killed", "stage": "module",
                                                  "failed": "tests/test_calc.py::test_clip"}}))
-    (tree / "src" / "apcval" / "calc.py").write_text('"""Calc."""\n' + CALC)
+    moved = "calc:clip:1:compare"
+    edited = CALC.replace("def clip(x):", "def clip(x):\n    x = 0 if x is None else x")
+    assert "if x <= 10:" in mutate.mutate(edited, next(
+        m for m in mutate.mutants("calc", edited) if m.id == moved))
+    (tree / "src" / "apcval" / "calc.py").write_text(edited)
     (tree / "tests" / "test_calc.py").write_text(TESTS.replace("clip(3) == 3 and ", ""))
-    assert mutate.main(["calc", "--id", KILLED]) == 1
-    assert f"killed in the table, survives now: {KILLED}" in capsys.readouterr().out
-    assert json.loads(mutate.TABLE.read_text())[KILLED]["status"] == "survived"
+    assert mutate.main(["calc", "--id", moved]) == 1
+    out = capsys.readouterr().out
+    assert f"survivor without a note: {moved}" in out
+    assert "killed in the table" not in out
 
 
 def test_a_survivors_note_is_kept():

@@ -2,8 +2,9 @@
 equivalence tests in automatic passenger counting validation.
 
 Each public name loads its module on first use (PEP 562), so `import
-apcval` loads neither a library module nor numpy; `apcval.classify` stays
-the function after its module `apcval.classify` has loaded.
+apcval` loads neither a library module nor numpy, while `dir(apcval)`
+lists every name; `apcval.classify` stays the function after its module
+`apcval.classify` has loaded.
 """
 
 import sys as _sys
@@ -38,6 +39,10 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(_import_module(f".{_MODULE_OF[name]}", __name__), name)
     return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
 
 
 class _Package(_ModuleType):

@@ -27,7 +27,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import partial
-from itertools import islice, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -67,7 +67,6 @@ _LABEL_TO_CSV = {SAFE: "s", UNSAFE: "u", UNLABELED: ""}
 _CSV_TO_LABEL = {"s": SAFE, "u": UNSAFE, "": UNLABELED}
 _CSV_TO_SAMPLED = {"true": True, "false": False, "": None}
 _QUOTED_CHARS = (",", '"', "\n", "\r")  # a CSV cell holding one is quoted
-_CHUNK_ROWS = 1024  # rows a file writer formats at a time, which bounds its memory
 
 
 class CampaignError(ValueError):
@@ -265,23 +264,10 @@ def _quoted(cells: Sequence[str]) -> Sequence[str]:
             else cell for cell in cells]
 
 
-def _csv_rows(columns) -> str:
-    """Columns of str cells as CSV text, one line per row."""
-    return "\n".join([*map(",".join, zip(*map(_quoted, columns))), ""])
-
-
 def _csv_text(header, columns) -> str:
     """A header row and its columns of str cells as CSV text, one line per row."""
-    return f"{','.join(_quoted(header))}\n{_csv_rows(columns)}"
-
-
-def _save_csv(path: str | Path, header, rows, columns) -> None:
-    """Write the `_csv_text` of `header` and `columns(rows)`, formatting `_CHUNK_ROWS` at a time."""
-    rows = iter(rows)
-    with open(path, "w", encoding="utf-8") as file:
-        file.write(_csv_text(header, ()))
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
-            file.write(_csv_rows(columns(chunk)))
+    rows = map(",".join, zip(*map(_quoted, columns)))
+    return "\n".join([",".join(_quoted(header)), *rows]) + "\n"
 
 
 def _cell(value) -> str:
@@ -309,18 +295,15 @@ def _cells(values: Sequence) -> Sequence[str]:
 
 def save_campaign(records: list[DopRecord], path: str | Path) -> None:
     """Write records back out, floats by repr; load_campaign(save_campaign(x)) is identity."""
-    def cells(chunk: list[DopRecord]) -> tuple[Sequence[str], ...]:
-        columns = dict(zip(DopRecord._fields, zip(*chunk)))
-        return (
-            _cells(columns["dop_id"]),
-            list(map(repr, columns["duration_s"])),
-            *map(_cells, map(columns.get, ("m1", "m2", "m_sup", "m_final", "k_auto", "alg_count"))),
-            ["" if conf is None else repr(conf) for conf in columns["alg_confidence"]],
-            list(map(_LABEL_TO_CSV.__getitem__, columns["label"])),
-            _by_value(columns["sampled"], lambda s: "" if s is None else ("true" if s else "false")),
-        )
-
-    _save_csv(path, CAMPAIGN_COLUMNS, records, cells)
+    columns = dict(zip(DopRecord._fields, zip(*records) if records else repeat(())))
+    Path(path).write_text(_csv_text(CAMPAIGN_COLUMNS, (
+        _cells(columns["dop_id"]),
+        list(map(repr, columns["duration_s"])),
+        *map(_cells, map(columns.get, ("m1", "m2", "m_sup", "m_final", "k_auto", "alg_count"))),
+        ["" if conf is None else repr(conf) for conf in columns["alg_confidence"]],
+        list(map(_LABEL_TO_CSV.__getitem__, columns["label"])),
+        _by_value(columns["sampled"], lambda s: "" if s is None else ("true" if s else "false")),
+    )), encoding="utf-8")
 
 
 # --- configuration ----------------------------------------------------------
@@ -565,16 +548,13 @@ def save_details(rows, path: str | Path) -> None:
 
     Numbers carry 12 significant digits, and an absent d_i is an empty cell.
     """
-    def cells(chunk: list[tuple]) -> tuple[Sequence[str], ...]:
-        dop_ids, labels, weights, d_i = zip(*chunk)
-        return (
-            _cells(dop_ids),
-            ["" if d is None else format(d, ".12g") for d in d_i],
-            list(map(_LABEL_TO_CSV.__getitem__, labels)),
-            list(map("{:.12g}".format, weights)),
-        )
-
-    _save_csv(path, ["dop_id", "d_i", "stratum", "weight"], rows, cells)
+    dop_ids, labels, weights, d_i = list(zip(*rows)) or [()] * 4
+    Path(path).write_text(_csv_text(["dop_id", "d_i", "stratum", "weight"], (
+        _cells(dop_ids),
+        ["" if d is None else format(d, ".12g") for d in d_i],
+        list(map(_LABEL_TO_CSV.__getitem__, labels)),
+        list(map("{:.12g}".format, weights)),
+    )), encoding="utf-8")
 
 
 def emit_report(report, fmt: str = "json", timestamp: bool = True) -> str:

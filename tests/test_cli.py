@@ -20,6 +20,7 @@ from conftest import (OVERFLOWING_CAMPAIGNS, fully_counted_campaign, make_record
                       subsample_safe)
 from golden_cases import (COMBINED, GOLDEN, GOLDEN_CASES, GOLDEN_FILE, GOLDEN_UNLABELED,
                           golden_output)
+from test_public_api import PUBLIC_NAMES
 import apcval.cli
 import apcval.io as aio
 from apcval.cli import build_parser, main
@@ -1037,28 +1038,80 @@ def test_the_readme_command_lines_exit_0(tmp_path, monkeypatch):
 _CHILD = """import json, sys
 from apcval.cli import main
 code = main(json.loads(sys.argv[1]))
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "apcval": sorted(n for n in sys.modules if n.startswith("apcval"))}))
 """
+# Each command's argv, whether it imports numpy, and the apcval modules it loads
+# besides the package, `_version`, `cli` and the config reader's `io` and `domain`
 _COLD_CASES = {
-    "plan": (["plan"], False),
-    "classify": (["classify", "--campaign", "{campaign}", "--out", "{out}", *COMBINED], False),
+    "plan": (["plan"], False, "planner normal"),
+    "classify": (["classify", "--campaign", "{campaign}", "--out", "{out}", *COMBINED], False,
+                 "classify planner normal"),
     "cost": (["cost", "--campaign", "{campaign}", "--set", "costs.scheme=combined",
-              *COMBINED], False),
-    "optimize": (["optimize", "--campaign", "{campaign}"], False),
-    "evaluate": (["evaluate", "--campaign", "{campaign}", "--details", "{out}"], False),
-    "sample": (["sample", "--campaign", "{campaign}", "--out", "{out}"], True),
-    "simulate": (["simulate", "--n-grid", "50", "--trials", "20"], True),
+              *COMBINED], False, "cost classify planner normal"),
+    "optimize": (["optimize", "--campaign", "{campaign}"], False,
+                 "planner normal cost classify"),
+    "evaluate": (["evaluate", "--campaign", "{campaign}", "--details", "{out}"], False,
+                 "estimator normal"),
+    "sample": (["sample", "--campaign", "{campaign}", "--out", "{out}"], True,
+               "classify planner normal"),
+    "simulate": (["simulate", "--n-grid", "50", "--trials", "20"], True,
+                 "simulate classify estimator planner normal"),
 }
 
 
+def _cold_argv(case: str, campaign: Path, out: Path) -> list[str]:
+    return [a.format(campaign=campaign, out=out) for a in _COLD_CASES[case][0]]
+
+
+def _fresh(code: str, *args: str) -> str:
+    """The last line a fresh process running `code` prints."""
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=source_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout.splitlines()[-1]
+
+
 @pytest.mark.parametrize("case", _COLD_CASES)
-def test_only_the_random_draws_import_numpy(golden_campaign, tmp_path, case):
-    # a command runs as its own process, and numpy is most of its start-up
-    argv, loads_numpy = _COLD_CASES[case]
-    argv = [a.format(campaign=golden_campaign, out=tmp_path / "out.csv") for a in argv]
-    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argv)], env=source_env(),
-                          capture_output=True, text=True, timeout=60, check=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "numpy": loads_numpy}
+def test_a_command_loads_only_its_modules(golden_campaign, tmp_path, case):
+    # a command runs as its own process, and numpy is most of its start-up; a
+    # top-level import that brings in a module the command does not use fails here
+    _, loads_numpy, modules = _COLD_CASES[case]
+    argv = _cold_argv(case, golden_campaign, tmp_path / "out.csv")
+    loaded = sorted(f"apcval.{m}" for m in ["_version", "cli", "io", "domain", *modules.split()])
+    assert json.loads(_fresh(_CHILD, json.dumps(argv))) == {
+        "code": 0, "numpy": loads_numpy, "apcval": ["apcval", *loaded]}
+
+
+def test_a_bare_import_loads_no_library_module():
+    code = ("import sys, apcval\nprint(sorted(n for n in sys.modules if n.startswith('apcval')),"
+            " 'numpy' in sys.modules, set(apcval.__all__) <= set(dir(apcval)))")
+    assert _fresh(code) == "['apcval', 'apcval._version'] False True"
+
+
+_CHECK_NAMES = """
+import types
+assert callable(apcval.classify) and apcval.classify is sys.modules["apcval.classify"].classify
+for name in ("cost", "domain", "estimator", "normal", "planner", "simulate"):
+    assert isinstance(getattr(apcval, name), types.ModuleType), name
+namespace = {}
+exec("from apcval import *", namespace)
+print(sorted(name for name in namespace if name != "__builtins__"))
+"""
+
+
+@pytest.mark.parametrize("route", ["commands", "import"])
+def test_classify_stays_the_function_on_every_route(golden_campaign, tmp_path, route):
+    # the import system binds a submodule to its name in the package when it first
+    # loads it: `apcval.classify` must stay the function after the module loaded
+    if route == "commands":
+        argvs = [_cold_argv(case, golden_campaign, tmp_path / "out.csv") for case in _COLD_CASES]
+        code = ("import contextlib, io, sys, apcval\nfrom apcval import cli\n"
+                f"for argv in {argvs!r}:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert cli.main(argv) == 0, argv\n")
+    else:
+        code = "import sys, apcval.classify\n"
+    assert _fresh(code + "import apcval\n" + _CHECK_NAMES) == str(PUBLIC_NAMES)
 
 
 # --- module boundaries --------------------------------------------------------
